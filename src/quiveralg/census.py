@@ -11,7 +11,10 @@ degree bounds of the special biserial conditions) and per relation choice;
 at each vertex the admissible choices of which compositions vanish form a
 partial matching between incoming and outgoing arrows whose complement is
 again a partial matching, which keeps the search tiny.  A canonical key
-over vertex relabelings and parallel-arrow swaps dedupes presentations.
+dedupes presentations: vertices are split into classes by colour refinement
+(degrees, loops and relation incidence, refined by neighbour colours), each
+class gets its own block of labels, and the key is the minimum encoding over
+the permutations inside each class and the orderings of parallel arrows.
 """
 
 from __future__ import annotations
@@ -169,18 +172,90 @@ def _endpoint_multisets(
     yield from rec(0, count)
 
 
-def canonical_presentation_key(pres: Presentation):
-    """Isomorphism-invariant key: minimum over relabelings of the structure.
+def _rank(colours: dict[str, tuple]) -> dict[str, int]:
+    """Replace colours by their positions in the sorted list of distinct colours."""
+    order = {c: i for i, c in enumerate(sorted(set(colours.values())))}
+    return {v: order[c] for v, c in colours.items()}
 
-    Vertices run over all bijections onto 0..n-1; parallel arrows (which a
-    vertex bijection cannot separate) run over their orderings.  Arrows are
-    then renamed positionally, so the key is independent of all names.
+
+def _colour_classes(pres: Presentation) -> list[list[str]]:
+    """Vertices split into colour-refinement classes, ordered by colour.
+
+    The initial colour uses name-free data only: out-degree, in-degree, loop
+    count, and how many relation paths start at, end at or pass through the
+    vertex.  Each round recolours a vertex by its own colour with the sorted
+    colours of its out- and in-neighbours (one entry per arrow), re-ranked
+    to ints, until the number of classes stops growing.  Every step is
+    invariant under isomorphism, so an isomorphism maps each class onto the
+    class of the same colour.
     """
     quiver = pres.quiver
-    vertices = quiver.vertices
+    stats = {v: [0, 0, 0, 0, 0, 0] for v in quiver.vertices}
+    for a in quiver.arrows:
+        stats[a.source][0] += 1
+        stats[a.target][1] += 1
+        if a.source == a.target:
+            stats[a.source][2] += 1
+    for r in pres.relations:
+        for p in r.paths():
+            stats[p.source][3] += 1
+            stats[p.target][4] += 1
+            for v in p.vertices[1:-1]:
+                stats[v][5] += 1
+    colour = _rank({v: tuple(s) for v, s in stats.items()})
+    count = len(set(colour.values()))
+    while count < len(colour):
+        colour = _rank(
+            {
+                v: (
+                    colour[v],
+                    tuple(sorted(colour[a.target] for a in quiver.arrows_from[v])),
+                    tuple(sorted(colour[a.source] for a in quiver.arrows_into[v])),
+                )
+                for v in quiver.vertices
+            }
+        )
+        refined = len(set(colour.values()))
+        if refined == count:
+            break
+        count = refined
+    classes: list[list[str]] = [[] for _ in range(count)]
+    for v in quiver.vertices:
+        classes[colour[v]].append(v)
+    return classes
+
+
+def _class_labelings(classes: list[list[str]]) -> Iterator[dict[str, int]]:
+    """Vertex labelings giving each class its own block of consecutive labels,
+    permuted only inside the block."""
+    blocks = []
+    start = 0
+    for members in classes:
+        blocks.append(permutations(range(start, start + len(members))))
+        start += len(members)
+    for labels in product(*blocks):
+        yield {
+            v: i
+            for members, block in zip(classes, labels)
+            for v, i in zip(members, block)
+        }
+
+
+def canonical_presentation_key(pres: Presentation):
+    """Isomorphism-invariant key: minimum over admissible relabelings of the structure.
+
+    Vertices are split into colour-refinement classes (see
+    ``_colour_classes``) and labelled blockwise, permuting only inside each
+    class; parallel arrows (which a vertex bijection cannot separate) run
+    over their orderings.  Arrows are then renamed positionally, so the key
+    is independent of all names.  Isomorphic presentations have the same
+    admissible labelings up to the isomorphism, hence the same minimum, and
+    an equal minimum encodes one labelled presentation isomorphic to both.
+    """
+    quiver = pres.quiver
+    n = len(quiver.vertices)
     best = None
-    for perm in permutations(range(len(vertices))):
-        vmap = {v: i for v, i in zip(vertices, perm)}
+    for vmap in _class_labelings(_colour_classes(pres)):
         groups: dict[tuple[int, int], list[str]] = {}
         for a in quiver.arrows:
             groups.setdefault((vmap[a.source], vmap[a.target]), []).append(a.name)
@@ -204,7 +279,7 @@ def canonical_presentation_key(pres: Presentation):
                         tuple(amap[x] for x in p.arrows) for p in r.paths()
                     )
                     rels.append((1, tuple(sides[0]), tuple(sides[1])))
-            key = (len(vertices), tuple(endpoints), tuple(sorted(rels)))
+            key = (n, tuple(endpoints), tuple(sorted(rels)))
             if best is None or key < best:
                 best = key
     return best

@@ -37,6 +37,14 @@ def _load_ssb(path: str) -> ssb.SSBPresentation:
     return ssb.ssb_presentation(quiver.parse_presentation(_read(path)))
 
 
+def _valid_brauer_graph(text: str) -> brauer.BrauerGraph:
+    g = brauer.parse_brauer_graph(text)
+    problems = brauer.validate_brauer_graph(g)
+    if problems:
+        raise ValidationError(problems)
+    return g
+
+
 def cmd_validate(args) -> int:
     text = _read(args.file)
     if args.kind == "bg":
@@ -61,12 +69,7 @@ def cmd_validate(args) -> int:
 def cmd_convert(args) -> int:
     mode = args.mode
     if mode == "bg-to-alg":
-        g = brauer.parse_brauer_graph(_read(args.file))
-        problems = brauer.validate_brauer_graph(g)
-        if problems:
-            for p in problems:
-                print(p, file=sys.stderr)
-            return INPUT_ERROR
+        g = _valid_brauer_graph(_read(args.file))
         pres = brauer.algebra_of(g).presentation
         text = quiver.presentation_dot(pres) if args.dot else quiver.serialize_presentation(pres)
     elif mode == "alg-to-bg":
@@ -89,15 +92,7 @@ def cmd_convert(args) -> int:
 
 def cmd_iso(args) -> int:
     if args.kind == "bg":
-        graphs = []
-        for path in (args.file1, args.file2):
-            g = brauer.parse_brauer_graph(_read(path))
-            problems = brauer.validate_brauer_graph(g)
-            if problems:
-                for p in problems:
-                    print(p, file=sys.stderr)
-                return INPUT_ERROR
-            graphs.append(g)
+        graphs = [_valid_brauer_graph(_read(path)) for path in (args.file1, args.file2)]
         mapping = brauer.find_isomorphism(graphs[0], graphs[1])
         if mapping is None:
             print("not isomorphic")
@@ -178,9 +173,12 @@ def cmd_check(args) -> int:
 def cmd_dot(args) -> int:
     text = _read(args.file)
     if args.kind == "bg":
-        out = brauer.brauer_graph_dot(brauer.parse_brauer_graph(text))
+        out = brauer.brauer_graph_dot(_valid_brauer_graph(text))
     elif args.kind == "tri":
         t = surface.parse_triangulation(text)
+        problems = surface.validate_triangulation(t)
+        if problems:
+            raise ValidationError(problems)
         lines = ["graph triangulation {"]
         for p in t.points:
             lines.append(f'  "{p}";')

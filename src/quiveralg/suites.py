@@ -65,6 +65,13 @@ class Bounds:
 
 
 def _guard(bounds: Bounds) -> None:
+    below = [
+        f"{name}={getattr(bounds, name)}"
+        for name in ("max_edges", "max_mult", "max_vertices", "max_arrows", "threads")
+        if getattr(bounds, name) < 1
+    ]
+    if below:
+        raise ValueError(f"bounds must be at least 1, got {', '.join(below)}")
     if (
         bounds.max_edges > MAX_EDGES_GUARD
         or bounds.max_vertices > MAX_VERTICES_GUARD

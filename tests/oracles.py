@@ -9,11 +9,16 @@ elimination.  The computation refuses (raises) rather than return an
 uncertified number: it requires every surviving path of maximal enumerated
 length to be provably zero, which bounds all longer paths.
 
+The presentation key oracle tries every vertex bijection, with no
+refinement into classes, so it decides isomorphism by exhaustion.
+
 Nothing here inspects descriptors, cycles, graphs or any other structure
 the library derives; only the raw quiver and relation list.
 """
 
 from __future__ import annotations
+
+from itertools import permutations, product
 
 from quiveralg.quiver import Binomial, Monomial, Path, Presentation, compose, trivial_path
 
@@ -160,3 +165,45 @@ def gentle_dimension_by_walk(pres: Presentation, limit: int = 60000) -> int:
     if any(isinstance(r, Binomial) for r in pres.relations):
         raise ValueError("only monomial presentations are counted by walking")
     return len(_clean_paths(pres, limit, limit))
+
+
+def brute_force_presentation_key(pres: Presentation):
+    """Isomorphism-invariant key by exhaustion: all n! vertex bijections.
+
+    Parallel arrows run over their orderings and arrows are renamed
+    positionally, exactly as in ``census.canonical_presentation_key``, whose
+    value this is not required to equal; only the partition it induces on
+    presentations must agree.
+    """
+    quiver = pres.quiver
+    vertices = quiver.vertices
+    best = None
+    for perm in permutations(range(len(vertices))):
+        vmap = {v: i for v, i in zip(vertices, perm)}
+        groups: dict[tuple[int, int], list[str]] = {}
+        for a in quiver.arrows:
+            groups.setdefault((vmap[a.source], vmap[a.target]), []).append(a.name)
+        group_keys = sorted(groups)
+        orderings = [permutations(groups[gk]) for gk in group_keys]
+        for arrangement in product(*orderings):
+            amap: dict[str, int] = {}
+            idx = 0
+            endpoints = []
+            for gk, names in zip(group_keys, arrangement):
+                for name in names:
+                    amap[name] = idx
+                    endpoints.append(gk)
+                    idx += 1
+            rels = []
+            for r in pres.relations:
+                if isinstance(r, Monomial):
+                    rels.append((0, tuple(amap[x] for x in r.path.arrows)))
+                else:
+                    sides = sorted(
+                        tuple(amap[x] for x in p.arrows) for p in r.paths()
+                    )
+                    rels.append((1, tuple(sides[0]), tuple(sides[1])))
+            key = (len(vertices), tuple(endpoints), tuple(sorted(rels)))
+            if best is None or key < best:
+                best = key
+    return best

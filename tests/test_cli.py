@@ -248,6 +248,22 @@ class TestCheck:
         assert code == 2
         assert "bounds too large" in err
 
+    @pytest.mark.parametrize(
+        "suite,flag,value",
+        [
+            ("thm-1-1", "--max-edges", "-1"),
+            ("thm-1-1", "--max-mult", "0"),
+            ("thm-1-2", "--max-vertices", "0"),
+            ("lemma-2-1", "--max-arrows", "0"),
+            ("thm-1-3", "--threads", "0"),
+        ],
+    )
+    def test_bounds_below_one_refused(self, capsys, suite, flag, value):
+        code, out, err = run(capsys, "check", "--suite", suite, flag, value)
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err and flag[2:].replace("-", "_") in err
+
 
 class TestDeterminism:
     COMMANDS = [
@@ -272,6 +288,24 @@ class TestDeterminism:
         single = run(capsys, *base, "--threads", "1")
         quad = run(capsys, *base, "--threads", "4")
         assert single == quad
+
+
+def test_dot_refuses_invalid_brauer_graph(capsys, tmp_path):
+    bad = tmp_path / "bad.bg"
+    bad.write_text("bvertex w mult=1\nbedge H a@w b@w\norder w = zz\n")  # a, b unplaced
+    code, out, err = run(capsys, "dot", "--kind", "bg", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "not placed" in err
+
+
+def test_dot_refuses_invalid_triangulation(capsys, tmp_path):
+    bad = tmp_path / "bad.tri"
+    bad.write_text("point a\n")  # no arcs
+    code, out, err = run(capsys, "dot", "--kind", "tri", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "no arcs" in err
 
 
 def test_dot_command_kinds(capsys, files):
