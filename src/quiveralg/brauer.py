@@ -105,11 +105,17 @@ class BrauerGraph:
     def valency(self, vertex: str) -> int:
         return len(self._rotations[vertex])
 
+    @cached_property
+    def successor_of(self) -> dict[str, str]:
+        return {
+            h: nxt
+            for seq in self._rotations.values()
+            for h, nxt in zip(seq, seq[1:] + seq[:1])
+        }
+
     def successor(self, half_edge: str) -> str:
         """The next half-edge in the cyclic order at the same vertex."""
-        seq = self._rotations[self.vertex_of[half_edge]]
-        i = seq.index(half_edge)
-        return seq[(i + 1) % len(seq)]
+        return self.successor_of[half_edge]
 
     def is_silent_leaf(self, half_edge: str) -> bool:
         """Whether this germ sits alone at a multiplicity-one vertex."""
@@ -313,9 +319,9 @@ def _bfs_encoding(g: BrauerGraph, start: str) -> tuple:
     """
     order = _bfs_order(g, start)
     number = {h: i for i, h in enumerate(order)}
+    succ, partner, vertex_of, mult = g.successor_of, g.partner, g.vertex_of, g._mult
     return tuple(
-        (number[g.successor(h)], number[g.partner[h]], g.multiplicity(g.vertex_of[h]))
-        for h in order
+        (number[succ[h]], number[partner[h]], mult[vertex_of[h]]) for h in order
     )
 
 
@@ -345,15 +351,13 @@ def find_isomorphism(g1: BrauerGraph, g2: BrauerGraph) -> dict[str, str] | None:
 
 
 def _bfs_order(g: BrauerGraph, start: str) -> list[str]:
-    number = {start: 0}
+    succ, partner = g.successor_of, g.partner
+    seen = {start}
     order = [start]
-    i = 0
-    while i < len(order):
-        h = order[i]
-        i += 1
-        for nb in (g.successor(h), g.partner[h]):
-            if nb not in number:
-                number[nb] = len(order)
+    for h in order:
+        for nb in (succ[h], partner[h]):
+            if nb not in seen:
+                seen.add(nb)
                 order.append(nb)
     return order
 

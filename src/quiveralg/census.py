@@ -1,20 +1,24 @@
 """Exhaustive enumeration of small instances, up to isomorphism.
 
-Brauer graphs are generated as rotation systems: with the pairing of the
-``2n`` half-edges fixed, every permutation is a cyclic-order assignment, and
-every isomorphism class is reached; canonical forms dedupe.  Multiplicity
-assignments are layered on top of each deduped shape and deduped again with
-multiplicities included.
+Brauer graph shapes come from connected rooted maps, generated directly as
+breadth-first codes: germs are numbered in the discovery order that
+``brauer.canonical_form`` traverses, and the code grows one germ at a time
+by choosing its successor and partner among the numbered germs still free
+or the next new germ.  Each finished code is one rooted map (2, 10, 74, 706
+and 8162 of them for 1 to 5 edges), and a shape is kept when its canonical
+form is new.  Multiplicity assignments are layered on top of each shape and
+deduped again with multiplicities included.
 
-Gentle presentations are generated per quiver (endpoint multisets with the
-degree bounds of the special biserial conditions) and per relation choice;
-at each vertex the admissible choices of which compositions vanish form a
-partial matching between incoming and outgoing arrows whose complement is
-again a partial matching, which keeps the search tiny.  A canonical key
-dedupes presentations: vertices are split into classes by colour refinement
-(degrees, loops and relation incidence, refined by neighbour colours), each
-class gets its own block of labels, and the key is the minimum encoding over
-the permutations inside each class and the orderings of parallel arrows.
+Gentle presentations are generated per quiver (connected endpoint
+multisets with the degree bounds of the special biserial conditions) and per
+relation choice; at each vertex the admissible choices of which
+compositions vanish form a partial matching between incoming and outgoing
+arrows whose complement is again a partial matching, which keeps the search
+tiny.  A canonical key dedupes presentations: vertices are split into
+classes by colour refinement (degrees, loops and relation incidence, refined
+by neighbour colours), each class gets its own block of labels, and the key
+is the minimum encoding over the permutations inside each class and the
+orderings of parallel arrows.
 """
 
 from __future__ import annotations
@@ -27,40 +31,54 @@ from .gentle import GentleAlgebra, validate_gentle
 from .quiver import Monomial, Presentation, Quiver
 
 
-def _shape_key(succ: tuple[int, ...]) -> tuple | None:
-    """Canonical encoding of a rotation system over half-edges 0..2n-1.
+def rooted_maps(n_edges: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every connected rooted map with ``n_edges`` edges, once each.
 
-    The pairing is fixed as ``h ^ 1``; the encoding matches the one used for
-    full Brauer graphs but without multiplicities, computed on plain
-    integers so that the raw permutation sweep stays cheap.  Returns None
-    for disconnected systems.
+    A map is given by its breadth-first code: germs are numbered in the
+    discovery order of ``brauer._bfs_order`` from the root germ 0 (successor
+    first, then partner), and the code is the pair ``(succ, partner)`` of
+    tuples over those numbers.  The code grows one germ at a time: the
+    successor of germ ``i`` is a numbered germ that is not yet a successor
+    image, or the next new germ; its partner, unless already set, is a
+    numbered germ without a partner, or the next new germ.  A code is
+    finished when all ``2 * n_edges`` germs are numbered and processed, and
+    distinct codes are distinct rooted maps.
     """
-    n = len(succ)
-    best = None
-    for start in range(n):
-        number = {start: 0}
-        order = [start]
-        i = 0
-        while i < len(order):
-            h = order[i]
-            i += 1
-            for nb in (succ[h], h ^ 1):
-                if nb not in number:
-                    number[nb] = len(order)
-                    order.append(nb)
-        if len(order) < n:
-            return None  # disconnected; the same holds from every start
-        encoding = tuple((number[succ[h]], number[h ^ 1]) for h in order)
-        if best is None or encoding < best:
-            best = encoding
-    return best
+    size = 2 * n_edges
+    succ = [-1] * size
+    partner = [-1] * size
+    is_image = [False] * size
+
+    def grow(i: int, count: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        if i == count:
+            if count == size:
+                yield tuple(succ), tuple(partner)
+            return  # otherwise the numbered germs form a closed component
+        for s in range(min(count + 1, size)):
+            if is_image[s]:
+                continue
+            succ[i] = s
+            is_image[s] = True
+            numbered = max(count, s + 1)
+            if partner[i] >= 0:
+                yield from grow(i + 1, numbered)
+            else:
+                for p in range(i + 1, min(numbered + 1, size)):
+                    if partner[p] >= 0:
+                        continue
+                    partner[i], partner[p] = p, i
+                    yield from grow(i + 1, max(numbered, p + 1))
+                    partner[p] = -1
+                partner[i] = -1
+            is_image[s] = False
+
+    yield from grow(0, 1)
 
 
-def _cycles_of(succ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(succ)
-    seen = [False] * n
+def _cycles_of(succ: tuple[int, ...]) -> list[list[int]]:
+    seen = [False] * len(succ)
     cycles = []
-    for start in range(n):
+    for start in range(len(succ)):
         if seen[start]:
             continue
         cycle = [start]
@@ -70,19 +88,36 @@ def _cycles_of(succ: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             cycle.append(h)
             seen[h] = True
             h = succ[h]
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+        cycles.append(cycle)
+    return cycles
 
 
-def _graph_from(cycles: tuple[tuple[int, ...], ...], mults: tuple[int, ...]) -> BrauerGraph:
-    n_edges = sum(len(c) for c in cycles) // 2
+def _shape_of(succ: tuple[int, ...], partner: tuple[int, ...]) -> BrauerGraph:
+    """The multiplicity-one Brauer graph of a map given by permutations on germs."""
+    cycles = _cycles_of(succ)
+    pairs = [(h, p) for h, p in enumerate(partner) if h < p]
     return BrauerGraph(
-        multiplicities={f"v{i}": m for i, m in enumerate(mults)},
-        edges={f"E{i}": (f"h{2 * i}", f"h{2 * i + 1}") for i in range(n_edges)},
+        multiplicities={f"v{i}": 1 for i in range(len(cycles))},
+        edges={f"E{i}": (f"h{h}", f"h{p}") for i, (h, p) in enumerate(pairs)},
         rotations={
             f"v{i}": tuple(f"h{h}" for h in cycle) for i, cycle in enumerate(cycles)
         },
     )
+
+
+def brauer_shapes(n_edges: int) -> list[BrauerGraph]:
+    """Connected multiplicity-one Brauer graphs with ``n_edges`` edges, one
+    per isomorphism class (the two-vertex single edge included), in the order
+    their first rooted map is generated."""
+    seen: set[tuple] = set()
+    shapes = []
+    for code in rooted_maps(n_edges):
+        shape = _shape_of(*code)
+        key = canonical_form(shape)
+        if key not in seen:
+            seen.add(key)
+            shapes.append(shape)
+    return shapes
 
 
 def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGraph]:
@@ -92,21 +127,14 @@ def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGra
     shapes that the algebra correspondence rejects.  Deterministic order.
     """
     for n_edges in range(1, max_edges + 1):
-        shapes = []
-        seen_shapes = set()
-        for succ in permutations(range(2 * n_edges)):
-            key = _shape_key(succ)
-            if key is None or key in seen_shapes:
-                continue
-            seen_shapes.add(key)
-            shapes.append(_cycles_of(succ))
         seen: set[tuple] = set()
         found: list[tuple[tuple, BrauerGraph]] = []
-        for cycles in shapes:
-            for mults in product(range(1, max_mult + 1), repeat=len(cycles)):
-                g = _graph_from(cycles, mults)
-                if n_edges == 1 and len(cycles) == 2 and mults == (1, 1):
+        for shape in brauer_shapes(n_edges):
+            vertices = list(shape.multiplicities)
+            for mults in product(range(1, max_mult + 1), repeat=len(vertices)):
+                if n_edges == 1 and mults == (1, 1):
                     continue  # single edge with two multiplicity-one endpoints
+                g = BrauerGraph(dict(zip(vertices, mults)), shape.edges, shape.rotations)
                 key = canonical_form(g)
                 if key in seen:
                     continue
@@ -170,6 +198,27 @@ def _endpoint_multisets(
             in_deg[t] -= 1
 
     yield from rec(0, count)
+
+
+def _connects(vertices: list[str], endpoints: tuple[tuple[str, str], ...]) -> bool:
+    """Whether arrows with these endpoints join all the vertices into one
+    undirected component; a union-find on the raw pairs, so that no
+    ``Quiver`` is built for a disconnected multiset."""
+    root = {v: v for v in vertices}
+
+    def find(v: str) -> str:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    components = len(vertices)
+    for s, t in endpoints:
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            root[rs] = rt
+            components -= 1
+    return components == 1
 
 
 def _rank(colours: dict[str, tuple]) -> dict[str, int]:
@@ -310,12 +359,12 @@ def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebr
         min_arrows = max(1, nv - 1)
         for na in range(min_arrows, max_arrows + 1):
             for endpoints in _endpoint_multisets(pairs, na):
+                if not _connects(vertices, endpoints):
+                    continue
                 quiver = Quiver(
                     vertices,
                     [(f"a{i}", s, t) for i, (s, t) in enumerate(endpoints)],
                 )
-                if not quiver.is_connected():
-                    continue
                 qkey = canonical_presentation_key(Presentation(quiver, ()))
                 if qkey in seen_quivers:
                     continue

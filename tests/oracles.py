@@ -10,10 +10,13 @@ uncertified number: it requires every surviving path of maximal enumerated
 length to be provably zero, which bounds all longer paths.
 
 The presentation key oracle tries every vertex bijection, with no
-refinement into classes, so it decides isomorphism by exhaustion.
+refinement into classes, so it decides isomorphism by exhaustion.  The
+ribbon-graph shape oracle sweeps every permutation of the half-edges as a
+rotation system, on plain integers.
 
 Nothing here inspects descriptors, cycles, graphs or any other structure
-the library derives; only the raw quiver and relation list.
+the library derives; only the raw quiver and relation list, or plain
+integer permutations.
 """
 
 from __future__ import annotations
@@ -207,3 +210,41 @@ def brute_force_presentation_key(pres: Presentation):
             if best is None or key < best:
                 best = key
     return best
+
+
+def _shape_key(succ: tuple[int, ...]) -> tuple | None:
+    """Canonical encoding of a rotation system over half-edges 0..2n-1.
+
+    The pairing is fixed as ``h ^ 1``.  From every start, germs are numbered
+    in breadth-first discovery order (successor first, then partner) and the
+    encoding lists the numbers of both neighbours per germ; the minimum over
+    starts is the key.  Returns None for disconnected systems.
+    """
+    n = len(succ)
+    best = None
+    for start in range(n):
+        number = {start: 0}
+        order = [start]
+        i = 0
+        while i < len(order):
+            h = order[i]
+            i += 1
+            for nb in (succ[h], h ^ 1):
+                if nb not in number:
+                    number[nb] = len(order)
+                    order.append(nb)
+        if len(order) < n:
+            return None  # disconnected; the same holds from every start
+        encoding = tuple((number[succ[h]], number[h ^ 1]) for h in order)
+        if best is None or encoding < best:
+            best = encoding
+    return best
+
+
+def brute_force_shape_keys(n_edges: int) -> set[tuple]:
+    """Keys of the connected ribbon graphs with ``n_edges`` edges, by a sweep
+    over all (2n)! successor permutations with the pairing held fixed; every
+    isomorphism class is reached, so the distinct keys are the classes."""
+    keys = {_shape_key(succ) for succ in permutations(range(2 * n_edges))}
+    keys.discard(None)
+    return keys

@@ -1,21 +1,32 @@
-"""Enumeration regression tests: class counts frozen from the first run,
-the presentation key against a brute-force oracle, and the census of
-admissible cuts against the gentle census."""
+"""Enumeration tests: class counts frozen from the first run, backed by the
+rooted-map counts, a brute-force sweep of rotation systems and the
+orbit-counting identity; the presentation key against a brute-force oracle;
+and the census of admissible cuts against the gentle census."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_presentation_key
-from quiveralg.brauer import algebra_of, canonical_form, validate_brauer_graph
+from oracles import brute_force_presentation_key, brute_force_shape_keys
+from quiveralg.brauer import (
+    _bfs_encoding,
+    algebra_of,
+    canonical_form,
+    relabel_brauer_graph,
+    validate_brauer_graph,
+)
 from quiveralg.census import (
+    brauer_shapes,
     canonical_presentation_key,
     connected_brauer_graphs,
     gentle_algebras,
     presentations_isomorphic,
+    rooted_maps,
 )
 from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.quiver import Presentation, Quiver, relabel_presentation
@@ -30,6 +41,8 @@ BRAUER_COUNTS = {
     (3, 2): 112,
     (2, 3): 47,
     (3, 3): 312,
+    (4, 3): 2952,
+    (5, 1): 1003,
 }
 
 GENTLE_COUNTS = {
@@ -43,8 +56,19 @@ GENTLE_COUNTS = {
     (4, 8): 981,
 }
 
-# further frozen counts, too slow for the default run: gentle (5, 6) = 4092
-# (about 12 s); Brauer graphs (4, 3) = 2952, (5, 1) = 1003
+# further frozen count, too slow for the default run: gentle (5, 6) = 4092
+# (about 8 s)
+
+# connected rooted maps with n edges (Walsh-Lehman 1972; OEIS A000698)
+ROOTED_MAP_COUNTS = {1: 2, 2: 10, 3: 74, 4: 706, 5: 8162}
+
+# sum over the classes with n = 1, 2, ... edges and multiplicities at most M
+# of 2^n n! / |Aut(g)|, keyed by M
+ORBIT_SUMS = {
+    1: [1, 20, 592, 33888, 3134208],
+    2: [5, 84, 3312, 242784],
+    3: [11, 216, 10656, 955584],
+}
 
 
 @pytest.mark.parametrize("bounds,expected", sorted(BRAUER_COUNTS.items()))
@@ -55,6 +79,87 @@ def test_brauer_graph_counts(bounds, expected):
 @pytest.mark.parametrize("bounds,expected", sorted(GENTLE_COUNTS.items()))
 def test_gentle_algebra_counts(bounds, expected):
     assert sum(1 for _ in gentle_algebras(*bounds)) == expected
+
+
+def _is_bfs_code(succ: tuple[int, ...], partner: tuple[int, ...]) -> bool:
+    """Whether ``succ`` is a permutation, ``partner`` a fixed-point-free
+    involution, and breadth-first discovery from germ 0 (successor first,
+    then partner) numbers the germs 0, 1, 2, ... in order."""
+    size = len(succ)
+    if sorted(succ) != list(range(size)):
+        return False
+    if any(partner[h] == h or partner[partner[h]] != h for h in range(size)):
+        return False
+    order = [0]
+    for h in order:
+        for nb in (succ[h], partner[h]):
+            if nb not in order:
+                order.append(nb)
+    return order == list(range(size))
+
+
+@pytest.mark.parametrize("n_edges,expected", sorted(ROOTED_MAP_COUNTS.items()))
+def test_rooted_map_codes_are_the_rooted_maps(n_edges, expected):
+    """Distinct breadth-first codes are distinct rooted maps, so with the
+    A000698 count they are all of them, once each."""
+    codes = list(rooted_maps(n_edges))
+    assert len(codes) == expected
+    assert len(set(codes)) == expected
+    assert all(_is_bfs_code(*code) for code in codes)
+
+
+@pytest.mark.parametrize("n_edges", [1, 2, 3, 4])
+def test_shapes_match_the_permutation_sweep(n_edges):
+    shapes = brauer_shapes(n_edges)
+    assert all(set(g.multiplicities.values()) == {1} for g in shapes)
+    keys = [tuple(step[:2] for step in canonical_form(g)) for g in shapes]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == brute_force_shape_keys(n_edges)
+
+
+def _orbit_sum_formula(n: int, m: int) -> Fraction:
+    """n! [x^n] log sum_k m(m+1)...(m+2k-1) x^k / k!, in exact arithmetic.
+
+    Over n labelled edges with oriented ends, sum over all rotation systems
+    of m^(vertex count) is the rising factorial m(m+1)...(m+2n-1); the
+    logarithm of the exponential generating function keeps the connected
+    ones, and each class g is counted 2^n n! / |Aut(g)| times.
+    """
+    a = [Fraction(1)]
+    for k in range(1, n + 1):
+        a.append(a[-1] * (m + 2 * k - 2) * (m + 2 * k - 1) / k)
+    b = [Fraction(0)] * (n + 1)
+    for j in range(1, n + 1):
+        b[j] = a[j] - sum(k * b[k] * a[j - k] for k in range(1, j)) / j
+    return b[n] * factorial(n)
+
+
+@pytest.mark.parametrize("max_mult,expected", sorted(ORBIT_SUMS.items()))
+def test_census_satisfies_the_orbit_counting_identity(max_mult, expected):
+    """|Aut(g)| is the number of starting germs that reach the canonical
+    encoding; the degenerate single edge (|Aut| = 2) is the 1 missing at n = 1."""
+    max_edges = len(expected)
+    sums = [Fraction(0)] * max_edges
+    for g in connected_brauer_graphs(max_edges, max_mult):
+        n = len(g.edges)
+        form = canonical_form(g)
+        automorphisms = sum(1 for h in g.half_edges if _bfs_encoding(g, h) == form)
+        sums[n - 1] += Fraction(2**n * factorial(n), automorphisms)
+    assert sums == expected
+    formula = [_orbit_sum_formula(n, max_mult) - (n == 1) for n in range(1, max_edges + 1)]
+    assert formula == expected
+
+
+def test_successor_is_the_next_germ_of_the_rotation():
+    rng = random.Random(3)
+    for g in connected_brauer_graphs(3, 3):
+        for graph in (g, relabel_brauer_graph(g, rng)):
+            checked = 0
+            for seq in graph.rotations.values():
+                for i, h in enumerate(seq):
+                    assert graph.successor(h) == seq[(i + 1) % len(seq)]
+                    checked += 1
+            assert checked == len(graph.half_edges)
 
 
 def test_enumerated_graphs_validate_and_are_distinct():
