@@ -9,16 +9,20 @@ and 8162 of them for 1 to 5 edges), and a shape is kept when its canonical
 form is new.  Multiplicity assignments are layered on top of each shape and
 deduped again with multiplicities included.
 
-Gentle presentations are generated per quiver (connected endpoint
-multisets with the degree bounds of the special biserial conditions) and per
-relation choice; at each vertex the admissible choices of which
-compositions vanish form a partial matching between incoming and outgoing
-arrows whose complement is again a partial matching, which keeps the search
-tiny.  A canonical key dedupes presentations: vertices are split into
-classes by colour refinement (degrees, loops and relation incidence, refined
-by neighbour colours), each class gets its own block of labels, and the key
-is the minimum encoding over the permutations inside each class and the
-orderings of parallel arrows.
+Gentle presentations are generated per quiver and per relation choice.
+Quivers come from connected endpoint multisets with the degree bounds of the
+special biserial conditions, and only from degree-sorted labellings: the
+vertex labels must be in nonincreasing order of (out-degree, in-degree, loop
+count).  Every quiver has such a labelling, so no class is lost, and the
+key below is computed on a few labellings per class instead of on all of
+them (an orderly-generation filter in the sense of Read, 1978).  At each
+vertex the admissible choices of which compositions vanish form a partial
+matching between incoming and outgoing arrows whose complement is again a
+partial matching, which keeps the search tiny.  A canonical key dedupes
+presentations: vertices are split into classes by colour refinement
+(degrees, loops and relation incidence, refined by neighbour colours), each
+class gets its own block of labels, and the key is the minimum encoding over
+the permutations inside each class and the orderings of parallel arrows.
 """
 
 from __future__ import annotations
@@ -170,27 +174,32 @@ def _relation_choices(ins: list[str], outs: list[str]) -> list[list[tuple[str, s
 
 
 def _endpoint_multisets(
-    pairs: list[tuple[str, str]], count: int
-) -> Iterator[tuple[tuple[str, str], ...]]:
-    """Nondecreasing endpoint sequences respecting the degree-two bounds.
+    n_vertices: int, count: int
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Nondecreasing endpoint sequences over the vertices ``0..n_vertices-1``
+    with out- and in-degrees at most two and out-degrees nonincreasing in the
+    vertex label.
 
-    Equivalent to filtering ``combinations_with_replacement`` by vertex
-    degrees, but prunes as it builds, which matters at five vertices.
+    Pairs come in source-major order, so the out-degree of a source is final
+    once the sequence moves past it: an arrow at source ``s > 0`` is added
+    only while ``s`` has fewer arrows than ``s - 1``.  Prunes as it builds,
+    which matters at five vertices.
     """
-    out_deg: dict[str, int] = {}
-    in_deg: dict[str, int] = {}
-    acc: list[tuple[str, str]] = []
+    pairs = [(s, t) for s in range(n_vertices) for t in range(n_vertices)]
+    out_deg = [0] * n_vertices
+    in_deg = [0] * n_vertices
+    acc: list[tuple[int, int]] = []
 
-    def rec(start: int, remaining: int) -> Iterator[tuple[tuple[str, str], ...]]:
+    def rec(start: int, remaining: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if remaining == 0:
             yield tuple(acc)
             return
         for i in range(start, len(pairs)):
             s, t = pairs[i]
-            if out_deg.get(s, 0) >= 2 or in_deg.get(t, 0) >= 2:
+            if out_deg[s] >= (out_deg[s - 1] if s else 2) or in_deg[t] >= 2:
                 continue
-            out_deg[s] = out_deg.get(s, 0) + 1
-            in_deg[t] = in_deg.get(t, 0) + 1
+            out_deg[s] += 1
+            in_deg[t] += 1
             acc.append(pairs[i])
             yield from rec(i, remaining - 1)
             acc.pop()
@@ -200,19 +209,33 @@ def _endpoint_multisets(
     yield from rec(0, count)
 
 
-def _connects(vertices: list[str], endpoints: tuple[tuple[str, str], ...]) -> bool:
-    """Whether arrows with these endpoints join all the vertices into one
-    undirected component; a union-find on the raw pairs, so that no
-    ``Quiver`` is built for a disconnected multiset."""
-    root = {v: v for v in vertices}
+def _degree_sorted(n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the labels ``0..n_vertices-1`` are in nonincreasing order of
+    (out-degree, in-degree, loop count).  Sorting the vertices of any quiver
+    by this name-free triple gives such a labelling, so keeping only these
+    loses no isomorphism class."""
+    degrees = [[0, 0, 0] for _ in range(n_vertices)]
+    for s, t in endpoints:
+        degrees[s][0] += 1
+        degrees[t][1] += 1
+        if s == t:
+            degrees[s][2] += 1
+    return all(degrees[v - 1] >= degrees[v] for v in range(1, n_vertices))
 
-    def find(v: str) -> str:
+
+def _connects(n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> bool:
+    """Whether arrows with these endpoints join the vertices ``0..n_vertices-1``
+    into one undirected component; a union-find on the raw pairs, so that no
+    ``Quiver`` is built for a disconnected multiset."""
+    root = list(range(n_vertices))
+
+    def find(v: int) -> int:
         while root[v] != v:
             root[v] = root[root[v]]
             v = root[v]
         return v
 
-    components = len(vertices)
+    components = n_vertices
     for s, t in endpoints:
         rs, rt = find(s), find(t)
         if rs != rt:
@@ -343,6 +366,36 @@ def presentations_isomorphic(p1: Presentation, p2: Presentation) -> bool:
     return canonical_presentation_key(p1) == canonical_presentation_key(p2)
 
 
+def gentle_quivers(n_vertices: int, max_arrows: int) -> list[Quiver]:
+    """Connected quivers on ``n_vertices`` vertices with at most ``max_arrows``
+    arrows and out- and in-degrees at most two, one per isomorphism class, in
+    the order they are first generated.
+
+    Only degree-sorted labellings are generated (see ``_endpoint_multisets``
+    and ``_degree_sorted``), so the isomorphism key is computed on a few
+    candidates per class rather than on every labelled endpoint multiset.
+    """
+    vertices = [str(i) for i in range(n_vertices)]
+    seen: set = set()
+    quivers = []
+    for na in range(max(1, n_vertices - 1), max_arrows + 1):
+        for endpoints in _endpoint_multisets(n_vertices, na):
+            if not _degree_sorted(n_vertices, endpoints):
+                continue
+            if not _connects(n_vertices, endpoints):
+                continue
+            quiver = Quiver(
+                vertices,
+                [(f"a{i}", vertices[s], vertices[t]) for i, (s, t) in enumerate(endpoints)],
+            )
+            key = canonical_presentation_key(Presentation(quiver, ()))
+            if key in seen:
+                continue
+            seen.add(key)
+            quivers.append(quiver)
+    return quivers
+
+
 def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebra]:
     """All gentle algebras within the bounds, one per isomorphism class.
 
@@ -352,28 +405,9 @@ def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebr
     come out.  Deterministic order.
     """
     for nv in range(1, max_vertices + 1):
-        vertices = [str(i) for i in range(nv)]
-        pairs = [(s, t) for s in vertices for t in vertices]
-        seen_quivers: set = set()
-        quivers = []
-        min_arrows = max(1, nv - 1)
-        for na in range(min_arrows, max_arrows + 1):
-            for endpoints in _endpoint_multisets(pairs, na):
-                if not _connects(vertices, endpoints):
-                    continue
-                quiver = Quiver(
-                    vertices,
-                    [(f"a{i}", s, t) for i, (s, t) in enumerate(endpoints)],
-                )
-                qkey = canonical_presentation_key(Presentation(quiver, ()))
-                if qkey in seen_quivers:
-                    continue
-                seen_quivers.add(qkey)
-                quivers.append(quiver)
-
         seen: set = set()
         found: list[tuple[tuple, GentleAlgebra]] = []
-        for quiver in quivers:
+        for quiver in gentle_quivers(nv, max_arrows):
             per_vertex = []
             for v in quiver.vertices:
                 ins = [a.name for a in quiver.arrows_into[v]]

@@ -134,7 +134,7 @@ def cmd_cuts(args) -> int:
         else:
             _emit(quiver.serialize_presentation(gentle.presentation), args.out)
         if args.verify:
-            ok = cut.verify_roundtrip(algebra, chosen)
+            ok = cut.verify_roundtrip(algebra, gentle)
             print(f"roundtrip: {'true' if ok else 'false'}")
             return OK if ok else PROPERTY_FALSE
         return OK
@@ -143,7 +143,7 @@ def cmd_cuts(args) -> int:
     lines = []
     for c in sets:
         if args.verify:
-            ok = cut.verify_roundtrip(algebra, c)
+            ok = cut.verify_roundtrip(algebra, cut.admissible_cut(algebra, c))
             all_ok = all_ok and ok
             lines.append(f"{','.join(c.arrows)} roundtrip={'true' if ok else 'false'}")
         else:

@@ -91,6 +91,7 @@ def admissible_cut(ssb: SSBPresentation, cut: CuttingSet) -> GentleAlgebra:
     return gentle_algebra(Presentation(remaining, relations))
 
 
-def verify_roundtrip(ssb: SSBPresentation, cut: CuttingSet) -> bool:
-    """Whether the trivial extension of the cut recovers the original algebra."""
-    return is_isomorphic_ssb(trivial_extension(admissible_cut(ssb, cut)), ssb)
+def verify_roundtrip(ssb: SSBPresentation, cut_algebra: GentleAlgebra) -> bool:
+    """Whether the trivial extension of a cut algebra (from
+    :func:`admissible_cut`) recovers the original algebra."""
+    return is_isomorphic_ssb(trivial_extension(cut_algebra), ssb)

@@ -36,7 +36,7 @@ class GentleAlgebra:
     ``maximal_paths`` is the set of nonzero nontrivial paths that no arrow
     extends on either side; ``extended_maximal_paths`` additionally contains
     the trivial paths at the vertices singled out by the three local rules
-    of :func:`extended_maximal_paths`.  Instances are produced by
+    of :func:`_gets_trivial_maximal`.  Instances are produced by
     :func:`validate_gentle` / :func:`gentle_algebra`.
     """
 
@@ -275,14 +275,6 @@ def _gets_trivial_maximal(pres: Presentation, v: str) -> bool:
     return False
 
 
-def maximal_paths(algebra: GentleAlgebra) -> tuple[Path, ...]:
-    return algebra.maximal_paths
-
-
-def extended_maximal_paths(algebra: GentleAlgebra) -> tuple[Path, ...]:
-    return algebra.extended_maximal_paths
-
-
 def vertex_occurrences(algebra: GentleAlgebra) -> dict[str, list[tuple[Path, int]]]:
     """Occurrences of each quiver vertex along the extended maximal paths.
 
@@ -323,8 +315,8 @@ def socle_basis(algebra: GentleAlgebra) -> list[Path]:
 
     Computed by testing annihilation over the enumerated nonzero paths with
     the generic subpath-based zero test, not via the maximal-path chain
-    decomposition; agreement with :func:`maximal_paths` is therefore a
-    meaningful check.
+    decomposition; agreement with ``GentleAlgebra.maximal_paths`` is
+    therefore a meaningful check.
     """
     pres = algebra.presentation
     quiver = pres.quiver

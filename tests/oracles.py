@@ -11,8 +11,9 @@ length to be provably zero, which bounds all longer paths.
 
 The presentation key oracle tries every vertex bijection, with no
 refinement into classes, so it decides isomorphism by exhaustion.  The
-ribbon-graph shape oracle sweeps every permutation of the half-edges as a
-rotation system, on plain integers.
+quiver-class oracle keys every connected labelled endpoint multiset, with no
+pruning by labelling.  The ribbon-graph shape oracle sweeps every
+permutation of the half-edges as a rotation system, on plain integers.
 
 Nothing here inspects descriptors, cycles, graphs or any other structure
 the library derives; only the raw quiver and relation list, or plain
@@ -21,9 +22,17 @@ integer permutations.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
-from quiveralg.quiver import Binomial, Monomial, Path, Presentation, compose, trivial_path
+from quiveralg.quiver import (
+    Binomial,
+    Monomial,
+    Path,
+    Presentation,
+    Quiver,
+    compose,
+    trivial_path,
+)
 
 
 class _UnionFind:
@@ -103,13 +112,15 @@ def _try_dimension(pres: Presentation, cap: int, limit: int) -> int | None:
         by_source.setdefault(p.source, []).append(p)
 
     uf = _UnionFind()
-    monomial_words = [m.arrows for m in pres.monomials]
+    words_by_length: dict[int, set[tuple[str, ...]]] = {}
+    for m in pres.monomials:
+        words_by_length.setdefault(len(m.arrows), set()).add(m.arrows)
 
     def contains_monomial(arrows: tuple[str, ...]) -> bool:
         return any(
-            arrows[i : i + len(w)] == w
-            for w in monomial_words
-            for i in range(len(arrows) - len(w) + 1)
+            arrows[i : i + k] in words
+            for k, words in words_by_length.items()
+            for i in range(len(arrows) - k + 1)
         )
 
     def evaluate(u: Path, mid: Path, v: Path):
@@ -210,6 +221,28 @@ def brute_force_presentation_key(pres: Presentation):
             if best is None or key < best:
                 best = key
     return best
+
+
+def brute_force_quiver_keys(n_vertices: int, max_arrows: int, key) -> set:
+    """``key`` of every connected quiver on ``n_vertices`` vertices with
+    ``n_vertices - 1`` (at least 1) to ``max_arrows`` arrows and out- and
+    in-degrees at most two: a sweep over all labelled endpoint multisets, so
+    every isomorphism class is reached."""
+    vertices = [str(i) for i in range(n_vertices)]
+    pairs = [(s, t) for s in vertices for t in vertices]
+    keys = set()
+    for count in range(max(1, n_vertices - 1), max_arrows + 1):
+        for endpoints in combinations_with_replacement(pairs, count):
+            if any(
+                sum(1 for s, _ in endpoints if s == v) > 2
+                or sum(1 for _, t in endpoints if t == v) > 2
+                for v in vertices
+            ):
+                continue
+            quiver = Quiver(vertices, [(f"a{i}", s, t) for i, (s, t) in enumerate(endpoints)])
+            if quiver.is_connected():
+                keys.add(key(Presentation(quiver, ())))
+    return keys
 
 
 def _shape_key(succ: tuple[int, ...]) -> tuple | None:

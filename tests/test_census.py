@@ -1,7 +1,8 @@
 """Enumeration tests: class counts frozen from the first run, backed by the
 rooted-map counts, a brute-force sweep of rotation systems and the
 orbit-counting identity; the presentation key against a brute-force oracle;
-and the census of admissible cuts against the gentle census."""
+the quiver layer against an unpruned sweep; and the census of admissible
+cuts against the gentle census."""
 
 import random
 from fractions import Fraction
@@ -12,7 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_presentation_key, brute_force_shape_keys
+from oracles import (
+    brute_force_presentation_key,
+    brute_force_quiver_keys,
+    brute_force_shape_keys,
+)
 from quiveralg.brauer import (
     _bfs_encoding,
     algebra_of,
@@ -25,6 +30,7 @@ from quiveralg.census import (
     canonical_presentation_key,
     connected_brauer_graphs,
     gentle_algebras,
+    gentle_quivers,
     presentations_isomorphic,
     rooted_maps,
 )
@@ -54,10 +60,8 @@ GENTLE_COUNTS = {
     (4, 4): 190,
     (4, 6): 876,
     (4, 8): 981,
+    (5, 6): 4092,
 }
-
-# further frozen count, too slow for the default run: gentle (5, 6) = 4092
-# (about 8 s)
 
 # connected rooted maps with n edges (Walsh-Lehman 1972; OEIS A000698)
 ROOTED_MAP_COUNTS = {1: 2, 2: 10, 3: 74, 4: 706, 5: 8162}
@@ -79,6 +83,20 @@ def test_brauer_graph_counts(bounds, expected):
 @pytest.mark.parametrize("bounds,expected", sorted(GENTLE_COUNTS.items()))
 def test_gentle_algebra_counts(bounds, expected):
     assert sum(1 for _ in gentle_algebras(*bounds)) == expected
+
+
+@pytest.mark.parametrize("n_vertices,max_arrows", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 5)])
+def test_gentle_quivers_are_the_quiver_classes_once_each(n_vertices, max_arrows):
+    """The degree-sorted quiver layer against keys of every connected
+    labelled endpoint multiset."""
+    keys = [
+        canonical_presentation_key(Presentation(q, ()))
+        for q in gentle_quivers(n_vertices, max_arrows)
+    ]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == brute_force_quiver_keys(
+        n_vertices, max_arrows, canonical_presentation_key
+    )
 
 
 def _is_bfs_code(succ: tuple[int, ...], partner: tuple[int, ...]) -> bool:

@@ -1,5 +1,6 @@
 import pytest
 
+from quiveralg import suites
 from quiveralg.brauer import algebra_of
 from quiveralg.census import presentations_isomorphic
 from quiveralg.cut import (
@@ -9,7 +10,8 @@ from quiveralg.cut import (
     verify_roundtrip,
     vertex_cycles,
 )
-from quiveralg.errors import CuttingSetError, MultiplicityError
+from quiveralg.errors import CuttingSetError, MultiplicityError, ValidationError
+from quiveralg.quiver import Problem
 from quiveralg.trivext import trivial_extension
 
 
@@ -96,17 +98,33 @@ class TestAdmissibleCut:
 class TestRoundtrip:
     def test_single_arrow_both_cuts(self, a2):
         ext = trivial_extension(a2)
-        assert all(verify_roundtrip(ext, c) for c in enumerate_cutting_sets(ext))
+        assert all(
+            verify_roundtrip(ext, admissible_cut(ext, c)) for c in enumerate_cutting_sets(ext)
+        )
 
     def test_fig1_all_six(self, fig1_algebra):
         ext = trivial_extension(fig1_algebra)
-        assert all(verify_roundtrip(ext, c) for c in enumerate_cutting_sets(ext))
+        assert all(
+            verify_roundtrip(ext, admissible_cut(ext, c)) for c in enumerate_cutting_sets(ext)
+        )
 
     def test_line3_all_four(self, line3):
         ssb = algebra_of(line3)
         cuts = enumerate_cutting_sets(ssb)
         assert len(cuts) == 4
-        assert all(verify_roundtrip(ssb, c) for c in cuts)
+        assert all(verify_roundtrip(ssb, admissible_cut(ssb, c)) for c in cuts)
+
+    def test_foreign_algebra_does_not_roundtrip(self, a2, fig1_algebra):
+        assert not verify_roundtrip(trivial_extension(fig1_algebra), a2)
+
+    def test_suite_reports_a_cut_that_is_not_gentle(self, monkeypatch):
+        def not_gentle(ssb, cut):
+            raise ValidationError([Problem("S1", "stand-in")])
+
+        monkeypatch.setattr(suites, "admissible_cut", not_gentle)
+        report = suites.run_suite("thm-1-3", suites.Bounds(max_edges=2))
+        assert report.instances > 0
+        assert {prop for _, prop, _ in report.failures} == {"cut-gentle"}
 
     def test_distinct_cuts_may_give_nonisomorphic_algebras(self, fig1_algebra):
         ext = trivial_extension(fig1_algebra)
