@@ -2,8 +2,7 @@
 
 Exit codes: 0 for success or a true property, 1 for a property that is
 false or a suite with failures, 2 for unusable input.  All output is
-deterministic byte for byte for fixed inputs and flags, including across
-``--threads`` settings.
+deterministic byte for byte for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -159,7 +158,6 @@ def cmd_check(args) -> int:
         max_vertices=args.max_vertices,
         max_arrows=args.max_arrows,
         seed=args.seed,
-        threads=args.threads,
     )
     try:
         report = suites.run_suite(args.suite, bounds)
@@ -175,19 +173,7 @@ def cmd_dot(args) -> int:
     if args.kind == "bg":
         out = brauer.brauer_graph_dot(_valid_brauer_graph(text))
     elif args.kind == "tri":
-        t = surface.parse_triangulation(text)
-        problems = surface.validate_triangulation(t)
-        if problems:
-            raise ValidationError(problems)
-        lines = ["graph triangulation {"]
-        for p in t.points:
-            lines.append(f'  "{p}";')
-        for a, (u, v) in sorted(t.arcs.items()):
-            lines.append(f'  "{u}" -- "{v}" [label="{a}"];')
-        for s, (u, v) in sorted(t.boundary_segments.items()):
-            lines.append(f'  "{u}" -- "{v}" [label="{s}", style=dashed];')
-        lines.append("}")
-        out = "\n".join(lines) + "\n"
+        out = surface.triangulation_dot(surface.parse_triangulation(text))
     else:
         out = quiver.presentation_dot(quiver.parse_presentation(text))
     _emit(out, args.out)
@@ -246,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=4)
     p.add_argument("--max-arrows", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 

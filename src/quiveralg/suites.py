@@ -3,13 +3,12 @@
 Each suite checks one of the structural identities on every instance within
 the requested bounds and reports the failures; an empty failure list is the
 machine-checked statement.  Instances are enumerated deterministically and
-failure reports are sorted, so output does not depend on sharding.
+failure reports are sorted.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable
@@ -61,13 +60,12 @@ class Bounds:
     max_vertices: int = 4
     max_arrows: int = 6
     seed: int = 0
-    threads: int = 1
 
 
 def _guard(bounds: Bounds) -> None:
     below = [
         f"{name}={getattr(bounds, name)}"
-        for name in ("max_edges", "max_mult", "max_vertices", "max_arrows", "threads")
+        for name in ("max_edges", "max_mult", "max_vertices", "max_arrows")
         if getattr(bounds, name) < 1
     ]
     if below:
@@ -89,185 +87,146 @@ def _one_line(text: str) -> str:
     return " | ".join(line for line in text.strip().splitlines())
 
 
-def _run(
-    suite: str,
-    instances: Iterable,
-    check: Callable,
-    encode: Callable,
-    threads: int,
-) -> CheckReport:
-    """Apply ``check`` to every instance, sharding across worker threads.
-
-    ``check`` returns a list of (property, diagnostic) pairs; results are
-    aggregated and sorted, so the report is identical for any thread count.
-    """
-    items = list(instances)
-
-    def evaluate(item):
-        try:
-            found = check(item)
-        except QuiverAlgError as exc:
-            found = [("exception", f"{type(exc).__name__}: {exc}")]
-        return [(_one_line(encode(item)), prop, diag) for prop, diag in found]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(evaluate, items))
-    else:
-        chunks = [evaluate(item) for item in items]
-    failures = sorted(f for chunk in chunks for f in chunk)
-    return CheckReport(suite, len(items), tuple(failures))
+# Each check takes one census instance and the bounds and returns a list of
+# (property, diagnostic) pairs; the empty list means every property holds.
 
 
-def run_graph_algebra_roundtrip(bounds: Bounds) -> CheckReport:
+def _check_graph_algebra_roundtrip(g, bounds: Bounds) -> list[tuple[str, str]]:
     """Every Brauer graph is recovered from its algebra, up to isomorphism.
 
     Also exercises canonical-form stability under seeded random relabelings
     and the structural dimension against the sum of projective sizes.
     """
-    _guard(bounds)
-
-    def check(g):
-        failures = []
-        ssb = algebra_of(g)
-        back = graph_of_ssb(ssb)
-        if not is_isomorphic(back, g):
-            failures.append(("graph-roundtrip", "recovered graph is not isomorphic"))
-        rng = random.Random(bounds.seed)
-        reference = canonical_form(g)
-        for _ in range(2):
-            shuffled = relabel_brauer_graph(g, rng)
-            if canonical_form(shuffled) != reference:
-                failures.append(("canonical-stability", "relabeling changed the canonical form"))
-        dim = sum(len(projective_basis(ssb, v)) for v in ssb.quiver.vertices)
-        if dim != structural_dimension(g):
-            failures.append(
-                ("dimension", f"projective sum {dim} != structural {structural_dimension(g)}")
-            )
-        return failures
-
-    return _run(
-        "graph-algebra-roundtrip",
-        connected_brauer_graphs(bounds.max_edges, bounds.max_mult),
-        check,
-        serialize_brauer_graph,
-        bounds.threads,
-    )
+    failures = []
+    ssb = algebra_of(g)
+    back = graph_of_ssb(ssb)
+    if not is_isomorphic(back, g):
+        failures.append(("graph-roundtrip", "recovered graph is not isomorphic"))
+    rng = random.Random(bounds.seed)
+    reference = canonical_form(g)
+    for _ in range(2):
+        shuffled = relabel_brauer_graph(g, rng)
+        if canonical_form(shuffled) != reference:
+            failures.append(("canonical-stability", "relabeling changed the canonical form"))
+    dim = sum(len(projective_basis(ssb, v)) for v in ssb.quiver.vertices)
+    if dim != structural_dimension(g):
+        failures.append(
+            ("dimension", f"projective sum {dim} != structural {structural_dimension(g)}")
+        )
+    return failures
 
 
-def run_trivial_extension(bounds: Bounds) -> CheckReport:
+def _check_trivial_extension(algebra, bounds: Bounds) -> list[tuple[str, str]]:
     """The three faces of the trivial-extension correspondence on gentle algebras.
 
     (a) the glued projective bases equal the Brauer-graph ones at every
     vertex, (b) the graph of the trivial extension is the gentle graph,
     (c) the dimension exactly doubles.
     """
-    _guard(bounds)
-
-    def check(algebra):
-        failures = []
-        gg = graph_of_gentle(algebra)
-        ext = trivial_extension(algebra)
-        for v in algebra.quiver.vertices:
-            if set(projectives_oracle(algebra, v)) != set(projective_basis(ext, v)):
-                failures.append(
-                    ("projective-gluing", f"basis mismatch at vertex {v!r}")
-                )
-        if not is_isomorphic(graph_of_ssb(ext), gg.graph):
-            failures.append(("graph-of-extension", "graph of T(A) differs from the gentle graph"))
-        if ext.dimension != 2 * algebra.dimension:
+    failures = []
+    gg = graph_of_gentle(algebra)
+    ext = trivial_extension(algebra)
+    for v in algebra.quiver.vertices:
+        if set(projectives_oracle(algebra, v)) != set(projective_basis(ext, v)):
             failures.append(
-                (
-                    "dimension-doubling",
-                    f"dim T(A) = {ext.dimension} != 2 * {algebra.dimension}",
-                )
+                ("projective-gluing", f"basis mismatch at vertex {v!r}")
             )
-        return failures
+    if not is_isomorphic(graph_of_ssb(ext), gg.graph):
+        failures.append(("graph-of-extension", "graph of T(A) differs from the gentle graph"))
+    if ext.dimension != 2 * algebra.dimension:
+        failures.append(
+            (
+                "dimension-doubling",
+                f"dim T(A) = {ext.dimension} != 2 * {algebra.dimension}",
+            )
+        )
+    return failures
 
-    return _run(
-        "trivial-extension",
-        gentle_algebras(bounds.max_vertices, bounds.max_arrows),
-        check,
-        lambda a: serialize_presentation(a.presentation),
-        bounds.threads,
-    )
 
-
-def run_admissible_cut(bounds: Bounds) -> CheckReport:
+def _check_admissible_cut(g, bounds: Bounds) -> list[tuple[str, str]]:
     """Every cut of every multiplicity-one Brauer graph algebra is gentle
     and trivially extends back; the number of cutting sets is the product
     of the vertex cycle lengths."""
-    _guard(bounds)
-
-    def check(g):
-        failures = []
-        ssb = algebra_of(g)
-        cuts = enumerate_cutting_sets(ssb)
-        expected = reduce(lambda n, c: n * len(c), vertex_cycles(ssb), 1)
-        if len(cuts) != expected:
+    failures = []
+    ssb = algebra_of(g)
+    cuts = enumerate_cutting_sets(ssb)
+    expected = reduce(lambda n, c: n * len(c), vertex_cycles(ssb), 1)
+    if len(cuts) != expected:
+        failures.append(
+            ("cut-count", f"{len(cuts)} cutting sets, expected {expected}")
+        )
+    for cut in cuts:
+        try:
+            algebra = admissible_cut(ssb, cut)
+        except ValidationError:
+            failures.append(("cut-gentle", f"cut {cut.arrows} is not gentle"))
+            continue
+        if not verify_roundtrip(ssb, algebra):
             failures.append(
-                ("cut-count", f"{len(cuts)} cutting sets, expected {expected}")
+                ("cut-roundtrip", f"T(cut {cut.arrows}) is not the original algebra")
             )
-        for cut in cuts:
-            try:
-                algebra = admissible_cut(ssb, cut)
-            except ValidationError:
-                failures.append(("cut-gentle", f"cut {cut.arrows} is not gentle"))
-                continue
-            if not verify_roundtrip(ssb, algebra):
-                failures.append(
-                    ("cut-roundtrip", f"T(cut {cut.arrows}) is not the original algebra")
-                )
-        return failures
-
-    return _run(
-        "admissible-cut",
-        connected_brauer_graphs(bounds.max_edges, 1),
-        check,
-        serialize_brauer_graph,
-        bounds.threads,
-    )
+    return failures
 
 
-def run_socle_maximal(bounds: Bounds) -> CheckReport:
+def _check_socle_maximal(algebra, bounds: Bounds) -> list[tuple[str, str]]:
     """The annihilation socle equals the maximal paths on every gentle algebra."""
-    _guard(bounds)
+    if set(socle_basis(algebra)) != set(algebra.maximal_paths):
+        return [("socle-basis", "socle differs from the maximal paths")]
+    if len(nonzero_paths(algebra)) != algebra.dimension:
+        return [("dimension", "path count is inconsistent")]
+    return []
 
-    def check(algebra):
-        if set(socle_basis(algebra)) != set(algebra.maximal_paths):
-            return [("socle-basis", "socle differs from the maximal paths")]
-        if len(nonzero_paths(algebra)) != algebra.dimension:
-            return [("dimension", "path count is inconsistent")]
-        return []
 
-    return _run(
-        "socle-maximal",
-        gentle_algebras(bounds.max_vertices, bounds.max_arrows),
-        check,
+# name -> (alias, census, check, encoder).  The census and the encoder are
+# lambdas so that they look up the module-level functions at call time: a
+# function object stored here would bypass any later rebinding of the name
+# (tracing, monkeypatching in tests).
+SUITES: dict[str, tuple[str, Callable[[Bounds], Iterable], Callable, Callable[..., str]]] = {
+    "graph-algebra-roundtrip": (
+        "thm-1-1",
+        lambda b: connected_brauer_graphs(b.max_edges, b.max_mult),
+        _check_graph_algebra_roundtrip,
+        lambda g: serialize_brauer_graph(g),
+    ),
+    "trivial-extension": (
+        "thm-1-2",
+        lambda b: gentle_algebras(b.max_vertices, b.max_arrows),
+        _check_trivial_extension,
         lambda a: serialize_presentation(a.presentation),
-        bounds.threads,
-    )
-
-
-SUITES: dict[str, Callable[[Bounds], CheckReport]] = {
-    "graph-algebra-roundtrip": run_graph_algebra_roundtrip,
-    "trivial-extension": run_trivial_extension,
-    "admissible-cut": run_admissible_cut,
-    "socle-maximal": run_socle_maximal,
-}
-
-# short aliases accepted by the command line
-SUITE_ALIASES: dict[str, str] = {
-    "thm-1-1": "graph-algebra-roundtrip",
-    "thm-1-2": "trivial-extension",
-    "thm-1-3": "admissible-cut",
-    "lemma-2-1": "socle-maximal",
+    ),
+    "admissible-cut": (
+        "thm-1-3",
+        lambda b: connected_brauer_graphs(b.max_edges, 1),
+        _check_admissible_cut,
+        lambda g: serialize_brauer_graph(g),
+    ),
+    "socle-maximal": (
+        "lemma-2-1",
+        lambda b: gentle_algebras(b.max_vertices, b.max_arrows),
+        _check_socle_maximal,
+        lambda a: serialize_presentation(a.presentation),
+    ),
 }
 
 
 def run_suite(name: str, bounds: Bounds) -> CheckReport:
-    canonical = SUITE_ALIASES.get(name, name)
-    if canonical not in SUITES:
-        known = ", ".join(sorted(SUITES) + sorted(SUITE_ALIASES))
+    """Run the suite called ``name`` (or its alias) over its census.
+
+    A ``QuiverAlgError`` raised by a check is reported as an ``exception``
+    failure of that instance; failures are sorted.
+    """
+    canonical = next((n for n, (alias, *_) in SUITES.items() if name in (n, alias)), None)
+    if canonical is None:
+        known = ", ".join(sorted(SUITES) + sorted(alias for alias, *_ in SUITES.values()))
         raise ValueError(f"unknown suite {name!r}; known: {known}")
-    return SUITES[canonical](bounds)
+    _guard(bounds)
+    _, census, check, encode = SUITES[canonical]
+    items = list(census(bounds))
+    failures = []
+    for item in items:
+        try:
+            found = check(item, bounds)
+        except QuiverAlgError as exc:
+            found = [("exception", f"{type(exc).__name__}: {exc}")]
+        failures.extend((_one_line(encode(item)), prop, diag) for prop, diag in found)
+    return CheckReport(canonical, len(items), tuple(sorted(failures)))

@@ -391,3 +391,17 @@ def serialize_triangulation(t: Triangulation) -> str:
         f"triangle {tri} = {','.join(t.triangles[tri])}" for tri in t.triangle_order
     ]
     return "\n".join(lines) + "\n"
+
+
+def triangulation_dot(t: Triangulation) -> str:
+    """Graphviz DOT; arcs are solid edges, boundary segments dashed ones."""
+    _validated(t)
+    lines = ["graph triangulation {"]
+    lines += [f'  "{p}";' for p in t.points]
+    lines += [f'  "{u}" -- "{v}" [label="{a}"];' for a, (u, v) in sorted(t.arcs.items())]
+    lines += [
+        f'  "{u}" -- "{v}" [label="{s}", style=dashed];'
+        for s, (u, v) in sorted(t.boundary_segments.items())
+    ]
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ from .brauer import BrauerGraph, algebra_of
 from .errors import InconsistencyError
 from .gentle import GentleAlgebra, _gets_trivial_maximal, vertex_occurrences
 from .quiver import Path, Quiver, path_sort_key, trivial_path
-from .ssb import SSBPresentation, projective_basis
+from .ssb import SSBPresentation
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,3 @@ def projectives_oracle(algebra: GentleAlgebra, vertex: str) -> tuple[Path, ...]:
     basis.add(min(cycles, key=path_sort_key))
     return tuple(sorted(basis, key=path_sort_key))
 
-
-def oracle_agrees(algebra: GentleAlgebra) -> bool:
-    """Whether the glued bases equal the Brauer-graph bases at every vertex."""
-    ext = trivial_extension(algebra)
-    return all(
-        set(projectives_oracle(algebra, v)) == set(projective_basis(ext, v))
-        for v in algebra.quiver.vertices
-    )

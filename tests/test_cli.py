@@ -1,8 +1,21 @@
 """End-to-end command line tests; everything runs in process via main()."""
 
-import pytest
+import contextlib
+import functools
+import io
 
-from quiveralg.brauer import parse_brauer_graph, serialize_brauer_graph, validate_brauer_graph
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+from quiveralg import suites
+from quiveralg.brauer import (
+    algebra_of,
+    parse_brauer_graph,
+    serialize_brauer_graph,
+    validate_brauer_graph,
+)
+from quiveralg.census import connected_brauer_graphs, gentle_algebras
 from quiveralg.cli import main
 from quiveralg.quiver import parse_presentation, serialize_presentation
 from quiveralg.surface import serialize_triangulation
@@ -241,7 +254,30 @@ class TestCheck:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "check", "--suite", "nope")
         assert code == 2
-        assert "unknown suite" in err
+        assert err == (
+            "unknown suite 'nope'; known: admissible-cut, graph-algebra-roundtrip, "
+            "socle-maximal, trivial-extension, lemma-2-1, thm-1-1, thm-1-2, thm-1-3\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name,alias",
+        [
+            ("graph-algebra-roundtrip", "thm-1-1"),
+            ("trivial-extension", "thm-1-2"),
+            ("admissible-cut", "thm-1-3"),
+            ("socle-maximal", "lemma-2-1"),
+        ],
+    )
+    def test_alias_gives_the_same_report(self, name, alias):
+        bounds = suites.Bounds(max_edges=2, max_mult=2, max_vertices=3, max_arrows=3)
+        report = suites.run_suite(name, bounds)
+        assert report.suite == name and report.instances > 0
+        assert suites.run_suite(alias, bounds) == report
+
+    def test_threads_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "thm-1-1", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_bounds_guard(self, capsys):
         code, _, err = run(capsys, "check", "--suite", "thm-1-1", "--max-edges", "9")
@@ -255,7 +291,6 @@ class TestCheck:
             ("thm-1-1", "--max-mult", "0"),
             ("thm-1-2", "--max-vertices", "0"),
             ("lemma-2-1", "--max-arrows", "0"),
-            ("thm-1-3", "--threads", "0"),
         ],
     )
     def test_bounds_below_one_refused(self, capsys, suite, flag, value):
@@ -283,12 +318,6 @@ class TestDeterminism:
         second = run(capsys, *self._fill(argv, files))
         assert first == second
 
-    def test_identical_across_thread_counts(self, capsys):
-        base = ["check", "--suite", "thm-1-1", "--max-edges", "2", "--max-mult", "2"]
-        single = run(capsys, *base, "--threads", "1")
-        quad = run(capsys, *base, "--threads", "4")
-        assert single == quad
-
 
 def test_dot_refuses_invalid_brauer_graph(capsys, tmp_path):
     bad = tmp_path / "bad.bg"
@@ -313,3 +342,111 @@ def test_dot_command_kinds(capsys, files):
         code, out, _ = run(capsys, "dot", "--kind", kind, str(files[key]))
         assert code == 0
         assert marker in out
+
+
+# Robustness: every subcommand, on mutated serializations of census
+# instances, exits with 0, 1 or 2 and lets no exception escape.
+
+
+@functools.cache
+def census_texts() -> dict[str, tuple[str, ...]]:
+    """Serializations by kind; "cut" holds the multiplicity-one algebras."""
+    graphs = list(connected_brauer_graphs(3, 2))
+    algebras = list(gentle_algebras(3, 3))
+    mult_one = [g for g in graphs if set(g.multiplicities.values()) == {1}]
+    extensions = [trivial_extension(a).presentation for a in algebras]
+    ssb = [algebra_of(g).presentation for g in graphs] + extensions
+    cut = [algebra_of(g).presentation for g in mult_one] + extensions
+    return {
+        "bg": tuple(serialize_brauer_graph(g) for g in graphs),
+        "gentle": tuple(serialize_presentation(a.presentation) for a in algebras),
+        "ssb": tuple(serialize_presentation(p) for p in ssb),
+        "cut": tuple(serialize_presentation(p) for p in cut),
+    }
+
+
+# Splice material: the keywords and separators of the three text formats.
+# A splice adds at most one digit, so with at most two splices a
+# multiplicity stays below 1000 and quick to expand.
+TOKENS = [
+    "", "\n", " ", "=", ",", "@", ".", "(", ")", "0", "1", "2", "x", "mult=",
+    "bvertex", "bedge", "order", "vertex", "arrow", "rel", "mono", "comm",
+    "point", "bseg", "arc", "triangle", "b(a0)",
+]
+
+
+@st.composite
+def mutated(draw, texts):
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        text = text[:i] + draw(st.sampled_from(TOKENS)) + text[j:]
+    return text
+
+
+# argv with "{0}", "{1}" for input files and "{cut}" for a list of arrow
+# names, and the text kind of each file
+FUZZ_COMMANDS = [
+    (["validate", "--kind", "alg", "{0}"], ["ssb"]),
+    (["validate", "--kind", "gentle", "{0}"], ["gentle"]),
+    (["validate", "--kind", "ssb", "{0}"], ["ssb"]),
+    (["validate", "--kind", "bg", "{0}"], ["bg"]),
+    (["validate", "--kind", "tri", "{0}"], ["tri"]),
+    (["convert", "--mode", "bg-to-alg", "{0}"], ["bg"]),
+    (["convert", "--mode", "alg-to-bg", "--dot", "{0}"], ["ssb"]),
+    (["convert", "--mode", "trivext", "{0}"], ["gentle"]),
+    (["convert", "--mode", "tri-to-jacobian", "--arrow-convention", "predecessor", "{0}"], ["tri"]),
+    (["convert", "--mode", "tri-to-bg", "--dot", "{0}"], ["tri"]),
+    (["iso", "--kind", "bg", "{0}", "{1}"], ["bg", "bg"]),
+    (["iso", "--kind", "alg", "{0}", "{1}"], ["ssb", "ssb"]),
+    (["cuts", "--enumerate", "--verify", "{0}"], ["cut"]),
+    (["cuts", "--cut", "{cut}", "--verify", "{0}"], ["cut"]),
+    (["cuts", "--cut", "{cut}", "--dot", "{0}"], ["cut"]),
+    (["dot", "--kind", "alg", "{0}"], ["gentle"]),
+    (["dot", "--kind", "bg", "{0}"], ["bg"]),
+    (["dot", "--kind", "tri", "{0}"], ["tri"]),
+]
+
+
+def main_exit_code(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv,kinds", FUZZ_COMMANDS, ids=[" ".join(argv[:3]) for argv, _ in FUZZ_COMMANDS]
+)
+@seed(20141)
+@settings(
+    max_examples=25,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_input_never_escapes(argv, kinds, data, tmp_path, fig1_triangulation):
+    texts = {**census_texts(), "tri": (serialize_triangulation(fig1_triangulation),)}
+    paths = []
+    for i, kind in enumerate(kinds):
+        path = tmp_path / f"input{i}"
+        path.write_text(data.draw(mutated(texts[kind]), label=kind))
+        paths.append(str(path))
+    arrows = st.sampled_from(["h0", "h1", "h2", "h3", "a0", "a1", "b(a0)", "b(a1)", ""])
+    cut = ",".join(data.draw(st.lists(arrows, min_size=1, max_size=3), label="cut"))
+    assert main_exit_code([a.format(*paths, cut=cut) for a in argv]) in (0, 1, 2)
+
+
+SUITE_NAMES = ["thm-1-1", "thm-1-2", "thm-1-3", "lemma-2-1", "socle-maximal", "thm-1-4", ""]
+
+
+@seed(20141)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    suite=st.sampled_from(SUITE_NAMES),
+    sizes=st.lists(st.sampled_from(["-1", "0", "1", "2", "6", "11"]), min_size=4, max_size=4),
+)
+def test_check_on_any_bounds_never_escapes(suite, sizes):
+    flags = ["--max-edges", "--max-mult", "--max-vertices", "--max-arrows"]
+    argv = ["check", "--suite", suite, *(x for pair in zip(flags, sizes) for x in pair)]
+    assert main_exit_code(argv) in (0, 1, 2)

@@ -2,6 +2,7 @@ import pytest
 
 from quiveralg.brauer import algebra_of, validate_brauer_graph
 from quiveralg.census import presentations_isomorphic
+from quiveralg.cli import main
 from quiveralg.cut import CuttingSet, admissible_cut
 from quiveralg.errors import ValidationError
 from quiveralg.gentle import nonzero_paths
@@ -13,6 +14,7 @@ from quiveralg.surface import (
     jacobian_presentation,
     parse_triangulation,
     serialize_triangulation,
+    triangulation_dot,
     validate_triangulation,
 )
 from quiveralg.trivext import extended_quiver, trivial_extension
@@ -264,3 +266,23 @@ class TestTextFormat:
         text = serialize_triangulation(fig1_triangulation)
         assert "triangle t1 = 1,2,s3" in text
         assert "bseg s3 c c" in text
+
+    def test_annulus_dot(self, fig1_triangulation, tmp_path, capsys):
+        expected = (
+            "graph triangulation {\n"
+            '  "a";\n'
+            '  "b";\n'
+            '  "c";\n'
+            '  "a" -- "c" [label="1"];\n'
+            '  "a" -- "c" [label="2"];\n'
+            '  "c" -- "b" [label="3"];\n'
+            '  "a" -- "b" [label="s1", style=dashed];\n'
+            '  "b" -- "a" [label="s2", style=dashed];\n'
+            '  "c" -- "c" [label="s3", style=dashed];\n'
+            "}\n"
+        )
+        assert triangulation_dot(fig1_triangulation) == expected
+        path = tmp_path / "fig1.tri"
+        path.write_text(serialize_triangulation(fig1_triangulation))
+        assert main(["dot", "--kind", "tri", str(path)]) == 0
+        assert capsys.readouterr().out == expected
