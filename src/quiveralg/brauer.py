@@ -342,8 +342,7 @@ def find_isomorphism(g1: BrauerGraph, g2: BrauerGraph) -> dict[str, str] | None:
     """
     if len(g1.half_edges) != len(g2.half_edges):
         return None
-    best1 = min(g1.half_edges, key=lambda h: _bfs_encoding(g1, h))
-    enc1 = _bfs_encoding(g1, best1)
+    enc1, best1 = min((_bfs_encoding(g1, h), h) for h in g1.half_edges)
     for start2 in g2.half_edges:
         if _bfs_encoding(g2, start2) == enc1:
             return dict(zip(_bfs_order(g1, best1), _bfs_order(g2, start2)))

@@ -13,14 +13,15 @@ the projectives, the decomposition of the arrows into vertex cycles, and
 the ribbon graph whose vertices are the rotation classes of the maximal
 cyclic paths, with one edge per quiver vertex joining its two occurrences.
 Building that graph and comparing it with a starting Brauer graph is the
-roundtrip exercised by the verification suites.
+roundtrip exercised by the verification suites.  Two such algebras are
+compared by propagating a map from one arrow along the vertex cycles and
+checking it against the projective bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 from .brauer import BrauerGraph
 from .errors import InconsistencyError, RotationError, ValidationError
@@ -64,6 +65,8 @@ class ProjectiveDescriptor:
 class SSBPresentation:
     presentation: Presentation
     projectives: tuple[ProjectiveDescriptor, ...]
+    # the distinct vertex cycles (canonical rotations) with their exponents
+    cycle_families: tuple[tuple[Path, int], ...]
 
     @property
     def quiver(self):
@@ -72,18 +75,6 @@ class SSBPresentation:
     @cached_property
     def projective_at(self) -> dict[str, ProjectiveDescriptor]:
         return {d.vertex: d for d in self.projectives}
-
-    @cached_property
-    def cycle_families(self) -> tuple[tuple[Path, int], ...]:
-        """The distinct vertex cycles (canonical rotations) with their exponents."""
-        families: dict[Path, int] = {}
-        for d in self.projectives:
-            for w in d.paths():
-                if w.is_trivial():
-                    continue
-                dec = simple_cycle_decomposition(w)
-                families[rotation_class(dec.primitive)] = dec.exponent
-        return tuple(sorted(families.items(), key=lambda it: path_sort_key(it[0])))
 
     @cached_property
     def dimension(self) -> int:
@@ -316,7 +307,8 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
     if problems:
         return SSBValidation(tuple(problems), None)
     descriptors.sort(key=lambda d: d.vertex)
-    return SSBValidation((), SSBPresentation(pres, tuple(descriptors)))
+    cycle_families = tuple(sorted(families.items(), key=lambda it: path_sort_key(it[0])))
+    return SSBValidation((), SSBPresentation(pres, tuple(descriptors), cycle_families))
 
 
 def ssb_presentation(pres: Presentation) -> SSBPresentation:
@@ -407,124 +399,82 @@ def graph_of_ssb(ssb: SSBPresentation) -> BrauerGraph:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism testing via Lemma-style basis comparison
+# Isomorphism by propagation from one arrow
 # ---------------------------------------------------------------------------
 
 
-def _vertex_invariant(ssb: SSBPresentation, v: str):
-    q = ssb.quiver
-    d = ssb.projective_at[v]
-    shape = tuple(
-        sorted(
-            (0, 1)
-            if w.is_trivial()
-            else (
-                len(simple_cycle_decomposition(w).primitive),
-                simple_cycle_decomposition(w).exponent,
-            )
-            for w in d.paths()
+def _arrow_neighbours(ssb: SSBPresentation) -> dict[str, tuple[str, str | None]]:
+    """Per arrow: its successor on its vertex cycle, and the other arrow
+    with the same source (None if there is none)."""
+    successor = {}
+    for rep, _ in ssb.cycle_families:
+        for i, name in enumerate(rep.arrows):
+            successor[name] = rep.arrows[(i + 1) % len(rep.arrows)]
+    outs = ssb.quiver.arrows_from
+    return {
+        x.name: (
+            successor[x.name],
+            next((y.name for y in outs[x.source] if y.name != x.name), None),
         )
-    )
-    loops = sum(1 for a in q.arrows_from[v] if a.is_loop())
-    return (len(q.arrows_into[v]), len(q.arrows_from[v]), loops, shape)
+        for x in ssb.quiver.arrows
+    }
+
+
+def _arrow_order(
+    neighbours: dict[str, tuple[str, str | None]], start: str
+) -> tuple[list[str], list[int | None]]:
+    """Arrows in discovery order from ``start`` (successor first, then the
+    other arrow), and per arrow the discovery numbers of its two neighbours."""
+    number = {start: 0}
+    order = [start]
+    code = []
+    for x in order:
+        for y in neighbours[x]:
+            if y is not None and y not in number:
+                number[y] = len(order)
+                order.append(y)
+            code.append(number.get(y))
+    return order, code
 
 
 def find_ssb_isomorphism(
     a: SSBPresentation, b: SSBPresentation
 ) -> tuple[dict[str, str], dict[str, str]] | None:
-    """Search for a quiver isomorphism matching all projective bases.
+    """Search for a quiver isomorphism matching all projective bases, by
+    propagation from one arrow.
 
-    Exact backtracking over vertex bijections with local-shape pruning,
-    then over arrow bijections within parallel classes; a candidate is
-    accepted when relabeling carries every projective basis of ``a`` onto
-    the corresponding basis of ``b`` as a set of paths.
+    An isomorphism that carries bases onto bases keeps, for every arrow, its
+    successor on its vertex cycle and the other arrow at its source; these
+    two links reach every arrow, so the isomorphism is fixed by the image of
+    one arrow.  Each arrow of ``b`` in turn is tried as the image of the
+    first arrow of ``a``.  Where the two discovery orders link up alike,
+    zipping them gives the arrow map and the arrow sources give the vertex
+    map; the candidate is accepted when relabeling carries every projective
+    basis of ``a`` onto the corresponding basis of ``b`` as a set of paths.
+    The first accepted candidate is returned, so an algebra's map to itself
+    is the identity.
     """
     qa, qb = a.quiver, b.quiver
-    if len(qa.vertices) != len(qb.vertices) or len(qa.arrows) != len(qb.arrows):
-        return None
-    inv_a = {v: _vertex_invariant(a, v) for v in qa.vertices}
-    inv_b = {v: _vertex_invariant(b, v) for v in qb.vertices}
-    if sorted(inv_a.values()) != sorted(inv_b.values()):
-        return None
-    if a.dimension != b.dimension:
-        return None
-
-    basis_b = {v: _basis_path_set(b, v) for v in qb.vertices}
-    arrows_between_a: dict[tuple[str, str], list[str]] = {}
-    for ar in qa.arrows:
-        arrows_between_a.setdefault((ar.source, ar.target), []).append(ar.name)
-    arrows_between_b: dict[tuple[str, str], list[str]] = {}
-    for ar in qb.arrows:
-        arrows_between_b.setdefault((ar.source, ar.target), []).append(ar.name)
-
-    order = sorted(qa.vertices, key=lambda v: (inv_a[v], v))
-    vmap: dict[str, str] = {}
-    used: set[str] = set()
-
-    def vertex_compatible(v: str, w: str) -> bool:
-        # arrow multiplicities towards already-assigned vertices must agree
-        for u, x in vmap.items():
-            if len(arrows_between_a.get((u, v), ())) != len(arrows_between_b.get((x, w), ())):
-                return False
-            if len(arrows_between_a.get((v, u), ())) != len(arrows_between_b.get((w, x), ())):
-                return False
-        if len(arrows_between_a.get((v, v), ())) != len(arrows_between_b.get((w, w), ())):
-            return False
-        return True
-
-    def assign(k: int):
-        if k == len(order):
-            yield dict(vmap)
-            return
-        v = order[k]
-        for w in qb.vertices:
-            if w in used or inv_b[w] != inv_a[v]:
-                continue
-            if not vertex_compatible(v, w):
-                continue
-            vmap[v] = w
-            used.add(w)
-            yield from assign(k + 1)
-            del vmap[v]
-            used.discard(w)
-
-    def arrow_assignments(full_vmap: dict[str, str]):
-        groups = []
-        for (s, t), names in sorted(arrows_between_a.items()):
-            images = arrows_between_b.get((full_vmap[s], full_vmap[t]), [])
-            if len(images) != len(names):
-                return
-            groups.append((sorted(names), sorted(images)))
-
-        def rec(i: int, amap: dict[str, str]):
-            if i == len(groups):
-                yield dict(amap)
-                return
-            names, images = groups[i]
-            for perm in permutations(images):
-                for n, im in zip(names, perm):
-                    amap[n] = im
-                yield from rec(i + 1, amap)
-                for n in names:
-                    del amap[n]
-
-        yield from rec(0, {})
-
-    for full_vmap in assign(0):
-        for amap in arrow_assignments(full_vmap):
-
-            def relabel(p: Path) -> Path:
-                return Path(
-                    tuple(full_vmap[v] for v in p.vertices),
-                    tuple(amap[n] for n in p.arrows),
-                )
-
-            if all(
-                frozenset(relabel(p) for p in _basis_path_set(a, v))
-                == basis_b[full_vmap[v]]
-                for v in qa.vertices
-            ):
-                return full_vmap, amap
+    neighbours_b = _arrow_neighbours(b)
+    order_a, code_a = _arrow_order(_arrow_neighbours(a), qa.arrows[0].name)
+    basis_a = None
+    for start in qb.arrows:
+        order_b, code_b = _arrow_order(neighbours_b, start.name)
+        if code_b != code_a:
+            continue
+        if basis_a is None:
+            basis_a = {v: _basis_path_set(a, v) for v in qa.vertices}
+        amap = dict(zip(order_a, order_b))
+        vmap = {x.source: qb.arrow_map[amap[x.name]].source for x in qa.arrows}
+        if all(
+            frozenset(
+                Path(tuple(vmap[u] for u in p.vertices), tuple(amap[n] for n in p.arrows))
+                for p in paths
+            )
+            == _basis_path_set(b, vmap[v])
+            for v, paths in basis_a.items()
+        ):
+            return vmap, amap
     return None
 
 

@@ -99,11 +99,10 @@ def _check_graph_algebra_roundtrip(g, bounds: Bounds) -> list[tuple[str, str]]:
     """
     failures = []
     ssb = algebra_of(g)
-    back = graph_of_ssb(ssb)
-    if not is_isomorphic(back, g):
+    reference = canonical_form(g)
+    if canonical_form(graph_of_ssb(ssb)) != reference:
         failures.append(("graph-roundtrip", "recovered graph is not isomorphic"))
     rng = random.Random(bounds.seed)
-    reference = canonical_form(g)
     for _ in range(2):
         shuffled = relabel_brauer_graph(g, rng)
         if canonical_form(shuffled) != reference:

@@ -67,6 +67,26 @@ def line3():
 
 
 @pytest.fixture
+def line3_alg_pair():
+    """The algebra of a three-edge path graph (multiplicities one) as two
+    presentation texts whose names run along the path in opposite
+    directions; the path's reflection gives a second isomorphism."""
+    first = (
+        "vertex E0\nvertex E1\nvertex E2\n"
+        "arrow h1 E0 E1\narrow h2 E1 E0\narrow h3 E1 E2\narrow h4 E2 E1\n"
+        "rel mono h1 h2 h1\nrel comm h2 h1 = h3 h4\nrel mono h4 h3 h4\n"
+        "rel mono h1 h3\nrel mono h4 h2\n"
+    )
+    second = (
+        "vertex w0\nvertex w1\nvertex w2\n"
+        "arrow g0 w1 w2\narrow g1 w2 w1\narrow g2 w2 w0\narrow g3 w0 w2\n"
+        "rel mono g3 g2 g3\nrel comm g2 g3 = g1 g0\nrel mono g0 g1 g0\n"
+        "rel mono g3 g1\nrel mono g0 g2\n"
+    )
+    return first, second
+
+
+@pytest.fixture
 def loop_graph():
     """One vertex with a single loop edge, multiplicity one."""
     return BrauerGraph(

@@ -14,10 +14,14 @@ refinement into classes, so it decides isomorphism by exhaustion.  The
 quiver-class oracle keys every connected labelled endpoint multiset, with no
 pruning by labelling.  The ribbon-graph shape oracle sweeps every
 permutation of the half-edges as a rotation system, on plain integers.
+The symmetric special biserial isomorphism oracle tries every vertex
+bijection and every endpoint-respecting arrow bijection.
 
-Nothing here inspects descriptors, cycles, graphs or any other structure
-the library derives; only the raw quiver and relation list, or plain
-integer permutations.
+Apart from that last oracle, nothing here inspects descriptors, cycles,
+graphs or any other structure the library derives; only the raw quiver and
+relation list, or plain integer permutations.  The isomorphism oracle
+shares the library's acceptance test (projective bases as sets of paths)
+and replaces only its search.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from quiveralg.quiver import (
     compose,
     trivial_path,
 )
+from quiveralg.ssb import SSBPresentation, _basis_path_set
 
 
 class _UnionFind:
@@ -281,3 +286,54 @@ def brute_force_shape_keys(n_edges: int) -> set[tuple]:
     keys = {_shape_key(succ) for succ in permutations(range(2 * n_edges))}
     keys.discard(None)
     return keys
+
+
+def carries_bases(a: SSBPresentation, b: SSBPresentation, witness) -> bool:
+    """Whether ``witness``, a ``(vertex map, arrow map)`` pair, is a pair of
+    bijections carrying each projective basis of ``a`` (as a set of paths)
+    onto the basis of ``b`` at the image vertex."""
+    vmap, amap = witness
+    qa, qb = a.quiver, b.quiver
+    if sorted(vmap) != list(qa.vertices) or sorted(vmap.values()) != list(qb.vertices):
+        return False
+    if sorted(amap) != [x.name for x in qa.arrows] or sorted(amap.values()) != [
+        x.name for x in qb.arrows
+    ]:
+        return False
+    return all(
+        frozenset(
+            Path(tuple(vmap[u] for u in p.vertices), tuple(amap[n] for n in p.arrows))
+            for p in _basis_path_set(a, v)
+        )
+        == _basis_path_set(b, vmap[v])
+        for v in qa.vertices
+    )
+
+
+def brute_force_ssb_isomorphism(a: SSBPresentation, b: SSBPresentation):
+    """The first ``(vertex map, arrow map)`` over every vertex bijection and,
+    within it, every endpoint-respecting arrow bijection that satisfies
+    :func:`carries_bases`; None when there is none."""
+    qa, qb = a.quiver, b.quiver
+    if len(qa.vertices) != len(qb.vertices) or len(qa.arrows) != len(qb.arrows):
+        return None
+    between_b: dict[tuple[str, str], list[str]] = {}
+    for x in qb.arrows:
+        between_b.setdefault((x.source, x.target), []).append(x.name)
+    for images in permutations(qb.vertices):
+        vmap = dict(zip(qa.vertices, images))
+        between_a: dict[tuple[str, str], list[str]] = {}
+        for x in qa.arrows:
+            between_a.setdefault((vmap[x.source], vmap[x.target]), []).append(x.name)
+        if any(len(names) != len(between_b.get(ends, ())) for ends, names in between_a.items()):
+            continue
+        groups = sorted(between_a.items())
+        for arrangement in product(*(permutations(between_b[ends]) for ends, _ in groups)):
+            amap = {
+                name: image
+                for (_, names), perm in zip(groups, arrangement)
+                for name, image in zip(names, perm)
+            }
+            if carries_bases(a, b, (vmap, amap)):
+                return vmap, amap
+    return None

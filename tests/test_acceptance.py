@@ -117,16 +117,20 @@ def test_criterion_6_micro_oracles():
     _report("criterion-6 micro dimension oracles", ok, f"dims {dims}, expected (3, 4, 6)")
 
 
-def test_criterion_7_cli_determinism(tmp_path, capsys):
+def test_criterion_7_cli_determinism(tmp_path, capsys, line3_alg_pair):
     tri = tmp_path / "annulus.tri"
     tri.write_text(serialize_triangulation(annulus()))
     alg = tmp_path / "ext.alg"
+    pair = [tmp_path / "line3.alg", tmp_path / "line3-mirrored.alg"]
+    for path, text in zip(pair, line3_alg_pair):
+        path.write_text(text)
     commands = [
         ["convert", "--mode", "tri-to-jacobian", str(tri)],
         ["convert", "--mode", "tri-to-bg", str(tri)],
         ["dot", "--kind", "tri", str(tri)],
         ["check", "--suite", "thm-1-1", "--max-edges", "2", "--max-mult", "2"],
         ["check", "--suite", "thm-1-3", "--max-edges", "2"],
+        ["iso", "--kind", "alg", *map(str, pair)],
     ]
     main(["convert", "--mode", "tri-to-jacobian", "--out", str(alg), str(tri)])
     commands.append(["convert", "--mode", "trivext", str(alg)])

@@ -186,6 +186,25 @@ class TestIso:
         assert code == 0
         assert "vertex 1 -> 1" in out
 
+    def test_alg_witness_carries_the_bases(self, capsys, tmp_path, line3_alg_pair):
+        from oracles import carries_bases
+        from quiveralg.ssb import ssb_presentation
+
+        paths = [tmp_path / "first.alg", tmp_path / "second.alg"]
+        for path, text in zip(paths, line3_alg_pair):
+            path.write_text(text)
+        code, out, _ = run(capsys, "iso", "--kind", "alg", *map(str, paths))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "isomorphic"
+        maps = {"vertex": {}, "arrow": {}}
+        for line in lines[1:]:
+            kind, name, arrow, image = line.split()
+            assert arrow == "->"
+            maps[kind][name] = image
+        first, second = (ssb_presentation(parse_presentation(t)) for t in line3_alg_pair)
+        assert carries_bases(first, second, (maps["vertex"], maps["arrow"]))
+
     def test_extension_of_jacobian_matches_graph_algebra(self, capsys, files, tmp_path):
         """tri -> jacobian -> trivext equals tri -> bg -> algebra, via the CLI alone."""
         jac = tmp_path / "jac.alg"

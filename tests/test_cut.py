@@ -2,7 +2,7 @@ import pytest
 
 from quiveralg import suites
 from quiveralg.brauer import algebra_of
-from quiveralg.census import presentations_isomorphic
+from quiveralg.census import connected_brauer_graphs, presentations_isomorphic
 from quiveralg.cut import (
     CuttingSet,
     admissible_cut,
@@ -125,6 +125,18 @@ class TestRoundtrip:
         report = suites.run_suite("thm-1-3", suites.Bounds(max_edges=2))
         assert report.instances > 0
         assert {prop for _, prop, _ in report.failures} == {"cut-gentle"}
+
+    def test_suite_reports_a_broken_trivial_extension(self, monkeypatch, star3):
+        foreign = algebra_of(star3)  # three edges: no census graph at two edges
+        monkeypatch.setattr("quiveralg.cut.trivial_extension", lambda algebra: foreign)
+        report = suites.run_suite("thm-1-3", suites.Bounds(max_edges=2))
+        assert report.instances > 0
+        assert {prop for _, prop, _ in report.failures} == {"cut-roundtrip"}
+        cuts = sum(
+            len(enumerate_cutting_sets(algebra_of(g)))
+            for g in connected_brauer_graphs(2, 1)
+        )
+        assert len(report.failures) == cuts
 
     def test_distinct_cuts_may_give_nonisomorphic_algebras(self, fig1_algebra):
         ext = trivial_extension(fig1_algebra)

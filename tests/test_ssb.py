@@ -1,10 +1,16 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import brute_force_ssb_isomorphism, carries_bases
 from quiveralg.brauer import algebra_of, is_isomorphic
+from quiveralg.census import connected_brauer_graphs
 from quiveralg.errors import RotationError, ValidationError
 from quiveralg.quiver import Path, Quiver, relabel_presentation
 from quiveralg.ssb import (
+    find_ssb_isomorphism,
     graph_of_ssb,
     is_isomorphic_ssb,
     projective_basis,
@@ -221,3 +227,47 @@ class TestIsomorphismSSB:
         amap = {"h1": "z1", "h2": "z2", "h3": "z0"}
         other = ssb_presentation(relabel_presentation(ssb.presentation, None, amap))
         assert is_isomorphic_ssb(ssb, other)
+
+
+def _relabeled(ssb, rng):
+    """A copy of ``ssb`` under shuffled vertex and arrow names."""
+    vertices = list(ssb.quiver.vertices)
+    arrows = [a.name for a in ssb.quiver.arrows]
+    vnames = [f"w{i}" for i in range(len(vertices))]
+    anames = [f"g{i}" for i in range(len(arrows))]
+    rng.shuffle(vnames)
+    rng.shuffle(anames)
+    return ssb_presentation(
+        relabel_presentation(
+            ssb.presentation, dict(zip(vertices, vnames)), dict(zip(arrows, anames))
+        )
+    )
+
+
+class TestIsomorphismCensus:
+    """The propagation search against the brute-force oracle on every
+    census algebra up to the given (edges, multiplicity)."""
+
+    @pytest.mark.parametrize("bounds", [(3, 3), (4, 1)])
+    def test_relabeled_copies_are_found(self, bounds):
+        rng = random.Random(2)
+        for ssb in map(algebra_of, connected_brauer_graphs(*bounds)):
+            vertices, arrows = ssb.quiver.vertices, [a.name for a in ssb.quiver.arrows]
+            identity = (dict(zip(vertices, vertices)), dict(zip(arrows, arrows)))
+            assert find_ssb_isomorphism(ssb, ssb) == identity
+            other = _relabeled(ssb, rng)
+            witness = find_ssb_isomorphism(ssb, other)
+            assert witness is not None and carries_bases(ssb, other, witness)
+            assert brute_force_ssb_isomorphism(ssb, other) is not None
+
+    @pytest.mark.parametrize("bounds, pairs", [((3, 3), 603), ((4, 1), 485)])
+    def test_representatives_are_not_isomorphic(self, bounds, pairs):
+        classes = {}
+        for ssb in map(algebra_of, connected_brauer_graphs(*bounds)):
+            size = (ssb.dimension, len(ssb.quiver.vertices), len(ssb.quiver.arrows))
+            classes.setdefault(size, []).append(ssb)
+        same_size = [pair for group in classes.values() for pair in combinations(group, 2)]
+        assert len(same_size) == pairs
+        for a, b in same_size:
+            assert find_ssb_isomorphism(a, b) is None
+            assert brute_force_ssb_isomorphism(a, b) is None
