@@ -41,7 +41,6 @@ from .quiver import (
     Problem,
     Quiver,
     Relation,
-    power,
 )
 
 
@@ -236,14 +235,21 @@ def quiver_of(g: BrauerGraph) -> Quiver:
     return Quiver(sorted(g.edges), arrows)
 
 
-def cycle_path(g: BrauerGraph, quiver: Quiver, start: str) -> Path:
-    """The cycle at the vertex of ``start``, as a path based at its edge."""
-    return quiver.path(_cycle_arrows(g, start))
+def _cycle_power(g: BrauerGraph, start: str) -> Path:
+    """The cycle at the vertex of ``start`` raised to that vertex's
+    multiplicity, as a path based at the edge of ``start``."""
+    germs = tuple(_cycle_arrows(g, start))
+    m = g.multiplicity(g.vertex_of[start])
+    edge_of = g.edge_of
+    return Path(tuple(edge_of[h] for h in germs) * m + (edge_of[start],), germs * m)
 
 
 def relations_of(g: BrauerGraph) -> list[Relation]:
-    """The defining relations of the Brauer graph algebra (see module docs)."""
-    quiver = quiver_of(g)
+    """The defining relations of the Brauer graph algebra (see module docs).
+
+    Paths are built straight from the rotations; :class:`Presentation`
+    checks each of them against the quiver.
+    """
     relations: list[Relation] = []
     for e in sorted(g.edges):
         h, k = sorted(g.edges[e])
@@ -255,24 +261,22 @@ def relations_of(g: BrauerGraph) -> list[Relation]:
             )
         if silent_h or silent_k:
             loud = k if silent_h else h
-            cycle = cycle_path(g, quiver, loud)
-            full = power(cycle, g.multiplicity(g.vertex_of[loud]))
-            one_past_socle = Path(
-                full.vertices + (cycle.vertices[1],), full.arrows + (loud,)
-            )
+            full = _cycle_power(g, loud)
+            one_past_socle = Path(full.vertices + full.vertices[1:2], full.arrows + (loud,))
             relations.append(Monomial(one_past_socle))
         else:
-            left = power(cycle_path(g, quiver, h), g.multiplicity(g.vertex_of[h]))
-            right = power(cycle_path(g, quiver, k), g.multiplicity(g.vertex_of[k]))
-            relations.append(Binomial(left, right))
+            relations.append(Binomial(_cycle_power(g, h), _cycle_power(g, k)))
+    edge_of = g.edge_of
     for h in g.half_edges:
         if g.is_silent_leaf(h):
             continue
-        out_edge = g.edge_of[g.successor(h)]
+        nxt = g.successor(h)
+        out_edge = edge_of[nxt]
         for b in sorted(g.edges[out_edge]):
-            if b == g.successor(h) or g.is_silent_leaf(b):
+            if b == nxt or g.is_silent_leaf(b):
                 continue
-            relations.append(Monomial(quiver.path([h, b])))
+            path = Path((edge_of[h], out_edge, edge_of[g.successor(b)]), (h, b))
+            relations.append(Monomial(path))
     return relations
 
 
@@ -326,8 +330,39 @@ def _bfs_encoding(g: BrauerGraph, start: str) -> tuple:
 
 
 def canonical_form(g: BrauerGraph) -> tuple:
-    """Relabeling-invariant encoding; equal exactly for isomorphic graphs."""
-    return min(_bfs_encoding(g, h) for h in g.half_edges)
+    """Relabeling-invariant encoding; equal exactly for isomorphic graphs.
+
+    The value is the minimum of :func:`_bfs_encoding` over all starting
+    germs.  Each start's encoding is built one step at a time, and a step is
+    final as soon as its germ is processed; while the encoding still equals
+    the best one so far, each step is compared with the best one's, the
+    start is dropped at the first larger step, and after the first smaller
+    step no more comparing is needed.  Only the work changes, not the value.
+    """
+    if not g.half_edges:
+        raise ValueError("a graph without half-edges has no canonical form")
+    succ, partner, vertex_of, mult = g.successor_of, g.partner, g.vertex_of, g._mult
+    best: tuple = ()
+    for start in g.half_edges:
+        number = {start: 0}
+        order = [start]
+        code = []
+        comparing = bool(best)  # the code so far equals best's prefix
+        for i, h in enumerate(order):
+            for nb in (succ[h], partner[h]):
+                if nb not in number:
+                    number[nb] = len(order)
+                    order.append(nb)
+            step = (number[succ[h]], number[partner[h]], mult[vertex_of[h]])
+            if comparing:
+                if i == len(best) or step > best[i]:
+                    break
+                comparing = step == best[i]
+            code.append(step)
+        else:  # codes differ in length only for disconnected graphs
+            if not comparing or len(code) < len(best):
+                best = tuple(code)
+    return best
 
 
 def is_isomorphic(g1: BrauerGraph, g2: BrauerGraph) -> bool:

@@ -314,7 +314,8 @@ def socle_basis(algebra: GentleAlgebra) -> list[Path]:
     """Nonzero paths killed by every arrow on both sides.
 
     Computed by testing annihilation over the enumerated nonzero paths with
-    the generic subpath-based zero test, not via the maximal-path chain
+    the generic zero test of the presentation (relation pairs looked up,
+    longer relations scanned as subpaths), not via the maximal-path chain
     decomposition; agreement with ``GentleAlgebra.maximal_paths`` is
     therefore a meaningful check.
     """

@@ -330,13 +330,23 @@ class Presentation:
             (p.arrows[0], p.arrows[1]) for p in self.monomials if len(p) == 2
         )
 
+    @cached_property
+    def long_monomials(self) -> tuple[Path, ...]:
+        """The zero relations of length three or more."""
+        return tuple(p for p in self.monomials if len(p) > 2)
+
     def path_is_nonzero_monomially(self, p: Path) -> bool:
         """Whether ``p`` avoids every monomial relation as a subpath.
 
-        For presentations whose ideal is generated by monomials this is
-        exactly "p is nonzero in the algebra".
+        The length-two relations are looked up as consecutive arrow pairs in
+        :attr:`quadratic_monomials`; only the longer ones are scanned with
+        :func:`is_subpath`.  For presentations whose ideal is generated by
+        monomials this is exactly "p is nonzero in the algebra".
         """
-        return not any(is_subpath(m, p) for m in self.monomials)
+        quadratic = self.quadratic_monomials
+        if any(pair in quadratic for pair in zip(p.arrows, p.arrows[1:])):
+            return False
+        return not any(is_subpath(m, p) for m in self.long_monomials)
 
 
 def relabel_presentation(

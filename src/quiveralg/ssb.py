@@ -80,6 +80,41 @@ class SSBPresentation:
     def dimension(self) -> int:
         return sum(projective_dimension(self, v) for v in self.quiver.vertices)
 
+    @cached_property
+    def basis_path_sets(self) -> dict[str, frozenset[Path]]:
+        """Per vertex, all paths spanning its projective, with both socle
+        representatives.
+
+        Unlike :func:`projective_basis` this does not pick one of the two
+        identified full cycles, so the sets are stable under renaming and
+        are the right objects for isomorphism comparisons.
+        """
+        out = {}
+        for d in self.projectives:
+            paths: set[Path] = {trivial_path(d.vertex)}
+            for w in d.paths():
+                for k in range(1, len(w) + 1):
+                    paths.add(w.prefix(k))
+            out[d.vertex] = frozenset(paths)
+        return out
+
+    @cached_property
+    def arrow_neighbours(self) -> dict[str, tuple[str, str | None]]:
+        """Per arrow: its successor on its vertex cycle, and the other arrow
+        with the same source (None if there is none)."""
+        successor = {}
+        for rep, _ in self.cycle_families:
+            for i, name in enumerate(rep.arrows):
+                successor[name] = rep.arrows[(i + 1) % len(rep.arrows)]
+        outs = self.quiver.arrows_from
+        return {
+            x.name: (
+                successor[x.name],
+                next((y.name for y in outs[x.source] if y.name != x.name), None),
+            )
+            for x in self.quiver.arrows
+        }
+
 
 @dataclass(frozen=True)
 class SSBValidation:
@@ -118,7 +153,8 @@ def rotation_class(p: Path) -> Path:
         return p
     if not p.is_cyclic():
         raise RotationError(f"{p!r} is not a cycle")
-    return min((rotate(p, k) for k in range(len(p.arrows))), key=lambda r: r.arrows)
+    arrows = p.arrows
+    return rotate(p, min(range(len(arrows)), key=lambda k: arrows[k:] + arrows[:k]))
 
 
 def _looks_like_dual_numbers(pres: Presentation) -> bool:
@@ -339,21 +375,6 @@ def projective_dimension(ssb: SSBPresentation, vertex: str) -> int:
     return len(projective_basis(ssb, vertex))
 
 
-def _basis_path_set(ssb: SSBPresentation, vertex: str) -> frozenset[Path]:
-    """All paths spanning the projective, with both socle representatives.
-
-    Unlike :func:`projective_basis` this does not pick one of the two
-    identified full cycles, so the set is stable under renaming and is the
-    right object for isomorphism comparisons.
-    """
-    d = ssb.projective_at[vertex]
-    paths: set[Path] = {trivial_path(vertex)}
-    for w in d.paths():
-        for k in range(1, len(w) + 1):
-            paths.add(w.prefix(k))
-    return frozenset(paths)
-
-
 def graph_of_ssb(ssb: SSBPresentation) -> BrauerGraph:
     """The ribbon graph of a normalized symmetric special biserial algebra.
 
@@ -403,23 +424,6 @@ def graph_of_ssb(ssb: SSBPresentation) -> BrauerGraph:
 # ---------------------------------------------------------------------------
 
 
-def _arrow_neighbours(ssb: SSBPresentation) -> dict[str, tuple[str, str | None]]:
-    """Per arrow: its successor on its vertex cycle, and the other arrow
-    with the same source (None if there is none)."""
-    successor = {}
-    for rep, _ in ssb.cycle_families:
-        for i, name in enumerate(rep.arrows):
-            successor[name] = rep.arrows[(i + 1) % len(rep.arrows)]
-    outs = ssb.quiver.arrows_from
-    return {
-        x.name: (
-            successor[x.name],
-            next((y.name for y in outs[x.source] if y.name != x.name), None),
-        )
-        for x in ssb.quiver.arrows
-    }
-
-
 def _arrow_order(
     neighbours: dict[str, tuple[str, str | None]], start: str
 ) -> tuple[list[str], list[int | None]]:
@@ -455,15 +459,11 @@ def find_ssb_isomorphism(
     is the identity.
     """
     qa, qb = a.quiver, b.quiver
-    neighbours_b = _arrow_neighbours(b)
-    order_a, code_a = _arrow_order(_arrow_neighbours(a), qa.arrows[0].name)
-    basis_a = None
+    order_a, code_a = _arrow_order(a.arrow_neighbours, qa.arrows[0].name)
     for start in qb.arrows:
-        order_b, code_b = _arrow_order(neighbours_b, start.name)
+        order_b, code_b = _arrow_order(b.arrow_neighbours, start.name)
         if code_b != code_a:
             continue
-        if basis_a is None:
-            basis_a = {v: _basis_path_set(a, v) for v in qa.vertices}
         amap = dict(zip(order_a, order_b))
         vmap = {x.source: qb.arrow_map[amap[x.name]].source for x in qa.arrows}
         if all(
@@ -471,8 +471,8 @@ def find_ssb_isomorphism(
                 Path(tuple(vmap[u] for u in p.vertices), tuple(amap[n] for n in p.arrows))
                 for p in paths
             )
-            == _basis_path_set(b, vmap[v])
-            for v, paths in basis_a.items()
+            == b.basis_path_sets[vmap[v]]
+            for v, paths in a.basis_path_sets.items()
         ):
             return vmap, amap
     return None

@@ -13,7 +13,9 @@ The presentation key oracle tries every vertex bijection, with no
 refinement into classes, so it decides isomorphism by exhaustion.  The
 quiver-class oracle keys every connected labelled endpoint multiset, with no
 pruning by labelling.  The ribbon-graph shape oracle sweeps every
-permutation of the half-edges as a rotation system, on plain integers.
+permutation of the half-edges as a rotation system, on plain integers, and
+the Brauer canonical-form oracle takes the full minimum over all start
+germs, on the integers of the raw rotations, edges and multiplicities.
 The symmetric special biserial isomorphism oracle tries every vertex
 bijection and every endpoint-respecting arrow bijection.
 
@@ -27,7 +29,9 @@ and replaces only its search.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations, product
+from typing import Sequence
 
+from quiveralg.brauer import BrauerGraph
 from quiveralg.quiver import (
     Binomial,
     Monomial,
@@ -37,7 +41,7 @@ from quiveralg.quiver import (
     compose,
     trivial_path,
 )
-from quiveralg.ssb import SSBPresentation, _basis_path_set
+from quiveralg.ssb import SSBPresentation
 
 
 class _UnionFind:
@@ -250,33 +254,61 @@ def brute_force_quiver_keys(n_vertices: int, max_arrows: int, key) -> set:
     return keys
 
 
-def _shape_key(succ: tuple[int, ...]) -> tuple | None:
-    """Canonical encoding of a rotation system over half-edges 0..2n-1.
+def _minimum_code(
+    succ: Sequence[int], partner: Sequence[int], mult: Sequence[int] | None = None
+) -> tuple | None:
+    """Minimum over every start germ of the full discovery code, with no
+    early exit; None for disconnected systems.
 
-    The pairing is fixed as ``h ^ 1``.  From every start, germs are numbered
-    in breadth-first discovery order (successor first, then partner) and the
-    encoding lists the numbers of both neighbours per germ; the minimum over
-    starts is the key.  Returns None for disconnected systems.
+    From every start, germs are numbered in breadth-first discovery order
+    (successor first, then partner); the code lists, per germ in that order,
+    the numbers of both neighbours and, when ``mult`` is given, the germ's
+    multiplicity.
     """
     n = len(succ)
-    best = None
+    codes = []
     for start in range(n):
         number = {start: 0}
         order = [start]
-        i = 0
-        while i < len(order):
-            h = order[i]
-            i += 1
-            for nb in (succ[h], h ^ 1):
+        for h in order:
+            for nb in (succ[h], partner[h]):
                 if nb not in number:
                     number[nb] = len(order)
                     order.append(nb)
         if len(order) < n:
             return None  # disconnected; the same holds from every start
-        encoding = tuple((number[succ[h]], number[h ^ 1]) for h in order)
-        if best is None or encoding < best:
-            best = encoding
-    return best
+        codes.append(
+            tuple(
+                (number[succ[h]], number[partner[h]])
+                + (() if mult is None else (mult[h],))
+                for h in order
+            )
+        )
+    return min(codes)
+
+
+def _shape_key(succ: tuple[int, ...]) -> tuple | None:
+    """Canonical encoding of a rotation system over half-edges 0..2n-1 with
+    the pairing fixed as ``h ^ 1``."""
+    return _minimum_code(succ, [h ^ 1 for h in range(len(succ))])
+
+
+def canonical_form_oracle(g: BrauerGraph) -> tuple | None:
+    """The Brauer canonical form as a plain minimum over all start germs.
+
+    Reads only the raw rotations, edges and multiplicities; germs become the
+    integers of their sorted order.
+    """
+    germs = sorted(h for seq in g.rotations.values() for h in seq)
+    index = {h: i for i, h in enumerate(germs)}
+    succ, partner, mult = [0] * len(germs), [0] * len(germs), [0] * len(germs)
+    for v, seq in g.rotations.items():
+        for h, nxt in zip(seq, seq[1:] + seq[:1]):
+            succ[index[h]] = index[nxt]
+            mult[index[h]] = g.multiplicity(v)
+    for h, k in g.edges.values():
+        partner[index[h]], partner[index[k]] = index[k], index[h]
+    return _minimum_code(succ, partner, mult)
 
 
 def brute_force_shape_keys(n_edges: int) -> set[tuple]:
@@ -303,9 +335,9 @@ def carries_bases(a: SSBPresentation, b: SSBPresentation, witness) -> bool:
     return all(
         frozenset(
             Path(tuple(vmap[u] for u in p.vertices), tuple(amap[n] for n in p.arrows))
-            for p in _basis_path_set(a, v)
+            for p in a.basis_path_sets[v]
         )
-        == _basis_path_set(b, vmap[v])
+        == b.basis_path_sets[vmap[v]]
         for v in qa.vertices
     )
 

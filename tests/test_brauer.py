@@ -1,6 +1,6 @@
 import random
 
-from oracles import quotient_dimension
+from oracles import canonical_form_oracle, quotient_dimension
 from quiveralg.brauer import (
     BrauerGraph,
     algebra_of,
@@ -167,6 +167,15 @@ class TestCanonicalForm:
             )
             assert mapping[line3.partner[h]] == other.partner[image]
             assert mapping[line3.successor(h)] == other.successor(image)
+
+    def test_matches_full_minimum_over_starts(self):
+        from quiveralg.census import connected_brauer_graphs
+
+        rng = random.Random(2718)
+        for bounds in ((4, 3), (5, 1)):
+            for g in connected_brauer_graphs(*bounds):
+                for copy in (g, relabel_brauer_graph(g, rng), relabel_brauer_graph(g, rng)):
+                    assert canonical_form(copy) == canonical_form_oracle(copy)
 
     def test_rotation_anchor_is_irrelevant(self, line3):
         rotated = BrauerGraph(

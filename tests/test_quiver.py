@@ -192,3 +192,34 @@ def test_dot_is_sorted_and_stable(chain3):
 def test_power(chain3):
     q = Quiver(["1"], [("x", "1", "1")])
     assert power(q.path(["x"]), 3) == q.path(["x", "x", "x"])
+
+
+def _paths_up_to(quiver: Quiver, cap: int):
+    """Every nontrivial path of the quiver with at most ``cap`` arrows."""
+    stack = [quiver.path([a.name]) for a in quiver.arrows]
+    while stack:
+        p = stack.pop()
+        yield p
+        if len(p) < cap:
+            for b in quiver.arrows_from[p.target]:
+                stack.append(Path(p.vertices + (b.target,), p.arrows + (b.name,)))
+
+
+def test_zero_test_matches_subpath_scan():
+    """The pair lookup plus long-monomial scan agrees with a plain scan over
+    all monomials, on every path up to the longest monomial plus one.
+
+    Brauer graphs with multiplicity-one leaves give monomials of length three
+    or more; gentle algebras have only quadratic ones.
+    """
+    from quiveralg.brauer import presentation_of
+    from quiveralg.census import connected_brauer_graphs, gentle_algebras
+
+    presentations = [presentation_of(g) for g in connected_brauer_graphs(3, 3)]
+    presentations += [a.presentation for a in gentle_algebras(4, 4)]
+    assert any(pres.long_monomials for pres in presentations)
+    for pres in presentations:
+        cap = max((len(m) for m in pres.monomials), default=1) + 1
+        for p in _paths_up_to(pres.quiver, cap):
+            expected = not any(is_subpath(m, p) for m in pres.monomials)
+            assert pres.path_is_nonzero_monomially(p) == expected

@@ -96,6 +96,17 @@ class TestRotationClass:
         reps = {rotation_class(rotate(p, k)) for k in range(3)}
         assert len(reps) == 1
 
+    def test_least_over_all_rotations(self):
+        from quiveralg.quiver import rotate
+
+        for g in connected_brauer_graphs(3, 3):
+            pres = algebra_of(g).presentation
+            cycles = [side for r in pres.binomials for side in r.paths()]
+            cycles += [m.prefix(len(m) - 1) for m in pres.long_monomials]
+            for p in cycles:
+                least = min((rotate(p, k) for k in range(len(p))), key=lambda r: r.arrows)
+                assert rotation_class(p) == least
+
     def test_rotation_preserves_exponent(self, bouquet):
         from quiveralg.quiver import rotate
 
