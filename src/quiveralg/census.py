@@ -5,9 +5,14 @@ breadth-first codes: germs are numbered in the discovery order that
 ``brauer.canonical_form`` traverses, and the code grows one germ at a time
 by choosing its successor and partner among the numbered germs still free
 or the next new germ.  Each finished code is one rooted map (2, 10, 74, 706
-and 8162 of them for 1 to 5 edges), and a shape is kept when its canonical
-form is new.  Multiplicity assignments are layered on top of each shape and
-deduped again with multiplicities included.
+and 8162 of them for 1 to 5 edges).  Generation is orderly (Read, 1978;
+McKay, 1998): a rooted map is kept only when its root has the least code
+among all roots of the map, which holds for exactly one rooted map per
+shape, and the roots that tie with it are the automorphisms of the shape.
+Multiplicity assignments are layered on top of each shape, keeping those
+that are lexicographically least among their images under the
+automorphisms.  No set of earlier classes is kept and nothing is sorted:
+classes come out in generation order, one at a time.
 
 Gentle presentations are generated per quiver and per relation choice.
 Quivers come from connected endpoint multisets with the degree bounds of the
@@ -30,7 +35,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator
 
-from .brauer import BrauerGraph, canonical_form
+from .brauer import BrauerGraph
 from .gentle import GentleAlgebra, validate_gentle
 from .quiver import Monomial, Presentation, Quiver
 
@@ -79,6 +84,41 @@ def rooted_maps(n_edges: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]
     yield from grow(0, 1)
 
 
+def _automorphisms(
+    succ: tuple[int, ...], partner: tuple[int, ...]
+) -> list[tuple[int, ...]] | None:
+    """The nontrivial automorphisms of a rooted map whose root has the least
+    code, or None when another root has a smaller one.
+
+    The code from germ 0 is the pair ``(succ, partner)`` itself; the code
+    from any other root is built step by step, with the same
+    ``(successor, partner)`` steps as ``brauer.canonical_form``, and left at
+    its first step that differs from germ 0's.  A root whose code ties all
+    the way is an automorphism, given as its discovery order (germ ``i``
+    goes to ``order[i]``): a map automorphism is fixed by the image of one
+    germ, so these roots are the whole group.
+    """
+    size = len(succ)
+    found = []
+    for root in range(1, size):
+        number = [-1] * size
+        number[root] = 0
+        order = [root]
+        for i, h in enumerate(order):
+            for nb in (succ[h], partner[h]):
+                if number[nb] < 0:
+                    number[nb] = len(order)
+                    order.append(nb)
+            step = (number[succ[h]], number[partner[h]])
+            if step != (succ[i], partner[i]):
+                if step < (succ[i], partner[i]):
+                    return None
+                break
+        else:
+            found.append(tuple(order))
+    return found
+
+
 def _cycles_of(succ: tuple[int, ...]) -> list[list[int]]:
     seen = [False] * len(succ)
     cycles = []
@@ -96,9 +136,9 @@ def _cycles_of(succ: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
-def _shape_of(succ: tuple[int, ...], partner: tuple[int, ...]) -> BrauerGraph:
-    """The multiplicity-one Brauer graph of a map given by permutations on germs."""
-    cycles = _cycles_of(succ)
+def _shape_of(cycles: list[list[int]], partner: tuple[int, ...]) -> BrauerGraph:
+    """The multiplicity-one Brauer graph of a map given by the cycles of its
+    successor permutation and its partner involution on germs."""
     pairs = [(h, p) for h, p in enumerate(partner) if h < p]
     return BrauerGraph(
         multiplicities={f"v{i}": 1 for i in range(len(cycles))},
@@ -109,43 +149,49 @@ def _shape_of(succ: tuple[int, ...], partner: tuple[int, ...]) -> BrauerGraph:
     )
 
 
+def _canonical_maps(n_edges: int) -> Iterator[tuple[list, tuple, set]]:
+    """For each map with ``n_edges`` edges, once: the vertex cycles and
+    partner of its rooted map of least code, and its nontrivial
+    automorphisms as vertex permutations (vertex ``v`` goes to ``perm[v]``)."""
+    for succ, partner in rooted_maps(n_edges):
+        automorphisms = _automorphisms(succ, partner)
+        if automorphisms is None:
+            continue
+        cycles = _cycles_of(succ)
+        vertex_of = {h: v for v, cycle in enumerate(cycles) for h in cycle}
+        perms = {
+            tuple(vertex_of[order[cycle[0]]] for cycle in cycles) for order in automorphisms
+        }
+        perms.discard(tuple(range(len(cycles))))
+        yield cycles, partner, perms
+
+
 def brauer_shapes(n_edges: int) -> list[BrauerGraph]:
     """Connected multiplicity-one Brauer graphs with ``n_edges`` edges, one
-    per isomorphism class (the two-vertex single edge included), in the order
-    their first rooted map is generated."""
-    seen: set[tuple] = set()
-    shapes = []
-    for code in rooted_maps(n_edges):
-        shape = _shape_of(*code)
-        key = canonical_form(shape)
-        if key not in seen:
-            seen.add(key)
-            shapes.append(shape)
-    return shapes
+    per isomorphism class (the two-vertex single edge included), each at its
+    rooted map of least code, in generation order."""
+    return [_shape_of(cycles, partner) for cycles, partner, _ in _canonical_maps(n_edges)]
 
 
 def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGraph]:
     """All connected Brauer graphs with at most the given edges and multiplicities.
 
     One representative per isomorphism class, excluding the two degenerate
-    shapes that the algebra correspondence rejects.  Deterministic order.
+    shapes that the algebra correspondence rejects.  Each shape comes with
+    the multiplicity assignments that are lexicographically least among
+    their images under its automorphisms.  Deterministic generation order
+    (by edge count, then shape, then assignment), not sorted; nothing is
+    held between classes.
     """
     for n_edges in range(1, max_edges + 1):
-        seen: set[tuple] = set()
-        found: list[tuple[tuple, BrauerGraph]] = []
-        for shape in brauer_shapes(n_edges):
+        for cycles, partner, perms in _canonical_maps(n_edges):
+            shape = _shape_of(cycles, partner)
             vertices = list(shape.multiplicities)
             for mults in product(range(1, max_mult + 1), repeat=len(vertices)):
                 if n_edges == 1 and mults == (1, 1):
                     continue  # single edge with two multiplicity-one endpoints
-                g = BrauerGraph(dict(zip(vertices, mults)), shape.edges, shape.rotations)
-                key = canonical_form(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                found.append((key, g))
-        for _, g in sorted(found, key=lambda item: item[0]):
-            yield g
+                if all(mults <= tuple(mults[v] for v in perm) for perm in perms):
+                    yield BrauerGraph(dict(zip(vertices, mults)), shape.edges, shape.rotations)
 
 
 def _relation_choices(ins: list[str], outs: list[str]) -> list[list[tuple[str, str]]]:

@@ -1,9 +1,9 @@
 """Roundtrip verification suites over exhaustively enumerated instances.
 
 Each suite checks one of the structural identities on every instance within
-the requested bounds and reports the failures; an empty failure list is the
-machine-checked statement.  Instances are enumerated deterministically and
-failure reports are sorted.
+the requested bounds and reports the failures; an empty failure list over a
+nonempty census is the machine-checked statement.  Instances are enumerated
+deterministically and failure reports are sorted.
 """
 
 from __future__ import annotations
@@ -211,8 +211,11 @@ SUITES: dict[str, tuple[str, Callable[[Bounds], Iterable], Callable, Callable[..
 def run_suite(name: str, bounds: Bounds) -> CheckReport:
     """Run the suite called ``name`` (or its alias) over its census.
 
-    A ``QuiverAlgError`` raised by a check is reported as an ``exception``
-    failure of that instance; failures are sorted.
+    The census is checked as it is generated, one instance at a time.  A
+    ``QuiverAlgError`` raised by a check is reported as an ``exception``
+    failure of that instance, and a census that yields nothing as a
+    ``census`` failure, since a run that checked nothing proves nothing.
+    Failures are sorted.
     """
     canonical = next((n for n, (alias, *_) in SUITES.items() if name in (n, alias)), None)
     if canonical is None:
@@ -220,12 +223,15 @@ def run_suite(name: str, bounds: Bounds) -> CheckReport:
         raise ValueError(f"unknown suite {name!r}; known: {known}")
     _guard(bounds)
     _, census, check, encode = SUITES[canonical]
-    items = list(census(bounds))
+    instances = 0
     failures = []
-    for item in items:
+    for item in census(bounds):
+        instances += 1
         try:
             found = check(item, bounds)
         except QuiverAlgError as exc:
             found = [("exception", f"{type(exc).__name__}: {exc}")]
         failures.extend((_one_line(encode(item)), prop, diag) for prop, diag in found)
-    return CheckReport(canonical, len(items), tuple(sorted(failures)))
+    if not instances:
+        failures.append(("(none)", "census", "no instances within the bounds"))
+    return CheckReport(canonical, instances, tuple(sorted(failures)))

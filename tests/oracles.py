@@ -17,13 +17,17 @@ permutation of the half-edges as a rotation system, on plain integers, and
 the Brauer canonical-form oracle takes the full minimum over all start
 germs, on the integers of the raw rotations, edges and multiplicities.
 The symmetric special biserial isomorphism oracle tries every vertex
-bijection and every endpoint-respecting arrow bijection.
+bijection and every endpoint-respecting arrow bijection, and the Brauer
+census oracle dedups every rooted map and every multiplicity assignment
+through a set of canonical forms.
 
-Apart from that last oracle, nothing here inspects descriptors, cycles,
-graphs or any other structure the library derives; only the raw quiver and
-relation list, or plain integer permutations.  The isomorphism oracle
-shares the library's acceptance test (projective bases as sets of paths)
-and replaces only its search.
+Apart from those last two oracles, nothing here inspects descriptors,
+cycles, graphs or any other structure the library derives; only the raw
+quiver and relation list, or plain integer permutations.  The isomorphism
+oracle shares the library's acceptance test (projective bases as sets of
+paths) and replaces only its search; the census oracle shares the
+library's rooted-map codes and canonical form and replaces only its
+orderly filter.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations, product
 from typing import Sequence
 
-from quiveralg.brauer import BrauerGraph
+from quiveralg.brauer import BrauerGraph, canonical_form
+from quiveralg.census import _cycles_of, _shape_of, rooted_maps
 from quiveralg.quiver import (
     Binomial,
     Monomial,
@@ -318,6 +323,34 @@ def brute_force_shape_keys(n_edges: int) -> set[tuple]:
     keys = {_shape_key(succ) for succ in permutations(range(2 * n_edges))}
     keys.discard(None)
     return keys
+
+
+def dedup_brauer_graphs(max_edges: int, max_mult: int) -> list[BrauerGraph]:
+    """The Brauer census by canonical-form dedup: every rooted map becomes a
+    shape, a shape is kept when its canonical form is new, and every
+    multiplicity assignment on a kept shape is kept when the canonical form
+    of the weighted graph is new.  Shares the rooted-map codes and the
+    canonical form with the library and replaces its orderly filter."""
+    graphs = []
+    for n_edges in range(1, max_edges + 1):
+        shapes: set[tuple] = set()
+        seen: set[tuple] = set()
+        for succ, partner in rooted_maps(n_edges):
+            shape = _shape_of(_cycles_of(succ), partner)
+            key = canonical_form(shape)
+            if key in shapes:
+                continue
+            shapes.add(key)
+            vertices = list(shape.multiplicities)
+            for mults in product(range(1, max_mult + 1), repeat=len(vertices)):
+                if n_edges == 1 and mults == (1, 1):
+                    continue
+                g = BrauerGraph(dict(zip(vertices, mults)), shape.edges, shape.rotations)
+                key = canonical_form(g)
+                if key not in seen:
+                    seen.add(key)
+                    graphs.append(g)
+    return graphs
 
 
 def carries_bases(a: SSBPresentation, b: SSBPresentation, witness) -> bool:

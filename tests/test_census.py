@@ -1,8 +1,9 @@
 """Enumeration tests: class counts frozen from the first run, backed by the
-rooted-map counts, a brute-force sweep of rotation systems and the
-orbit-counting identity; the presentation key against a brute-force oracle;
-the quiver layer against an unpruned sweep; and the census of admissible
-cuts against the gentle census."""
+rooted-map counts, a brute-force sweep of rotation systems, the
+orbit-counting identity and the census by canonical-form dedup; the
+presentation key against a brute-force oracle; the quiver layer against an
+unpruned sweep; and the census of admissible cuts against the gentle
+census."""
 
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_force_presentation_key,
+    dedup_brauer_graphs,
     brute_force_quiver_keys,
     brute_force_shape_keys,
 )
@@ -49,6 +51,9 @@ BRAUER_COUNTS = {
     (3, 3): 312,
     (4, 3): 2952,
     (5, 1): 1003,
+    (5, 2): 8267,
+    (5, 4): 125182,
+    (6, 1): 10439,
 }
 
 GENTLE_COUNTS = {
@@ -69,9 +74,9 @@ ROOTED_MAP_COUNTS = {1: 2, 2: 10, 3: 74, 4: 706, 5: 8162}
 # sum over the classes with n = 1, 2, ... edges and multiplicities at most M
 # of 2^n n! / |Aut(g)|, keyed by M
 ORBIT_SUMS = {
-    1: [1, 20, 592, 33888, 3134208],
-    2: [5, 84, 3312, 242784],
-    3: [11, 216, 10656, 955584],
+    1: [1, 20, 592, 33888, 3134208, 423974400],
+    2: [5, 84, 3312, 242784, 27834624],
+    3: [11, 216, 10656, 955584, 131424768],
 }
 
 
@@ -135,6 +140,15 @@ def test_shapes_match_the_permutation_sweep(n_edges):
     assert set(keys) == brute_force_shape_keys(n_edges)
 
 
+@pytest.mark.parametrize("bounds", [(4, 3), (5, 1)])
+def test_census_is_the_dedup_census(bounds):
+    """The orderly census gives each class of the canonical-form dedup
+    exactly once."""
+    forms = [canonical_form(g) for g in connected_brauer_graphs(*bounds)]
+    assert len(set(forms)) == len(forms) == BRAUER_COUNTS[bounds]
+    assert set(forms) == {canonical_form(g) for g in dedup_brauer_graphs(*bounds)}
+
+
 def _orbit_sum_formula(n: int, m: int) -> Fraction:
     """n! [x^n] log sum_k m(m+1)...(m+2k-1) x^k / k!, in exact arithmetic.
 
@@ -148,7 +162,7 @@ def _orbit_sum_formula(n: int, m: int) -> Fraction:
         a.append(a[-1] * (m + 2 * k - 2) * (m + 2 * k - 1) / k)
     b = [Fraction(0)] * (n + 1)
     for j in range(1, n + 1):
-        b[j] = a[j] - sum(k * b[k] * a[j - k] for k in range(1, j)) / j
+        b[j] = a[j] - sum((k * b[k] * a[j - k] for k in range(1, j)), Fraction(0)) / j
     return b[n] * factorial(n)
 
 

@@ -293,6 +293,13 @@ class TestCheck:
         assert report.suite == name and report.instances > 0
         assert suites.run_suite(alias, bounds) == report
 
+    def test_empty_census_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(suites, "connected_brauer_graphs", lambda *bounds: iter(()))
+        code, out, _ = run(capsys, "check", "--suite", "thm-1-1")
+        assert code == 1
+        assert out.startswith("suite graph-algebra-roundtrip: 0 instances, 1 failures\n")
+        assert "FAIL census: no instances within the bounds" in out
+
     def test_threads_option_is_gone(self):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--suite", "thm-1-1", "--threads", "2"])
