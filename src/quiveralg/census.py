@@ -20,23 +20,28 @@ special biserial conditions, and only from degree-sorted labellings: the
 vertex labels must be in nonincreasing order of (out-degree, in-degree, loop
 count).  Every quiver has such a labelling, so no class is lost, and the
 key below is computed on a few labellings per class instead of on all of
-them (an orderly-generation filter in the sense of Read, 1978).  At each
-vertex the admissible choices of which compositions vanish form a partial
-matching between incoming and outgoing arrows whose complement is again a
-partial matching, which keeps the search tiny.  A canonical key dedupes
-presentations: vertices are split into classes by colour refinement
-(degrees, loops and relation incidence, refined by neighbour colours), each
-class gets its own block of labels, and the key is the minimum encoding over
-the permutations inside each class and the orderings of parallel arrows.
+them (an orderly-generation filter in the sense of Read, 1978).  A canonical
+key dedupes the quivers: vertices are split into classes by colour
+refinement (degrees, loops and relation incidence, refined by neighbour
+colours), each class gets its own block of labels, and the key is the
+minimum encoding over the permutations inside each class and the orderings
+of parallel arrows; the labellings that tie at the minimum give the quiver's
+automorphisms.  At each vertex the admissible choices of which compositions
+vanish form a partial matching between incoming and outgoing arrows whose
+complement is again a partial matching.  A product of these choices is kept
+only when its sorted arrow-index code is least among its images under the
+automorphisms and it has no relation-free oriented cycle; no algebra is
+keyed, and classes come out in generation order.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .brauer import BrauerGraph
-from .gentle import GentleAlgebra, validate_gentle
+from .gentle import GentleAlgebra, _has_relation_free_cycle, validate_gentle
 from .quiver import Monomial, Presentation, Quiver
 
 
@@ -194,29 +199,27 @@ def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGra
                     yield BrauerGraph(dict(zip(vertices, mults)), shape.edges, shape.rotations)
 
 
-def _relation_choices(ins: list[str], outs: list[str]) -> list[list[tuple[str, str]]]:
-    """Vanishing-composition choices at one vertex.
+@lru_cache(maxsize=None)
+def _relation_choices(n_in: int, n_out: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Vanishing-composition choices at a vertex with ``n_in`` incoming and
+    ``n_out`` outgoing arrows, as (incoming, outgoing) index pairs.
 
     A choice and its complement must both be partial matchings between the
     incoming and outgoing arrows (the forbidden- and the allowed-successor
-    conditions respectively).
+    conditions respectively).  They depend only on the two degrees, which
+    take nine values, so each sweep runs once.
     """
-    pairs = [(a, b) for a in ins for b in outs]
-    choices = []
-    for bits in range(1 << len(pairs)):
-        chosen = [p for i, p in enumerate(pairs) if bits >> i & 1]
-        rest = [p for i, p in enumerate(pairs) if not bits >> i & 1]
-        ok = True
-        for group in (chosen, rest):
-            for a in ins:
-                if sum(1 for x, _ in group if x == a) > 1:
-                    ok = False
-            for b in outs:
-                if sum(1 for _, y in group if y == b) > 1:
-                    ok = False
-        if ok:
-            choices.append(chosen)
-    return choices
+    pairs = list(product(range(n_in), range(n_out)))
+
+    def matching(group) -> bool:
+        return len({a for a, _ in group}) == len(group) == len({b for _, b in group})
+
+    return tuple(
+        chosen
+        for k in range(len(pairs) + 1)
+        for chosen in combinations(pairs, k)
+        if matching(chosen) and matching([p for p in pairs if p not in chosen])
+    )
 
 
 def _endpoint_multisets(
@@ -359,7 +362,7 @@ def _class_labelings(classes: list[list[str]]) -> Iterator[dict[str, int]]:
         }
 
 
-def canonical_presentation_key(pres: Presentation):
+def canonical_presentation_key(pres: Presentation, ties: list | None = None):
     """Isomorphism-invariant key: minimum over admissible relabelings of the structure.
 
     Vertices are split into colour-refinement classes (see
@@ -369,6 +372,11 @@ def canonical_presentation_key(pres: Presentation):
     is independent of all names.  Isomorphic presentations have the same
     admissible labelings up to the isomorphism, hence the same minimum, and
     an equal minimum encodes one labelled presentation isomorphic to both.
+
+    When a list ``ties`` is given, it receives the arrow labellings (arrow
+    name to position) that reach the minimum.  Composing an admissible
+    labelling with an automorphism gives another one with the same code, so
+    the ties are one labelling composed with each automorphism, once each.
     """
     quiver = pres.quiver
     n = len(quiver.vertices)
@@ -400,6 +408,10 @@ def canonical_presentation_key(pres: Presentation):
             key = (n, tuple(endpoints), tuple(sorted(rels)))
             if best is None or key < best:
                 best = key
+                if ties is not None:
+                    ties[:] = [amap]
+            elif ties is not None and key == best:
+                ties.append(amap)
     return best
 
 
@@ -412,19 +424,26 @@ def presentations_isomorphic(p1: Presentation, p2: Presentation) -> bool:
     return canonical_presentation_key(p1) == canonical_presentation_key(p2)
 
 
-def gentle_quivers(n_vertices: int, max_arrows: int) -> list[Quiver]:
+def gentle_quivers(
+    n_vertices: int, max_arrows: int
+) -> Iterator[tuple[Quiver, list[tuple[int, ...]]]]:
     """Connected quivers on ``n_vertices`` vertices with at most ``max_arrows``
     arrows and out- and in-degrees at most two, one per isomorphism class, in
-    the order they are first generated.
+    the order they are first generated, each with its nontrivial
+    automorphisms as arrow permutations (arrow ``i`` goes to ``perm[i]``).
 
     Only degree-sorted labellings are generated (see ``_endpoint_multisets``
     and ``_degree_sorted``), so the isomorphism key is computed on a few
     candidates per class rather than on every labelled endpoint multiset.
+    The automorphisms come from the labellings that tie at the minimum of
+    the key: with ``first`` one of them, each other tie ``L`` gives the
+    automorphism that sends an arrow ``x`` to the arrow that ``L`` puts
+    where ``first`` puts ``x``.
     """
     vertices = [str(i) for i in range(n_vertices)]
     seen: set = set()
-    quivers = []
     for na in range(max(1, n_vertices - 1), max_arrows + 1):
+        names = [f"a{i}" for i in range(na)]
         for endpoints in _endpoint_multisets(n_vertices, na):
             if not _degree_sorted(n_vertices, endpoints):
                 continue
@@ -432,46 +451,60 @@ def gentle_quivers(n_vertices: int, max_arrows: int) -> list[Quiver]:
                 continue
             quiver = Quiver(
                 vertices,
-                [(f"a{i}", vertices[s], vertices[t]) for i, (s, t) in enumerate(endpoints)],
+                [(name, vertices[s], vertices[t]) for name, (s, t) in zip(names, endpoints)],
             )
-            key = canonical_presentation_key(Presentation(quiver, ()))
+            ties: list = []
+            key = canonical_presentation_key(Presentation(quiver, ()), ties)
             if key in seen:
                 continue
             seen.add(key)
-            quivers.append(quiver)
-    return quivers
+            first = [ties[0][name] for name in names]
+            perms = []
+            for labelling in ties[1:]:
+                at = [0] * na
+                for i, name in enumerate(names):
+                    at[labelling[name]] = i
+                perms.append(tuple(at[position] for position in first))
+            yield quiver, perms
 
 
 def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebra]:
     """All gentle algebras within the bounds, one per isomorphism class.
 
-    Enumerates quivers up to isomorphism first, then the admissible
-    vanishing choices on each; everything is passed through the full
-    validator, so only finite-dimensional connected gentle presentations
-    come out.  Deterministic order.
+    On each quiver class, a product of the per-vertex relation choices,
+    written as a sorted code of (arrow, arrow) index pairs, is kept only
+    when its code is least among its images under the quiver's
+    automorphisms: one set per isomorphism class of presentations on that
+    quiver.  A kept set with a relation-free oriented cycle is dropped on
+    its raw pairs, and every other one goes through the full validator.
+    Deterministic generation order (by vertex count, quiver, relation set),
+    not sorted; only the keys of the quiver classes are held.
     """
     for nv in range(1, max_vertices + 1):
-        seen: set = set()
-        found: list[tuple[tuple, GentleAlgebra]] = []
-        for quiver in gentle_quivers(nv, max_arrows):
+        for quiver, automorphisms in gentle_quivers(nv, max_arrows):
+            names = [a.name for a in quiver.arrows]
+            index = {name: i for i, name in enumerate(names)}
             per_vertex = []
             for v in quiver.vertices:
-                ins = [a.name for a in quiver.arrows_into[v]]
-                outs = [a.name for a in quiver.arrows_from[v]]
-                per_vertex.append(_relation_choices(ins, outs))
+                ins = [index[a.name] for a in quiver.arrows_into[v]]
+                outs = [index[a.name] for a in quiver.arrows_from[v]]
+                per_vertex.append(
+                    [
+                        [(ins[i], outs[j]) for i, j in choice]
+                        for choice in _relation_choices(len(ins), len(outs))
+                    ]
+                )
             for combo in product(*per_vertex):
-                relations = [
-                    Monomial(quiver.path([a, b]))
-                    for choice in combo
-                    for a, b in sorted(choice)
-                ]
+                code = sorted(pair for choice in combo for pair in choice)
+                if any(
+                    code > sorted((perm[a], perm[b]) for a, b in code)
+                    for perm in automorphisms
+                ):
+                    continue
+                pairs = [(names[a], names[b]) for a, b in code]
+                if _has_relation_free_cycle(quiver, set(pairs)):
+                    continue
+                relations = [Monomial(quiver.path(pair)) for pair in pairs]
                 report = validate_gentle(Presentation(quiver, relations))
-                if report.algebra is None:
-                    continue
-                key = canonical_presentation_key(report.algebra.presentation)
-                if key in seen:
-                    continue
-                seen.add(key)
-                found.append((key, report.algebra))
-        for _, algebra in sorted(found, key=lambda item: item[0]):
-            yield algebra
+                if report.algebra is not None:
+                    yield report.algebra

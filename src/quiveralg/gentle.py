@@ -13,6 +13,7 @@ than a definition).
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,7 @@ from .quiver import (
     Path,
     Presentation,
     Problem,
+    Quiver,
     compose,
     path_sort_key,
     trivial_path,
@@ -117,18 +119,22 @@ def validate_special_biserial(pres: Presentation) -> list[Problem]:
     return problems
 
 
-def _has_relation_free_cycle(pres: Presentation) -> bool:
-    """Detect an oriented cycle of arrows all of whose steps avoid the ideal.
+def _has_relation_free_cycle(quiver: Quiver, zero: Collection[tuple[str, str]]) -> bool:
+    """Detect an oriented cycle of arrows all of whose steps avoid ``zero``,
+    the length-two zero relations as pairs of arrow names.
 
     Such a cycle supports arbitrarily long nonzero paths, i.e. an
     infinite-dimensional algebra.  DFS over the allowed-successor graph on
-    arrows (three-color marking).
+    arrows (three-color marking).  Takes the raw pairs so that the census
+    can drop a relation choice before building its presentation.
     """
     color: dict[str, int] = {}
 
     def dfs(arrow: Arrow) -> bool:
         color[arrow.name] = 1
-        for nxt in _allowed_successors(pres, arrow):
+        for nxt in quiver.arrows_from[arrow.target]:
+            if (arrow.name, nxt.name) in zero:
+                continue
             c = color.get(nxt.name, 0)
             if c == 1:
                 return True
@@ -137,7 +143,7 @@ def _has_relation_free_cycle(pres: Presentation) -> bool:
         color[arrow.name] = 2
         return False
 
-    return any(color.get(a.name, 0) == 0 and dfs(a) for a in pres.quiver.arrows)
+    return any(color.get(a.name, 0) == 0 and dfs(a) for a in quiver.arrows)
 
 
 def validate_gentle(pres: Presentation) -> GentleValidation:
@@ -189,7 +195,7 @@ def validate_gentle(pres: Presentation) -> GentleValidation:
                 Problem("S4", f"arrow {a.name!r} has several forbidden predecessors")
             )
 
-    if not problems and _has_relation_free_cycle(pres):
+    if not problems and _has_relation_free_cycle(quiver, pres.quadratic_monomials):
         problems.append(
             Problem(
                 "finite",

@@ -12,31 +12,43 @@ length to be provably zero, which bounds all longer paths.
 The presentation key oracle tries every vertex bijection, with no
 refinement into classes, so it decides isomorphism by exhaustion.  The
 quiver-class oracle keys every connected labelled endpoint multiset, with no
-pruning by labelling.  The ribbon-graph shape oracle sweeps every
+pruning by labelling, and its relation-layer twin keys every set of
+length-two zero relations on each of them that the gentle validator
+accepts.  The ribbon-graph shape oracle sweeps every
 permutation of the half-edges as a rotation system, on plain integers, and
 the Brauer canonical-form oracle takes the full minimum over all start
 germs, on the integers of the raw rotations, edges and multiplicities.
 The symmetric special biserial isomorphism oracle tries every vertex
-bijection and every endpoint-respecting arrow bijection, and the Brauer
+bijection and every endpoint-respecting arrow bijection.  The Brauer
 census oracle dedups every rooted map and every multiplicity assignment
-through a set of canonical forms.
+through a set of canonical forms, and the gentle census oracle dedups every
+product of per-vertex relation choices through a set of presentation keys.
 
-Apart from those last two oracles, nothing here inspects descriptors,
-cycles, graphs or any other structure the library derives; only the raw
-quiver and relation list, or plain integer permutations.  The isomorphism
-oracle shares the library's acceptance test (projective bases as sets of
-paths) and replaces only its search; the census oracle shares the
-library's rooted-map codes and canonical form and replaces only its
-orderly filter.
+Apart from the two census oracles and the isomorphism oracle, nothing here
+inspects descriptors, cycles, graphs or any other structure the library
+derives; only the raw quiver and relation list, or plain integer
+permutations.  The isomorphism oracle shares the library's acceptance test
+(projective bases as sets of paths) and replaces only its search; the
+census oracles share the library's generators and canonical forms
+(rooted-map codes and ``canonical_form``; quiver classes, relation choices
+and ``canonical_presentation_key``) and replace only its orderly filters.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations, product
-from typing import Sequence
+from itertools import combinations, combinations_with_replacement, permutations, product
+from typing import Iterator, Sequence
 
 from quiveralg.brauer import BrauerGraph, canonical_form
-from quiveralg.census import _cycles_of, _shape_of, rooted_maps
+from quiveralg.census import (
+    _cycles_of,
+    _relation_choices,
+    _shape_of,
+    canonical_presentation_key,
+    gentle_quivers,
+    rooted_maps,
+)
+from quiveralg.gentle import GentleAlgebra, validate_gentle
 from quiveralg.quiver import (
     Binomial,
     Monomial,
@@ -237,14 +249,12 @@ def brute_force_presentation_key(pres: Presentation):
     return best
 
 
-def brute_force_quiver_keys(n_vertices: int, max_arrows: int, key) -> set:
-    """``key`` of every connected quiver on ``n_vertices`` vertices with
+def _labelled_quivers(n_vertices: int, max_arrows: int):
+    """Every connected labelled quiver on ``n_vertices`` vertices with
     ``n_vertices - 1`` (at least 1) to ``max_arrows`` arrows and out- and
-    in-degrees at most two: a sweep over all labelled endpoint multisets, so
-    every isomorphism class is reached."""
+    in-degrees at most two, arrows named ``a0, a1, ...``."""
     vertices = [str(i) for i in range(n_vertices)]
     pairs = [(s, t) for s in vertices for t in vertices]
-    keys = set()
     for count in range(max(1, n_vertices - 1), max_arrows + 1):
         for endpoints in combinations_with_replacement(pairs, count):
             if any(
@@ -255,7 +265,32 @@ def brute_force_quiver_keys(n_vertices: int, max_arrows: int, key) -> set:
                 continue
             quiver = Quiver(vertices, [(f"a{i}", s, t) for i, (s, t) in enumerate(endpoints)])
             if quiver.is_connected():
-                keys.add(key(Presentation(quiver, ())))
+                yield quiver
+
+
+def brute_force_quiver_keys(n_vertices: int, max_arrows: int, key) -> set:
+    """``key`` of every connected quiver on ``n_vertices`` vertices with
+    ``n_vertices - 1`` (at least 1) to ``max_arrows`` arrows and out- and
+    in-degrees at most two: a sweep over all labelled endpoint multisets, so
+    every isomorphism class is reached."""
+    return {key(Presentation(quiver, ())) for quiver in _labelled_quivers(n_vertices, max_arrows)}
+
+
+def brute_force_gentle_keys(n_vertices: int, max_arrows: int, key) -> set:
+    """``key`` of every gentle presentation on ``n_vertices`` vertices with at
+    most ``max_arrows`` arrows: every set of length-two zero relations on
+    every labelled quiver of :func:`brute_force_quiver_keys`, kept when
+    ``validate_gentle`` accepts it, so every isomorphism class is reached."""
+    keys = set()
+    for quiver in _labelled_quivers(n_vertices, max_arrows):
+        composable = [
+            (a.name, b.name) for a in quiver.arrows for b in quiver.arrows_from[a.target]
+        ]
+        for count in range(len(composable) + 1):
+            for chosen in combinations(composable, count):
+                pres = Presentation(quiver, [Monomial(quiver.path(p)) for p in chosen])
+                if validate_gentle(pres).ok:
+                    keys.add(key(pres))
     return keys
 
 
@@ -351,6 +386,44 @@ def dedup_brauer_graphs(max_edges: int, max_mult: int) -> list[BrauerGraph]:
                     seen.add(key)
                     graphs.append(g)
     return graphs
+
+
+def relation_products(quiver: Quiver) -> Iterator[Presentation]:
+    """The presentation of every product of the per-vertex relation choices
+    on ``quiver``, valid or not, with no reduction by automorphisms."""
+    per_vertex = []
+    for v in quiver.vertices:
+        ins = [a.name for a in quiver.arrows_into[v]]
+        outs = [a.name for a in quiver.arrows_from[v]]
+        per_vertex.append(
+            [
+                [(ins[i], outs[j]) for i, j in choice]
+                for choice in _relation_choices(len(ins), len(outs))
+            ]
+        )
+    for combo in product(*per_vertex):
+        yield Presentation(quiver, [Monomial(quiver.path(p)) for choice in combo for p in choice])
+
+
+def dedup_gentle_algebras(max_vertices: int, max_arrows: int) -> list[GentleAlgebra]:
+    """The gentle census by presentation-key dedup: on every quiver class,
+    every product of the per-vertex relation choices is validated, and a
+    valid presentation is kept when its key is new among those with the same
+    vertex count.  Shares the quiver layer, the relation choices and the key
+    with the library and replaces its orderly filter."""
+    algebras = []
+    for nv in range(1, max_vertices + 1):
+        seen: set = set()
+        for quiver, _ in gentle_quivers(nv, max_arrows):
+            for pres in relation_products(quiver):
+                algebra = validate_gentle(pres).algebra
+                if algebra is None:
+                    continue
+                key = canonical_presentation_key(pres)
+                if key not in seen:
+                    seen.add(key)
+                    algebras.append(algebra)
+    return algebras
 
 
 def carries_bases(a: SSBPresentation, b: SSBPresentation, witness) -> bool:

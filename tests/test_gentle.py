@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from quiveralg import suites
 from quiveralg.errors import ValidationError
 from quiveralg.gentle import (
     gentle_algebra,
@@ -132,3 +135,31 @@ class TestSocle:
 
     def test_trivial_path_never_in_socle(self, fig1_algebra):
         assert all(not p.is_trivial() for p in socle_basis(fig1_algebra))
+
+    def test_suite_check_holds_on_fixtures(self, a3r, loopx, a2, fig1_algebra):
+        for alg in (a3r, loopx, a2, fig1_algebra):
+            assert suites._check_socle_maximal(alg, suites.Bounds()) == []
+
+    def test_suite_reports_each_corrupted_property(self, fig1_algebra):
+        p, uv = sorted(fig1_algebra.maximal_paths, key=len)
+        q = fig1_algebra.quiver
+        # u and v in place of u v: the socle and the chain count both differ
+        split = replace(fig1_algebra, maximal_paths=(p, q.path(["u"]), q.path(["v"])))
+        # p listed twice: the same set as the socle, one chain too many
+        doubled = replace(fig1_algebra, maximal_paths=(p, uv, p))
+        bounds = suites.Bounds()
+        assert [prop for prop, _ in suites._check_socle_maximal(split, bounds)] == [
+            "socle-basis",
+            "dimension",
+        ]
+        assert suites._check_socle_maximal(doubled, bounds) == [
+            ("dimension", "7 nonzero paths, 8 from the maximal paths")
+        ]
+
+    def test_suite_reports_a_dimension_failure(self, monkeypatch, fig1_algebra):
+        p, uv = sorted(fig1_algebra.maximal_paths, key=len)
+        doubled = replace(fig1_algebra, maximal_paths=(p, uv, p))
+        monkeypatch.setattr(suites, "gentle_algebras", lambda *bounds: iter([doubled]))
+        report = suites.run_suite("lemma-2-1", suites.Bounds())
+        assert report.instances == 1
+        assert [prop for _, prop, _ in report.failures] == ["dimension"]
