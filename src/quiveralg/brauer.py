@@ -116,10 +116,16 @@ class BrauerGraph:
         """The next half-edge in the cyclic order at the same vertex."""
         return self.successor_of[half_edge]
 
+    @cached_property
+    def silent_leaves(self) -> frozenset[str]:
+        """The germs that sit alone at a multiplicity-one vertex."""
+        return frozenset(
+            seq[0] for v, seq in self._rotations.items() if len(seq) == 1 and self._mult[v] == 1
+        )
+
     def is_silent_leaf(self, half_edge: str) -> bool:
         """Whether this germ sits alone at a multiplicity-one vertex."""
-        v = self.vertex_of[half_edge]
-        return self.valency(v) == 1 and self._mult[v] == 1
+        return half_edge in self.silent_leaves
 
     def __repr__(self):
         return (
@@ -206,20 +212,6 @@ def validate_brauer_graph(g: BrauerGraph) -> list[Problem]:
     return problems
 
 
-def _cycle_arrows(g: BrauerGraph, start: str) -> list[str]:
-    """Half-edges around the vertex of ``start``, beginning at ``start``.
-
-    These index the arrows of the cycle at that vertex; the list has one
-    entry per germ, so a loop contributes two.
-    """
-    out = [start]
-    h = g.successor(start)
-    while h != start:
-        out.append(h)
-        h = g.successor(h)
-    return out
-
-
 def quiver_of(g: BrauerGraph) -> Quiver:
     """The quiver: vertices are edges, arrows are the non-silent half-edges.
 
@@ -227,19 +219,18 @@ def quiver_of(g: BrauerGraph) -> Quiver:
     to the edge of its cyclic successor; at a multiplicity >= 2 leaf this is
     a loop arrow, and a multiplicity-one leaf germ is silent.
     """
-    arrows = [
-        (h, g.edge_of[h], g.edge_of[g.successor(h)])
-        for h in g.half_edges
-        if not g.is_silent_leaf(h)
-    ]
-    return Quiver(sorted(g.edges), arrows)
+    edge_of, succ, silent = g.edge_of, g.successor_of, g.silent_leaves
+    arrows = [(h, edge_of[h], edge_of[succ[h]]) for h in g.half_edges if h not in silent]
+    return Quiver(g._edges, arrows)
 
 
 def _cycle_power(g: BrauerGraph, start: str) -> Path:
     """The cycle at the vertex of ``start`` raised to that vertex's
     multiplicity, as a path based at the edge of ``start``."""
-    germs = tuple(_cycle_arrows(g, start))
-    m = g.multiplicity(g.vertex_of[start])
+    v = g.vertex_of[start]
+    seq = g._rotations[v]
+    i = seq.index(start)
+    germs, m = seq[i:] + seq[:i], g._mult[v]
     edge_of = g.edge_of
     return Path(tuple(edge_of[h] for h in germs) * m + (edge_of[start],), germs * m)
 
@@ -251,31 +242,30 @@ def relations_of(g: BrauerGraph) -> list[Relation]:
     checks each of them against the quiver.
     """
     relations: list[Relation] = []
-    for e in sorted(g.edges):
-        h, k = sorted(g.edges[e])
-        silent_h, silent_k = g.is_silent_leaf(h), g.is_silent_leaf(k)
-        if silent_h and silent_k:
+    edge_of, succ, silent = g.edge_of, g.successor_of, g.silent_leaves
+    ends = {e: tuple(sorted(pair)) for e, pair in sorted(g._edges.items())}
+    for e, (h, k) in ends.items():
+        if h in silent and k in silent:
             raise InconsistencyError(
                 f"edge {e!r} has multiplicity-one leaves at both ends; "
                 "validate the graph before building its algebra"
             )
-        if silent_h or silent_k:
-            loud = k if silent_h else h
+        if h in silent or k in silent:
+            loud = k if h in silent else h
             full = _cycle_power(g, loud)
             one_past_socle = Path(full.vertices + full.vertices[1:2], full.arrows + (loud,))
             relations.append(Monomial(one_past_socle))
         else:
             relations.append(Binomial(_cycle_power(g, h), _cycle_power(g, k)))
-    edge_of = g.edge_of
     for h in g.half_edges:
-        if g.is_silent_leaf(h):
+        if h in silent:
             continue
-        nxt = g.successor(h)
+        nxt = succ[h]
         out_edge = edge_of[nxt]
-        for b in sorted(g.edges[out_edge]):
-            if b == nxt or g.is_silent_leaf(b):
+        for b in ends[out_edge]:
+            if b == nxt or b in silent:
                 continue
-            path = Path((edge_of[h], out_edge, edge_of[g.successor(b)]), (h, b))
+            path = Path((edge_of[h], out_edge, edge_of[succ[b]]), (h, b))
             relations.append(Monomial(path))
     return relations
 
@@ -405,17 +395,18 @@ def relabel_brauer_graph(g: BrauerGraph, rng: random.Random) -> BrauerGraph:
         rng.shuffle(targets)
         return dict(zip(names, targets))
 
-    vmap = shuffled_names(g.multiplicities, "v")
-    emap = shuffled_names(g.edges, "E")
+    mult, edges = g._mult, g._edges
+    vmap = shuffled_names(mult, "v")
+    emap = shuffled_names(edges, "E")
     hmap = shuffled_names(g.half_edges, "h")
     rotations = {}
-    for v, seq in g.rotations.items():
+    for v, seq in g._rotations.items():
         k = rng.randrange(len(seq)) if seq else 0
         seq = seq[k:] + seq[:k]
         rotations[vmap[v]] = tuple(hmap[h] for h in seq)
     return BrauerGraph(
-        {vmap[v]: m for v, m in g.multiplicities.items()},
-        {emap[e]: (hmap[h], hmap[k]) for e, (h, k) in g.edges.items()},
+        {vmap[v]: m for v, m in mult.items()},
+        {emap[e]: (hmap[h], hmap[k]) for e, (h, k) in edges.items()},
         rotations,
     )
 
@@ -476,12 +467,13 @@ def parse_brauer_graph(text: str) -> BrauerGraph:
 
 
 def serialize_brauer_graph(g: BrauerGraph) -> str:
-    lines = [f"bvertex {v} mult={g.multiplicity(v)}" for v in sorted(g.multiplicities)]
-    for e in sorted(g.edges):
-        h, k = sorted(g.edges[e])
-        lines.append(f"bedge {e} {h}@{g.vertex_of[h]} {k}@{g.vertex_of[k]}")
-    for v in sorted(g.rotations):
-        seq = g.rotations[v]
+    mult, edges, rotations, vertex_of = g._mult, g._edges, g._rotations, g.vertex_of
+    lines = [f"bvertex {v} mult={mult[v]}" for v in sorted(mult)]
+    for e in sorted(edges):
+        h, k = sorted(edges[e])
+        lines.append(f"bedge {e} {h}@{vertex_of[h]} {k}@{vertex_of[k]}")
+    for v in sorted(rotations):
+        seq = rotations[v]
         if seq:
             k = seq.index(min(seq))  # anchor the cycle for determinism
             seq = seq[k:] + seq[:k]
@@ -491,11 +483,12 @@ def serialize_brauer_graph(g: BrauerGraph) -> str:
 
 def brauer_graph_dot(g: BrauerGraph) -> str:
     """Graphviz DOT; vertices carry their multiplicities as labels."""
+    mult, edges, vertex_of = g._mult, g._edges, g.vertex_of
     lines = ["graph brauer {"]
-    for v in sorted(g.multiplicities):
-        lines.append(f'  "{v}" [label="{v} mult={g.multiplicity(v)}"];')
-    for e in sorted(g.edges):
-        h, k = g.edges[e]
-        lines.append(f'  "{g.vertex_of[h]}" -- "{g.vertex_of[k]}" [label="{e}"];')
+    for v in sorted(mult):
+        lines.append(f'  "{v}" [label="{v} mult={mult[v]}"];')
+    for e in sorted(edges):
+        h, k = edges[e]
+        lines.append(f'  "{vertex_of[h]}" -- "{vertex_of[k]}" [label="{e}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

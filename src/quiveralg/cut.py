@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import CuttingSetError, MultiplicityError
 from .gentle import GentleAlgebra, gentle_algebra
-from .quiver import Monomial, Presentation, Quiver
+from .quiver import Monomial, Path, Presentation, Quiver
 from .ssb import SSBPresentation, is_isomorphic_ssb
 from .trivext import trivial_extension
 
@@ -81,10 +81,11 @@ def admissible_cut(ssb: SSBPresentation, cut: CuttingSet) -> GentleAlgebra:
     removed = set(cut.arrows)
     remaining = Quiver(
         quiver.vertices,
-        [(a.name, a.source, a.target) for a in quiver.arrows if a.name not in removed],
+        [a for a in quiver.arrows if a.name not in removed],
     )
+    arrow = quiver.arrow_map  # Presentation checks each relation path
     relations = [
-        Monomial(remaining.path([a, b]))
+        Monomial(Path((arrow[a].source, arrow[a].target, arrow[b].target), (a, b)))
         for a, b in sorted(ssb.presentation.quadratic_monomials)
         if a not in removed and b not in removed
     ]

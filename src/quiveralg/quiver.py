@@ -177,7 +177,7 @@ class Binomial:
             raise ValueError("binomial relation needs two nontrivial paths")
         if self.left.source != self.right.source or self.left.target != self.right.target:
             raise ValueError("binomial relation needs parallel paths")
-        shorter, longer = sorted((self.left, self.right), key=lambda p: len(p))
+        shorter, longer = sorted((self.left, self.right), key=len)
         if longer.arrows[: len(shorter)] == shorter.arrows:
             raise ValueError("binomial relation paths must not be prefixes of each other")
 
@@ -269,17 +269,12 @@ class Quiver:
 
     def contains_path(self, p: Path) -> bool:
         """Whether ``p`` is a genuine path of this quiver (names and itinerary)."""
-        if p.is_trivial():
-            return p.source in set(self.vertices)
-        if any(n not in self.arrow_map for n in p.arrows):
-            return False
-        expected = [self.arrow_map[p.arrows[0]].source]
-        for n in p.arrows:
-            a = self.arrow_map[n]
-            if a.source != expected[-1]:
+        arrow_map, vertices = self.arrow_map, p.vertices
+        for i, n in enumerate(p.arrows):
+            a = arrow_map.get(n)
+            if a is None or a.source != vertices[i] or a.target != vertices[i + 1]:
                 return False
-            expected.append(a.target)
-        return tuple(expected) == p.vertices
+        return p.source in self.arrows_from
 
     def is_connected(self) -> bool:
         """Connectivity as an undirected graph; the empty quiver is not connected."""
@@ -340,13 +335,14 @@ class Presentation:
 
         The length-two relations are looked up as consecutive arrow pairs in
         :attr:`quadratic_monomials`; only the longer ones are scanned with
-        :func:`is_subpath`.  For presentations whose ideal is generated by
-        monomials this is exactly "p is nonzero in the algebra".
+        :func:`is_subpath` when they are no longer than ``p``.  For
+        presentations whose ideal is generated by monomials this is exactly
+        "p is nonzero in the algebra".
         """
-        quadratic = self.quadratic_monomials
-        if any(pair in quadratic for pair in zip(p.arrows, p.arrows[1:])):
+        arrows = p.arrows
+        if not self.quadratic_monomials.isdisjoint(zip(arrows, arrows[1:])):
             return False
-        return not any(is_subpath(m, p) for m in self.long_monomials)
+        return not any(is_subpath(m, p) for m in self.long_monomials if len(m) <= len(arrows))
 
 
 def relabel_presentation(

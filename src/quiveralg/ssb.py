@@ -15,7 +15,10 @@ cyclic paths, with one edge per quiver vertex joining its two occurrences.
 Building that graph and comparing it with a starting Brauer graph is the
 roundtrip exercised by the verification suites.  Two such algebras are
 compared by propagating a map from one arrow along the vertex cycles and
-checking it against the projective bases.
+checking it against the descriptors: a projective's basis is the set of
+prefixes of its two maximal paths, so a map carries bases onto bases
+exactly when it carries each vertex's set of maximal words onto the set at
+the image vertex.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from functools import cached_property
 from .brauer import BrauerGraph
 from .errors import InconsistencyError, RotationError, ValidationError
 from .quiver import (
-    Binomial,
     Monomial,
     Path,
     Presentation,
@@ -81,24 +83,6 @@ class SSBPresentation:
         return sum(projective_dimension(self, v) for v in self.quiver.vertices)
 
     @cached_property
-    def basis_path_sets(self) -> dict[str, frozenset[Path]]:
-        """Per vertex, all paths spanning its projective, with both socle
-        representatives.
-
-        Unlike :func:`projective_basis` this does not pick one of the two
-        identified full cycles, so the sets are stable under renaming and
-        are the right objects for isomorphism comparisons.
-        """
-        out = {}
-        for d in self.projectives:
-            paths: set[Path] = {trivial_path(d.vertex)}
-            for w in d.paths():
-                for k in range(1, len(w) + 1):
-                    paths.add(w.prefix(k))
-            out[d.vertex] = frozenset(paths)
-        return out
-
-    @cached_property
     def arrow_neighbours(self) -> dict[str, tuple[str, str | None]]:
         """Per arrow: its successor on its vertex cycle, and the other arrow
         with the same source (None if there is none)."""
@@ -114,6 +98,12 @@ class SSBPresentation:
             )
             for x in self.quiver.arrows
         }
+
+    @cached_property
+    def arrow_orders(self) -> tuple[tuple[list[str], list[int | None]], ...]:
+        """Per arrow in name order, :func:`_arrow_order` started there; an
+        algebra compared with many others searches them once."""
+        return tuple(_arrow_order(self.arrow_neighbours, x.name) for x in self.quiver.arrows)
 
 
 @dataclass(frozen=True)
@@ -201,19 +191,10 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
         problems.append(Problem("connected", "quiver is not connected"))
     problems.extend(validate_special_biserial(pres))
 
-    quadratic: set[tuple[str, str]] = set()
     socle_steps: list[Path] = []  # monomials C^e * first(C)
-    binomials: list[Binomial] = []
-    for r in pres.relations:
-        if isinstance(r, Binomial):
-            binomials.append(r)
-            continue
-        w = r.path
-        if len(w) == 2:
-            quadratic.add((w.arrows[0], w.arrows[1]))
-            continue
-        body = w.prefix(len(w) - 1)
-        if body.is_cyclic() and w.arrows[-1] == w.arrows[0]:
+    binomials = pres.binomials
+    for w in pres.long_monomials:
+        if w.vertices[-2] == w.vertices[0] and w.arrows[-1] == w.arrows[0]:
             socle_steps.append(w)
         else:
             problems.append(
@@ -264,19 +245,19 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
     if problems:
         return SSBValidation(tuple(problems), None)
 
+    outs, ins = quiver.arrows_from, quiver.arrows_into
     for d in descriptors:
-        firsts = {w.arrows[0] for w in d.paths() if not w.is_trivial()}
-        lasts = {w.arrows[-1] for w in d.paths() if not w.is_trivial()}
-        outs = {a.name for a in quiver.arrows_from[d.vertex]}
-        ins = {a.name for a in quiver.arrows_into[d.vertex]}
-        if not d.is_uniserial() and (len(firsts) != 2 or len(lasts) != 2):
+        words = [w.arrows for w in d.paths() if w.arrows]
+        firsts, lasts = {w[0] for w in words}, {w[-1] for w in words}
+        if len(words) == 2 and (len(firsts) != 2 or len(lasts) != 2):
             problems.append(
                 Problem(
                     "projectives",
                     f"the two cycles at {d.vertex!r} share a first or last arrow",
                 )
             )
-        if firsts != outs or lasts != ins:
+        here = {a.name for a in outs[d.vertex]}, {a.name for a in ins[d.vertex]}
+        if (firsts, lasts) != here:
             problems.append(
                 Problem(
                     "projectives",
@@ -284,10 +265,14 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
                 )
             )
 
+    # Each vertex cycle is decomposed once; a further path that spells a
+    # known cycle's power from one of its arrows has that cycle and exponent,
+    # and any other path goes through the full decomposition.
     families: dict[Path, int] = {}
+    power_from: dict[str, tuple[str, ...]] = {}  # arrow -> its cycle's power read from it
     for d in descriptors:
         for w in d.paths():
-            if w.is_trivial():
+            if w.is_trivial() or power_from.get(w.arrows[0]) == w.arrows:
                 continue
             dec = simple_cycle_decomposition(w)
             rep = rotation_class(dec.primitive)
@@ -298,6 +283,9 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
                         f"cycle {rep.label()!r} appears with two different exponents",
                     )
                 )
+            word = rep.arrows
+            for i, name in enumerate(word):
+                power_from.setdefault(name, (word[i:] + word[:i]) * families[rep])
     arrow_uses: dict[str, int] = {a.name: 0 for a in quiver.arrows}
     for rep in families:
         for name in rep.arrows:
@@ -314,35 +302,26 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
     if problems:
         return SSBValidation(tuple(problems), None)
 
-    # zero relations must sit exactly at the out-of-cycle compositions
-    in_cycle: set[tuple[str, str]] = set()
+    # zero relations must sit exactly at the out-of-cycle compositions; every
+    # arrow now lies once on one cycle, so its cycle successor is unique
+    successor = {}
     for rep in families:
-        n = len(rep.arrows)
-        for i in range(n):
-            in_cycle.add((rep.arrows[i], rep.arrows[(i + 1) % n]))
+        for x, y in zip(rep.arrows, rep.arrows[1:] + rep.arrows[:1]):
+            successor[x] = y
+    quadratic = pres.quadratic_monomials
     for a in quiver.arrows:
-        for b in quiver.arrows_from[a.target]:
-            pair = (a.name, b.name)
-            if pair in in_cycle and pair in quadratic:
-                problems.append(
-                    Problem(
-                        "normal-form",
-                        f"composition {a.name} {b.name} lies on a vertex cycle "
-                        "but is declared zero",
-                    )
+        for b in outs[a.target]:
+            on_cycle = successor[a.name] == b.name
+            if on_cycle == ((a.name, b.name) in quadratic):
+                where = (
+                    "lies on a vertex cycle but is declared zero"
+                    if on_cycle
+                    else "is off-cycle but has no zero relation"
                 )
-            if pair not in in_cycle and pair not in quadratic:
-                problems.append(
-                    Problem(
-                        "normal-form",
-                        f"composition {a.name} {b.name} is off-cycle but has "
-                        "no zero relation",
-                    )
-                )
+                problems.append(Problem("normal-form", f"composition {a.name} {b.name} {where}"))
 
     if problems:
         return SSBValidation(tuple(problems), None)
-    descriptors.sort(key=lambda d: d.vertex)
     cycle_families = tuple(sorted(families.items(), key=lambda it: path_sort_key(it[0])))
     return SSBValidation((), SSBPresentation(pres, tuple(descriptors), cycle_families))
 
@@ -363,11 +342,10 @@ def projective_basis(ssb: SSBPresentation, vertex: str) -> tuple[Path, ...]:
     the dimension of the projective.
     """
     d = ssb.projective_at[vertex]
-    basis: set[Path] = {trivial_path(vertex)}
+    basis = [trivial_path(vertex)]  # the two cycles start with distinct arrows
     for w in d.paths():
-        for k in range(1, len(w)):
-            basis.add(w.prefix(k))
-    basis.add(min(d.paths(), key=path_sort_key) if not d.is_uniserial() else d.first)
+        basis.extend(w.prefix(k) for k in range(1, len(w)))
+    basis.append(min(d.paths(), key=path_sort_key) if not d.is_uniserial() else d.first)
     return tuple(sorted(basis, key=path_sort_key))
 
 
@@ -453,26 +431,24 @@ def find_ssb_isomorphism(
     one arrow.  Each arrow of ``b`` in turn is tried as the image of the
     first arrow of ``a``.  Where the two discovery orders link up alike,
     zipping them gives the arrow map and the arrow sources give the vertex
-    map; the candidate is accepted when relabeling carries every projective
-    basis of ``a`` onto the corresponding basis of ``b`` as a set of paths.
-    The first accepted candidate is returned, so an algebra's map to itself
-    is the identity.
+    map; the candidate is accepted when, at every vertex of ``a``, it carries
+    the set of arrow words of the two maximal paths onto the set at the
+    image vertex in ``b``.  A projective basis is the set of prefixes of
+    those paths, and neither is a prefix of the other, so this is the same
+    verdict as comparing the bases as sets of paths.  The first accepted
+    candidate is returned, so an algebra's map to itself is the identity.
     """
     qa, qb = a.quiver, b.quiver
+    words_b = {d.vertex: {w.arrows for w in d.paths()} for d in b.projectives}
     order_a, code_a = _arrow_order(a.arrow_neighbours, qa.arrows[0].name)
-    for start in qb.arrows:
-        order_b, code_b = _arrow_order(b.arrow_neighbours, start.name)
+    for order_b, code_b in b.arrow_orders:
         if code_b != code_a:
             continue
         amap = dict(zip(order_a, order_b))
         vmap = {x.source: qb.arrow_map[amap[x.name]].source for x in qa.arrows}
         if all(
-            frozenset(
-                Path(tuple(vmap[u] for u in p.vertices), tuple(amap[n] for n in p.arrows))
-                for p in paths
-            )
-            == b.basis_path_sets[vmap[v]]
-            for v, paths in a.basis_path_sets.items()
+            {tuple(amap[x] for x in w.arrows) for w in d.paths()} == words_b[vmap[d.vertex]]
+            for d in a.projectives
         ):
             return vmap, amap
     return None

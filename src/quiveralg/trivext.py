@@ -121,10 +121,7 @@ def extended_quiver(algebra: GentleAlgebra) -> Quiver:
     """The original quiver plus one return arrow per nontrivial maximal path."""
     betas = return_arrow_names(algebra)
     extra = [(betas[m], m.target, m.source) for m in algebra.maximal_paths]
-    return Quiver(
-        algebra.quiver.vertices,
-        [(a.name, a.source, a.target) for a in algebra.quiver.arrows] + extra,
-    )
+    return Quiver(algebra.quiver.vertices, [*algebra.quiver.arrows, *extra])
 
 
 def trivial_extension(algebra: GentleAlgebra) -> SSBPresentation:

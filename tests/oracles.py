@@ -438,23 +438,48 @@ def carries_bases(a: SSBPresentation, b: SSBPresentation, witness) -> bool:
         x.name for x in qb.arrows
     ]:
         return False
+    return _carries_sets(_basis_path_sets(a), _basis_path_sets(b), vmap, amap)
+
+
+def _carries_sets(sets_a, sets_b, vmap, amap) -> bool:
     return all(
         frozenset(
             Path(tuple(vmap[u] for u in p.vertices), tuple(amap[n] for n in p.arrows))
-            for p in a.basis_path_sets[v]
+            for p in paths
         )
-        == b.basis_path_sets[vmap[v]]
-        for v in qa.vertices
+        == sets_b[vmap[v]]
+        for v, paths in sets_a.items()
     )
+
+
+def _basis_path_sets(ssb: SSBPresentation) -> dict[str, frozenset[Path]]:
+    """Per vertex, the paths spanning its projective: the trivial path and
+    every prefix of the two maximal paths, both socle representatives
+    included, so that the sets do not depend on a choice between them."""
+    out = {}
+    for d in ssb.projectives:
+        paths = {trivial_path(d.vertex)}
+        for w in d.paths():
+            paths.update(w.prefix(k) for k in range(1, len(w) + 1))
+        out[d.vertex] = frozenset(paths)
+    return out
 
 
 def brute_force_ssb_isomorphism(a: SSBPresentation, b: SSBPresentation):
     """The first ``(vertex map, arrow map)`` over every vertex bijection and,
     within it, every endpoint-respecting arrow bijection that satisfies
     :func:`carries_bases`; None when there is none."""
+    return next(ssb_isomorphisms(a, b), None)
+
+
+def ssb_isomorphisms(a: SSBPresentation, b: SSBPresentation):
+    """Every ``(vertex map, arrow map)`` that satisfies :func:`carries_bases`,
+    over every vertex bijection and, within it, every endpoint-respecting
+    arrow bijection."""
     qa, qb = a.quiver, b.quiver
     if len(qa.vertices) != len(qb.vertices) or len(qa.arrows) != len(qb.arrows):
-        return None
+        return
+    sets_a, sets_b = _basis_path_sets(a), _basis_path_sets(b)
     between_b: dict[tuple[str, str], list[str]] = {}
     for x in qb.arrows:
         between_b.setdefault((x.source, x.target), []).append(x.name)
@@ -472,6 +497,5 @@ def brute_force_ssb_isomorphism(a: SSBPresentation, b: SSBPresentation):
                 for (_, names), perm in zip(groups, arrangement)
                 for name, image in zip(names, perm)
             }
-            if carries_bases(a, b, (vmap, amap)):
-                return vmap, amap
-    return None
+            if _carries_sets(sets_a, sets_b, vmap, amap):
+                yield vmap, amap

@@ -310,6 +310,46 @@ class TestCheck:
         assert code == 2
         assert "bounds too large" in err
 
+    def test_six_edges_at_multiplicity_one_allowed_for_thm_1_1(self, capsys, monkeypatch):
+        asked = []
+
+        def census(n_edges, max_mult):
+            asked.append((n_edges, max_mult))
+            return connected_brauer_graphs(2, 1)
+
+        monkeypatch.setattr(suites, "connected_brauer_graphs", census)
+        code, out, err = run(
+            capsys, "check", "--suite", "thm-1-1", "--max-edges", "6", "--max-mult", "1"
+        )
+        assert (code, err, asked) == (0, "", [(6, 1)])
+        assert out.startswith("suite graph-algebra-roundtrip: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thm-1-1", "--max-edges", "6", "--max-mult", "2"),
+            ("thm-1-1", "--max-edges", "7", "--max-mult", "1"),
+            ("thm-1-3", "--max-edges", "6", "--max-mult", "1"),
+            ("thm-1-3", "--max-edges", "6"),
+            ("thm-1-2", "--max-edges", "6", "--max-mult", "1"),
+            ("lemma-2-1", "--max-edges", "6", "--max-mult", "1"),
+            ("thm-1-1", "--max-edges", "6", "--max-mult", "1", "--max-vertices", "6"),
+            ("thm-1-1", "--max-mult", "5"),
+        ],
+    )
+    def test_other_bounds_beyond_the_guard_refused(self, capsys, monkeypatch, argv):
+        def census(*bounds):
+            raise AssertionError("the census must not start")
+
+        monkeypatch.setattr(suites, "connected_brauer_graphs", census)
+        monkeypatch.setattr(suites, "gentle_algebras", census)
+        code, out, err = run(capsys, "check", "--suite", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "bounds too large for exhaustive enumeration; stay within "
+            "5 edges, multiplicity 4, 5 vertices, 10 arrows\n"
+        )
+
     @pytest.mark.parametrize(
         "suite,flag,value",
         [

@@ -4,11 +4,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_force_ssb_isomorphism, carries_bases
+from oracles import brute_force_ssb_isomorphism, carries_bases, ssb_isomorphisms
 from quiveralg.brauer import algebra_of, is_isomorphic
 from quiveralg.census import connected_brauer_graphs
 from quiveralg.errors import RotationError, ValidationError
-from quiveralg.quiver import Path, Quiver, relabel_presentation
+from quiveralg.quiver import Path, Quiver, parse_presentation, relabel_presentation
 from quiveralg.ssb import (
     find_ssb_isomorphism,
     graph_of_ssb,
@@ -160,6 +160,138 @@ class TestValidateSSB:
             ssb_presentation(a3r.presentation)
 
 
+def _line3(*relations):
+    """The three-edge path graph's quiver (see ``line3_alg_pair``) with the
+    given relation lines."""
+    return (
+        "vertex E0\nvertex E1\nvertex E2\n"
+        "arrow h1 E0 E1\narrow h2 E1 E0\narrow h3 E1 E2\narrow h4 E2 E1\n"
+        + "".join(f"rel {r}\n" for r in relations)
+    )
+
+
+_LINE3 = ("mono h1 h2 h1", "comm h2 h1 = h3 h4", "mono h4 h3 h4", "mono h1 h3", "mono h4 h2")
+_LOOP = "vertex E\narrow h E E\narrow k E E\n"
+
+# One broken presentation per problem the validator reports, with the exact
+# (code, message) list it must produce, in order.
+PROBLEM_TABLE = {
+    "valid": (_line3(*_LINE3), []),
+    "empty": ("", [("degenerate", "empty quiver")]),
+    "ground-field": (
+        "vertex 1\n",
+        [("degenerate", "one vertex and no arrows (the ground field)")],
+    ),
+    "dual-numbers": (
+        "vertex 1\narrow x 1 1\nrel mono x x\n",
+        [
+            (
+                "degenerate",
+                "one loop with a quadratic zero relation (dual numbers); "
+                "excluded from the Brauer graph correspondence",
+            )
+        ],
+    ),
+    "connected": (
+        "vertex A\nvertex B\narrow a1 A A\narrow a2 A A\narrow b1 B B\narrow b2 B B\n"
+        "rel comm a1 a2 = a2 a1\nrel mono a1 a1\nrel mono a2 a2\n"
+        "rel comm b1 b2 = b2 b1\nrel mono b1 b1\nrel mono b2 b2\n",
+        [("connected", "quiver is not connected")],
+    ),
+    "S1": (
+        "vertex v\narrow x v v\narrow y v v\narrow z v v\n"
+        + "".join(f"rel mono {p} {q}\n" for p in "xyz" for q in "xyz"),
+        [
+            ("S1", "vertex 'v' is the source of more than two arrows"),
+            ("S1", "vertex 'v' is the target of more than two arrows"),
+        ],
+    ),
+    "S2": (
+        _LOOP + "rel comm h k = k h\nrel mono k k\n",
+        [
+            ("S2", "arrow 'h' has several allowed successors: h, k"),
+            ("S2", "arrow 'h' has several allowed predecessors: h, k"),
+        ],
+    ),
+    "monomial-shape": (
+        _line3(*_LINE3, "mono h3 h4 h2"),
+        [
+            (
+                "normal-form",
+                "monomial 'h3 h4 h2' is neither quadratic nor a cycle power "
+                "followed by its first arrow",
+            )
+        ],
+    ),
+    "binomial-not-a-cycle": (
+        "vertex 1\nvertex 2\narrow a 1 2\narrow b 1 2\nrel comm a = b\n",
+        [
+            ("normal-form", "binomial side 'a' is not a cycle"),
+            ("normal-form", "binomial side 'b' is not a cycle"),
+        ],
+    ),
+    "binomial-side-zero": (
+        _LOOP + "rel comm h k = k h\nrel mono h h\nrel mono k k\nrel mono h k\n",
+        [("normal-form", "binomial side 'h k' contains a zero relation")],
+    ),
+    "no-socle-relation": (
+        _line3(*_LINE3[1:]),
+        [
+            (
+                "projectives",
+                "vertex 'E0' is the base of 0 socle relations instead of exactly one",
+            )
+        ],
+    ),
+    "two-socle-relations": (
+        _line3(*_LINE3, "mono h1 h2 h1 h2 h1"),
+        [
+            (
+                "projectives",
+                "vertex 'E0' is the base of 2 socle relations instead of exactly one",
+            )
+        ],
+    ),
+    "shared-arrow": (
+        "vertex v\narrow w v v\narrow x v v\nrel comm x w = w\nrel mono x x\nrel mono w w\n",
+        [
+            ("projectives", "the two cycles at 'v' share a first or last arrow"),
+            ("projectives", "cycles at 'v' do not account for all arrows there"),
+            ("cycles", "arrows not on exactly one vertex cycle: w"),
+        ],
+    ),
+    "unaccounted-arrow": (
+        _LOOP + "rel mono h k h\nrel mono h h\nrel mono k k\n",
+        [("projectives", "cycles at 'E' do not account for all arrows there")],
+    ),
+    "two-exponents": (
+        "vertex 1\nvertex 2\narrow a 1 2\narrow b 2 1\nrel mono a b a\nrel mono b a b a b\n",
+        [("cycles", "cycle 'a b' appears with two different exponents")],
+    ),
+    "on-cycle-zero": (
+        _line3(*_LINE3, "mono h4 h3"),
+        [("normal-form", "composition h4 h3 lies on a vertex cycle but is declared zero")],
+    ),
+    "off-cycle-nonzero": (
+        _line3(*_LINE3[:3], "mono h1 h2", "mono h4 h3"),
+        [
+            ("normal-form", "composition h1 h2 lies on a vertex cycle but is declared zero"),
+            ("normal-form", "composition h1 h3 is off-cycle but has no zero relation"),
+            ("normal-form", "composition h4 h2 is off-cycle but has no zero relation"),
+            ("normal-form", "composition h4 h3 lies on a vertex cycle but is declared zero"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBLEM_TABLE))
+def test_validator_problem_table(case):
+    text, expected = PROBLEM_TABLE[case]
+    report = validate_ssb(parse_presentation(text))
+    assert [(p.code, p.message) for p in report.problems] == expected
+    assert (report.algebra is None) == bool(expected)
+
+
 def _is_square(relation):
     from quiveralg.quiver import Monomial
 
@@ -270,6 +402,20 @@ class TestIsomorphismCensus:
             witness = find_ssb_isomorphism(ssb, other)
             assert witness is not None and carries_bases(ssb, other, witness)
             assert brute_force_ssb_isomorphism(ssb, other) is not None
+
+    @pytest.mark.parametrize("bounds", [(3, 3), (4, 1)])
+    def test_witness_is_the_first_accepted_start(self, bounds):
+        """The witness is the isomorphism whose image of the first arrow of
+        ``a`` comes first among the arrows of ``b``: each start arrow gives at
+        most one candidate, and each isomorphism is the candidate of its
+        image of that arrow."""
+        rng = random.Random(5)
+        for ssb in map(algebra_of, connected_brauer_graphs(*bounds)):
+            other = _relabeled(ssb, rng)
+            rank = {x.name: i for i, x in enumerate(other.quiver.arrows)}
+            first = ssb.quiver.arrows[0].name
+            expected = min(ssb_isomorphisms(ssb, other), key=lambda w: rank[w[1][first]])
+            assert find_ssb_isomorphism(ssb, other) == expected
 
     @pytest.mark.parametrize("bounds, pairs", [((3, 3), 603), ((4, 1), 485)])
     def test_representatives_are_not_isomorphic(self, bounds, pairs):
