@@ -75,7 +75,7 @@ def _guard(bounds: Bounds, suite: str) -> None:
         raise ValueError(f"bounds must be at least 1, got {', '.join(below)}")
     six_edges = suite in SIX_EDGES_AT_MULT_ONE and bounds.max_mult == 1
     if (
-        bounds.max_edges > (6 if six_edges else MAX_EDGES_GUARD)
+        bounds.max_edges > MAX_EDGES_GUARD + (1 if six_edges else 0)
         or bounds.max_vertices > MAX_VERTICES_GUARD
         or bounds.max_arrows > MAX_ARROWS_GUARD
         or bounds.max_mult > MAX_MULT_GUARD

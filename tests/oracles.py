@@ -27,9 +27,10 @@ product of per-vertex relation choices through a set of presentation keys.
 Apart from the two census oracles and the isomorphism oracle, nothing here
 inspects descriptors, cycles, graphs or any other structure the library
 derives; only the raw quiver and relation list, or plain integer
-permutations.  The isomorphism oracle shares the library's acceptance test
-(projective bases as sets of paths) and replaces only its search; the
-census oracles share the library's generators and canonical forms
+permutations.  The isomorphism oracle reads the library's projective
+descriptors but builds the bases from them itself, as sets of paths, in
+place of the library's comparison of maximal words, and replaces its
+search; the census oracles share the library's generators and canonical forms
 (rooted-map codes and ``canonical_form``; quiver classes, relation choices
 and ``canonical_presentation_key``) and replace only its orderly filters.
 """
