@@ -302,57 +302,59 @@ def structural_dimension(g: BrauerGraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bfs_encoding(g: BrauerGraph, start: str) -> tuple:
-    """Traversal encoding with germs renumbered in discovery order.
+def discovery_code(succ, partner, label, start, bound=None) -> tuple[tuple, list] | None:
+    """The discovery code of a map from germ ``start``, with its germs in
+    discovery order.
 
-    From each germ the successor is explored first, then the partner; the
-    encoding records, per germ in discovery order, the numbers of those two
-    neighbours and the multiplicity at the germ's vertex.  The encoding
-    determines the graph up to renaming, so the minimum over starting germs
-    is a canonical form.
+    Germs are numbered in breadth-first order from ``start``, successor
+    first and then partner; the code lists, per germ in that order, the
+    numbers of its successor and partner and its ``label``.  Equal codes
+    from two starts mean that zipping their orders is a label-preserving
+    isomorphism of their components.  Given a ``bound``, the code is
+    compared with it as it is built and None is returned at the first
+    larger step, so None means exactly that the code is larger.
     """
-    order = _bfs_order(g, start)
-    number = {h: i for i, h in enumerate(order)}
-    succ, partner, vertex_of, mult = g.successor_of, g.partner, g.vertex_of, g._mult
-    return tuple(
-        (number[succ[h]], number[partner[h]], mult[vertex_of[h]]) for h in order
-    )
+    number = {start: 0}
+    order = [start]
+    code = None if bound is not None else []  # None while equal to the bound's prefix
+    for i, h in enumerate(order):
+        s, p = succ[h], partner[h]
+        if s not in number:
+            number[s] = len(order)
+            order.append(s)
+        if p not in number:
+            number[p] = len(order)
+            order.append(p)
+        step = (number[s], number[p], label[h])
+        if code is None:
+            if i == len(bound) or step > bound[i]:
+                return None
+            if step == bound[i]:
+                continue
+            code = list(bound[:i])
+        code.append(step)
+    return (bound[: len(order)] if code is None else tuple(code)), order
+
+
+def _least_code(g: BrauerGraph) -> tuple[tuple, list[str]]:
+    """The least discovery code over all starts, each germ labelled by its
+    vertex's multiplicity, with the order of the first start reaching it."""
+    if not g.half_edges:
+        raise ValueError("a graph without half-edges has no canonical form")
+    label = {h: g._mult[v] for h, v in g.vertex_of.items()}
+    best = bound = None
+    for start in reversed(g.half_edges):  # a tie replaces best: the first start wins
+        found = discovery_code(g.successor_of, g.partner, label, start, bound)
+        if found is not None:
+            best, bound = found, found[0]
+    return best
 
 
 def canonical_form(g: BrauerGraph) -> tuple:
-    """Relabeling-invariant encoding; equal exactly for isomorphic graphs.
-
-    The value is the minimum of :func:`_bfs_encoding` over all starting
-    germs.  Each start's encoding is built one step at a time, and a step is
-    final as soon as its germ is processed; while the encoding still equals
-    the best one so far, each step is compared with the best one's, the
-    start is dropped at the first larger step, and after the first smaller
-    step no more comparing is needed.  Only the work changes, not the value.
-    """
-    if not g.half_edges:
-        raise ValueError("a graph without half-edges has no canonical form")
-    succ, partner, vertex_of, mult = g.successor_of, g.partner, g.vertex_of, g._mult
-    best: tuple = ()
-    for start in g.half_edges:
-        number = {start: 0}
-        order = [start]
-        code = []
-        comparing = bool(best)  # the code so far equals best's prefix
-        for i, h in enumerate(order):
-            for nb in (succ[h], partner[h]):
-                if nb not in number:
-                    number[nb] = len(order)
-                    order.append(nb)
-            step = (number[succ[h]], number[partner[h]], mult[vertex_of[h]])
-            if comparing:
-                if i == len(best) or step > best[i]:
-                    break
-                comparing = step == best[i]
-            code.append(step)
-        else:  # codes differ in length only for disconnected graphs
-            if not comparing or len(code) < len(best):
-                best = tuple(code)
-    return best
+    """Relabeling-invariant encoding; equal exactly for isomorphic graphs:
+    the least :func:`discovery_code` over all starting germs, each germ
+    labelled by the multiplicity at its vertex."""
+    return _least_code(g)[0]
 
 
 def is_isomorphic(g1: BrauerGraph, g2: BrauerGraph) -> bool:
@@ -360,30 +362,13 @@ def is_isomorphic(g1: BrauerGraph, g2: BrauerGraph) -> bool:
 
 
 def find_isomorphism(g1: BrauerGraph, g2: BrauerGraph) -> dict[str, str] | None:
-    """A half-edge bijection realizing an isomorphism, or None.
-
-    Matches the discovery orders of two minimum-encoding traversals; the
-    vertex and edge bijections follow from the half-edge one.
-    """
+    """A half-edge bijection realizing an isomorphism, or None: the zipped
+    orders of the two least codes, each from the first start in name order
+    reaching it.  The vertex and edge bijections follow from it."""
     if len(g1.half_edges) != len(g2.half_edges):
         return None
-    enc1, best1 = min((_bfs_encoding(g1, h), h) for h in g1.half_edges)
-    for start2 in g2.half_edges:
-        if _bfs_encoding(g2, start2) == enc1:
-            return dict(zip(_bfs_order(g1, best1), _bfs_order(g2, start2)))
-    return None
-
-
-def _bfs_order(g: BrauerGraph, start: str) -> list[str]:
-    succ, partner = g.successor_of, g.partner
-    seen = {start}
-    order = [start]
-    for h in order:
-        for nb in (succ[h], partner[h]):
-            if nb not in seen:
-                seen.add(nb)
-                order.append(nb)
-    return order
+    (code1, order1), (code2, order2) = _least_code(g1), _least_code(g2)
+    return dict(zip(order1, order2)) if code1 == code2 else None
 
 
 def relabel_brauer_graph(g: BrauerGraph, rng: random.Random) -> BrauerGraph:

@@ -1,10 +1,10 @@
 """Exhaustive enumeration of small instances, up to isomorphism.
 
 Brauer graph shapes come from connected rooted maps, generated directly as
-breadth-first codes: germs are numbered in the discovery order that
-``brauer.canonical_form`` traverses, and the code grows one germ at a time
-by choosing its successor and partner among the numbered germs still free
-or the next new germ.  Each finished code is one rooted map (2, 10, 74, 706
+breadth-first codes: germs are numbered in the discovery order of
+``brauer.discovery_code``, and the code grows one germ at a time by
+choosing its successor and partner among the numbered germs still free or
+the next new germ.  Each finished code is one rooted map (2, 10, 74, 706
 and 8162 of them for 1 to 5 edges).  Generation is orderly (Read, 1978;
 McKay, 1998): a rooted map is kept only when its root has the least code
 among all roots of the map, which holds for exactly one rooted map per
@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .brauer import BrauerGraph
+from .brauer import BrauerGraph, discovery_code
 from .gentle import GentleAlgebra, _has_relation_free_cycle, validate_gentle
 from .quiver import Monomial, Presentation, Quiver
 
@@ -49,14 +49,14 @@ def rooted_maps(n_edges: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]
     """Every connected rooted map with ``n_edges`` edges, once each.
 
     A map is given by its breadth-first code: germs are numbered in the
-    discovery order of ``brauer._bfs_order`` from the root germ 0 (successor
-    first, then partner), and the code is the pair ``(succ, partner)`` of
-    tuples over those numbers.  The code grows one germ at a time: the
-    successor of germ ``i`` is a numbered germ that is not yet a successor
-    image, or the next new germ; its partner, unless already set, is a
-    numbered germ without a partner, or the next new germ.  A code is
-    finished when all ``2 * n_edges`` germs are numbered and processed, and
-    distinct codes are distinct rooted maps.
+    discovery order of ``brauer.discovery_code`` from the root germ 0
+    (successor first, then partner), and the code is the pair
+    ``(succ, partner)`` of tuples over those numbers.  The code grows one
+    germ at a time: the successor of germ ``i`` is a numbered germ that is
+    not yet a successor image, or the next new germ; its partner, unless
+    already set, is a numbered germ without a partner, or the next new germ.
+    A code is finished when all ``2 * n_edges`` germs are numbered and
+    processed, and distinct codes are distinct rooted maps.
     """
     size = 2 * n_edges
     succ = [-1] * size
@@ -91,36 +91,26 @@ def rooted_maps(n_edges: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]
 
 def _automorphisms(
     succ: tuple[int, ...], partner: tuple[int, ...]
-) -> list[tuple[int, ...]] | None:
+) -> list[list[int]] | None:
     """The nontrivial automorphisms of a rooted map whose root has the least
     code, or None when another root has a smaller one.
 
-    The code from germ 0 is the pair ``(succ, partner)`` itself; the code
-    from any other root is built step by step, with the same
-    ``(successor, partner)`` steps as ``brauer.canonical_form``, and left at
-    its first step that differs from germ 0's.  A root whose code ties all
-    the way is an automorphism, given as its discovery order (germ ``i``
-    goes to ``order[i]``): a map automorphism is fixed by the image of one
-    germ, so these roots are the whole group.
+    The code from germ 0 is ``(succ, partner)`` itself, zipped with a
+    constant label; the code from any other root is
+    :func:`~quiveralg.brauer.discovery_code` bounded by germ 0's.  A root
+    whose code ties is an automorphism, given as its discovery order (germ
+    ``i`` goes to ``order[i]``): a map automorphism is fixed by the image of
+    one germ, so these roots are the whole group.
     """
-    size = len(succ)
+    label = (0,) * len(succ)
+    root_code = tuple(zip(succ, partner, label))
     found = []
-    for root in range(1, size):
-        number = [-1] * size
-        number[root] = 0
-        order = [root]
-        for i, h in enumerate(order):
-            for nb in (succ[h], partner[h]):
-                if number[nb] < 0:
-                    number[nb] = len(order)
-                    order.append(nb)
-            step = (number[succ[h]], number[partner[h]])
-            if step != (succ[i], partner[i]):
-                if step < (succ[i], partner[i]):
-                    return None
-                break
-        else:
-            found.append(tuple(order))
+    for root in range(1, len(succ)):
+        tie = discovery_code(succ, partner, label, root, root_code)
+        if tie is not None:
+            if tie[0] != root_code:
+                return None
+            found.append(tie[1])
     return found
 
 
@@ -169,13 +159,6 @@ def _canonical_maps(n_edges: int) -> Iterator[tuple[list, tuple, set]]:
         }
         perms.discard(tuple(range(len(cycles))))
         yield cycles, partner, perms
-
-
-def brauer_shapes(n_edges: int) -> list[BrauerGraph]:
-    """Connected multiplicity-one Brauer graphs with ``n_edges`` edges, one
-    per isomorphism class (the two-vertex single edge included), each at its
-    rooted map of least code, in generation order."""
-    return [_shape_of(cycles, partner) for cycles, partner, _ in _canonical_maps(n_edges)]
 
 
 def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGraph]:
@@ -413,15 +396,6 @@ def canonical_presentation_key(pres: Presentation, ties: list | None = None):
             elif ties is not None and key == best:
                 ties.append(amap)
     return best
-
-
-def presentations_isomorphic(p1: Presentation, p2: Presentation) -> bool:
-    """Exact isomorphism of presentations (vertex/arrow bijection matching relations)."""
-    if len(p1.quiver.vertices) != len(p2.quiver.vertices):
-        return False
-    if len(p1.quiver.arrows) != len(p2.quiver.arrows):
-        return False
-    return canonical_presentation_key(p1) == canonical_presentation_key(p2)
 
 
 def gentle_quivers(

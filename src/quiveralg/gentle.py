@@ -74,15 +74,6 @@ def _allowed_successors(pres: Presentation, arrow: Arrow) -> list[Arrow]:
     ]
 
 
-def _allowed_predecessors(pres: Presentation, arrow: Arrow) -> list[Arrow]:
-    rel2 = pres.quadratic_monomials
-    return [
-        b
-        for b in pres.quiver.arrows_into[arrow.source]
-        if (b.name, arrow.name) not in rel2
-    ]
-
-
 def validate_special_biserial(pres: Presentation) -> list[Problem]:
     """Check the two local special-biserial conditions.
 
@@ -92,6 +83,14 @@ def validate_special_biserial(pres: Presentation) -> list[Problem]:
     longer relations never reduce a length-two path to zero (monomial
     ideals, and the normalized symmetric special biserial form).
     """
+    return _special_biserial(pres)[0]
+
+
+def _special_biserial(
+    pres: Presentation,
+) -> tuple[list[Problem], dict[str, list[Arrow]], dict[str, list[Arrow]]]:
+    """:func:`validate_special_biserial`, with each arrow's allowed
+    successors and allowed predecessors by arrow name."""
     problems = []
     quiver = pres.quiver
     outs, ins, zero = quiver.arrows_from, quiver.arrows_into, pres.quadratic_monomials
@@ -100,20 +99,22 @@ def validate_special_biserial(pres: Presentation) -> list[Problem]:
             problems.append(Problem("S1", f"vertex {v!r} is the source of more than two arrows"))
         if len(ins[v]) > 2:
             problems.append(Problem("S1", f"vertex {v!r} is the target of more than two arrows"))
+    after: dict[str, list[Arrow]] = {}
+    before: dict[str, list[Arrow]] = {}
     for a in quiver.arrows:
-        succ = [b.name for b in outs[a.target] if (a.name, b.name) not in zero]
+        succ = after[a.name] = [b for b in outs[a.target] if (a.name, b.name) not in zero]
         if len(succ) > 1:
-            names = ", ".join(succ)
+            names = ", ".join(b.name for b in succ)
             problems.append(
                 Problem("S2", f"arrow {a.name!r} has several allowed successors: {names}")
             )
-        pred = [b.name for b in ins[a.source] if (b.name, a.name) not in zero]
+        pred = before[a.name] = [b for b in ins[a.source] if (b.name, a.name) not in zero]
         if len(pred) > 1:
-            names = ", ".join(pred)
+            names = ", ".join(b.name for b in pred)
             problems.append(
                 Problem("S2", f"arrow {a.name!r} has several allowed predecessors: {names}")
             )
-    return problems
+    return problems, after, before
 
 
 def _has_relation_free_cycle(quiver: Quiver, zero: Collection[tuple[str, str]]) -> bool:
@@ -173,21 +174,16 @@ def validate_gentle(pres: Presentation) -> GentleValidation:
             problems.append(
                 Problem("S3", f"binomial relation {r!r} is not allowed in a gentle presentation")
             )
-    problems.extend(validate_special_biserial(pres))
+    biserial, after, before = _special_biserial(pres)
+    problems.extend(biserial)
 
-    rel2 = pres.quadratic_monomials
+    outs, ins = quiver.arrows_from, quiver.arrows_into
     for a in quiver.arrows:
-        forbidden_after = [
-            b for b in quiver.arrows_from[a.target] if (a.name, b.name) in rel2
-        ]
-        if len(forbidden_after) > 1:
+        if len(outs[a.target]) - len(after[a.name]) > 1:
             problems.append(
                 Problem("S4", f"arrow {a.name!r} has several forbidden successors")
             )
-        forbidden_before = [
-            b for b in quiver.arrows_into[a.source] if (b.name, a.name) in rel2
-        ]
-        if len(forbidden_before) > 1:
+        if len(ins[a.source]) - len(before[a.name]) > 1:
             problems.append(
                 Problem("S4", f"arrow {a.name!r} has several forbidden predecessors")
             )
@@ -203,7 +199,7 @@ def validate_gentle(pres: Presentation) -> GentleValidation:
     if problems:
         return GentleValidation(tuple(problems), None)
 
-    maximal = _maximal_path_chains(pres)
+    maximal = _maximal_path_chains(quiver, after, before)
     extended = maximal + tuple(
         trivial_path(v) for v in quiver.vertices if _gets_trivial_maximal(pres, v)
     )
@@ -229,26 +225,25 @@ def gentle_algebra(pres: Presentation) -> GentleAlgebra:
     return report.algebra
 
 
-def _maximal_path_chains(pres: Presentation) -> tuple[Path, ...]:
-    """Maximal paths as the chains of the allowed-successor map on arrows.
+def _maximal_path_chains(
+    quiver: Quiver, after: dict[str, list[Arrow]], before: dict[str, list[Arrow]]
+) -> tuple[Path, ...]:
+    """Maximal paths as the chains of the allowed-successor map on arrows,
+    given each arrow's allowed successors and predecessors by name.
 
     After gentle validation each arrow has at most one allowed successor and
     predecessor and the successor graph is acyclic, so the arrows decompose
     into disjoint chains; each chain, read in order, is one maximal path.
     """
-    quiver = pres.quiver
-    starts = [a for a in quiver.arrows if not _allowed_predecessors(pres, a)]
+    starts = [a for a in quiver.arrows if not before[a.name]]
     chains: list[Path] = []
     used: set[str] = set()
     for start in starts:
         names = [start.name]
         used.add(start.name)
         current = start
-        while True:
-            succ = _allowed_successors(pres, current)
-            if not succ:
-                break
-            current = succ[0]
+        while after[current.name]:
+            current = after[current.name][0]
             names.append(current.name)
             used.add(current.name)
         chains.append(quiver.path(names))

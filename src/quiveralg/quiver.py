@@ -345,37 +345,6 @@ class Presentation:
         return not any(is_subpath(m, p) for m in self.long_monomials if len(m) <= len(arrows))
 
 
-def relabel_presentation(
-    pres: Presentation,
-    vertex_map: dict[str, str] | None = None,
-    arrow_map: dict[str, str] | None = None,
-) -> Presentation:
-    """Rename vertices and arrows throughout a presentation.
-
-    Maps may be partial; unmentioned identifiers are kept.  The renamed
-    identifiers must remain pairwise distinct.
-    """
-    vmap = dict(vertex_map or {})
-    amap = dict(arrow_map or {})
-    rv = lambda v: vmap.get(v, v)
-    ra = lambda a: amap.get(a, a)
-    quiver = Quiver(
-        (rv(v) for v in pres.quiver.vertices),
-        ((ra(a.name), rv(a.source), rv(a.target)) for a in pres.quiver.arrows),
-    )
-
-    def rp(p: Path) -> Path:
-        return Path(tuple(rv(v) for v in p.vertices), tuple(ra(a) for a in p.arrows))
-
-    relations: list[Relation] = []
-    for r in pres.relations:
-        if isinstance(r, Monomial):
-            relations.append(Monomial(rp(r.path)))
-        else:
-            relations.append(Binomial(rp(r.left), rp(r.right)))
-    return Presentation(quiver, relations)
-
-
 # ---------------------------------------------------------------------------
 # Text format
 #

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .brauer import BrauerGraph
+from .brauer import BrauerGraph, discovery_code
 from .errors import InconsistencyError, RotationError, ValidationError
 from .quiver import (
     Monomial,
@@ -83,27 +83,12 @@ class SSBPresentation:
         return sum(projective_dimension(self, v) for v in self.quiver.vertices)
 
     @cached_property
-    def arrow_neighbours(self) -> dict[str, tuple[str, str | None]]:
-        """Per arrow: its successor on its vertex cycle, and the other arrow
-        with the same source (None if there is none)."""
-        successor = {}
-        for rep, _ in self.cycle_families:
-            for i, name in enumerate(rep.arrows):
-                successor[name] = rep.arrows[(i + 1) % len(rep.arrows)]
-        outs = self.quiver.arrows_from
-        return {
-            x.name: (
-                successor[x.name],
-                next((y.name for y in outs[x.source] if y.name != x.name), None),
-            )
-            for x in self.quiver.arrows
-        }
-
-    @cached_property
-    def arrow_orders(self) -> tuple[tuple[list[str], list[int | None]], ...]:
-        """Per arrow in name order, :func:`_arrow_order` started there; an
-        algebra compared with many others searches them once."""
-        return tuple(_arrow_order(self.arrow_neighbours, x.name) for x in self.quiver.arrows)
+    def arrow_codes(self) -> tuple[tuple[tuple, list[str]], ...]:
+        """Per arrow in name order, its discovery code and order (see
+        :func:`find_ssb_isomorphism`); an algebra compared with many others
+        builds them once."""
+        links = _arrow_links(self)
+        return tuple(discovery_code(*links, x.name) for x in self.quiver.arrows)
 
 
 @dataclass(frozen=True)
@@ -402,21 +387,20 @@ def graph_of_ssb(ssb: SSBPresentation) -> BrauerGraph:
 # ---------------------------------------------------------------------------
 
 
-def _arrow_order(
-    neighbours: dict[str, tuple[str, str | None]], start: str
-) -> tuple[list[str], list[int | None]]:
-    """Arrows in discovery order from ``start`` (successor first, then the
-    other arrow), and per arrow the discovery numbers of its two neighbours."""
-    number = {start: 0}
-    order = [start]
-    code = []
-    for x in order:
-        for y in neighbours[x]:
-            if y is not None and y not in number:
-                number[y] = len(order)
-                order.append(y)
-            code.append(number.get(y))
-    return order, code
+def _arrow_links(ssb: SSBPresentation) -> tuple[dict, dict, dict]:
+    """Per arrow: its successor on its vertex cycle, the other arrow with the
+    same source or, when there is none, the arrow itself (which no other
+    arrow at a source ever is), and a constant label."""
+    successor = {}
+    for rep, _ in ssb.cycle_families:
+        word = rep.arrows
+        successor.update(zip(word, word[1:] + word[:1]))
+    outs = ssb.quiver.arrows_from
+    partner = {
+        x.name: next((y.name for y in outs[x.source] if y.name != x.name), x.name)
+        for x in ssb.quiver.arrows
+    }
+    return successor, partner, dict.fromkeys(successor, 0)
 
 
 def find_ssb_isomorphism(
@@ -440,8 +424,8 @@ def find_ssb_isomorphism(
     """
     qa, qb = a.quiver, b.quiver
     words_b = {d.vertex: {w.arrows for w in d.paths()} for d in b.projectives}
-    order_a, code_a = _arrow_order(a.arrow_neighbours, qa.arrows[0].name)
-    for order_b, code_b in b.arrow_orders:
+    code_a, order_a = discovery_code(*_arrow_links(a), qa.arrows[0].name)
+    for code_b, order_b in b.arrow_codes:
         if code_b != code_a:
             continue
         amap = dict(zip(order_a, order_b))

@@ -18,7 +18,6 @@ can be verified instance by instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .brauer import BrauerGraph, algebra_of
 from .errors import InconsistencyError
@@ -39,10 +38,6 @@ class GentleGraph:
     graph: BrauerGraph
     vertex_labels: tuple[tuple[str, Path], ...]
     edge_labels: tuple[tuple[str, str], ...]
-
-    @cached_property
-    def label_of(self) -> dict[str, Path]:
-        return dict(self.vertex_labels)
 
 
 def _station_name(m: Path) -> str:
@@ -119,7 +114,10 @@ def graph_of_gentle(algebra: GentleAlgebra) -> GentleGraph:
 
 def extended_quiver(algebra: GentleAlgebra) -> Quiver:
     """The original quiver plus one return arrow per nontrivial maximal path."""
-    betas = return_arrow_names(algebra)
+    return _with_return_arrows(algebra, return_arrow_names(algebra))
+
+
+def _with_return_arrows(algebra: GentleAlgebra, betas: dict[Path, str]) -> Quiver:
     extra = [(betas[m], m.target, m.source) for m in algebra.maximal_paths]
     return Quiver(algebra.quiver.vertices, [*algebra.quiver.arrows, *extra])
 
@@ -129,10 +127,14 @@ def trivial_extension(algebra: GentleAlgebra) -> SSBPresentation:
 
     The germ naming in :func:`graph_of_gentle` makes the resulting quiver
     literally equal to :func:`extended_quiver`; this is asserted rather than
-    trusted.
+    trusted, with each return arrow named by the last germ at its maximal
+    path's graph vertex, so that the names are computed once.
     """
-    ssb = algebra_of(graph_of_gentle(algebra).graph)
-    if ssb.quiver != extended_quiver(algebra):
+    gg = graph_of_gentle(algebra)
+    ssb = algebra_of(gg.graph)
+    rotations = gg.graph.rotations
+    betas = {m: rotations[station][-1] for station, m in gg.vertex_labels}
+    if ssb.quiver != _with_return_arrows(algebra, betas):
         raise InconsistencyError(
             "trivial extension quiver does not match the extended quiver"
         )

@@ -18,11 +18,14 @@ accepts.  The ribbon-graph shape oracle sweeps every
 permutation of the half-edges as a rotation system, on plain integers, and
 the Brauer canonical-form oracle takes the full minimum over all start
 germs, on the integers of the raw rotations, edges and multiplicities.
-The symmetric special biserial isomorphism oracle tries every vertex
-bijection and every endpoint-respecting arrow bijection.  The Brauer
-census oracle dedups every rooted map and every multiplicity assignment
-through a set of canonical forms, and the gentle census oracle dedups every
-product of per-vertex relation choices through a set of presentation keys.
+The reference traversal builds the full discovery code from every start
+germ, with no early exit, and the isomorphism oracle zips the discovery
+orders of two starts whose full codes agree.  The symmetric special
+biserial isomorphism oracle tries every vertex bijection and every
+endpoint-respecting arrow bijection.  The Brauer census oracle dedups every
+rooted map and every multiplicity assignment through a set of canonical
+forms, and the gentle census oracle dedups every product of per-vertex
+relation choices through a set of presentation keys.
 
 Apart from the two census oracles and the isomorphism oracle, nothing here
 inspects descriptors, cycles, graphs or any other structure the library
@@ -33,6 +36,10 @@ place of the library's comparison of maximal words, and replaces its
 search; the census oracles share the library's generators and canonical forms
 (rooted-map codes and ``canonical_form``; quiver classes, relation choices
 and ``canonical_presentation_key``) and replace only its orderly filters.
+
+The remaining helpers serve the tests and check nothing by themselves: the
+census shapes one per class, presentation isomorphism by the library's key,
+and the renaming of a presentation.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from typing import Iterator, Sequence
 
 from quiveralg.brauer import BrauerGraph, canonical_form
 from quiveralg.census import (
+    _canonical_maps,
     _cycles_of,
     _relation_choices,
     _shape_of,
@@ -352,6 +360,52 @@ def canonical_form_oracle(g: BrauerGraph) -> tuple | None:
     return _minimum_code(succ, partner, mult)
 
 
+def bfs_order(g: BrauerGraph, start: str) -> list[str]:
+    """The germs of ``g`` in breadth-first discovery order from ``start``,
+    the successor explored first and then the partner."""
+    succ, partner = g.successor_of, g.partner
+    seen = {start}
+    order = [start]
+    for h in order:
+        for nb in (succ[h], partner[h]):
+            if nb not in seen:
+                seen.add(nb)
+                order.append(nb)
+    return order
+
+
+def bfs_encoding(g: BrauerGraph, start: str) -> tuple:
+    """The full discovery code from ``start``, with no early exit: per germ
+    in :func:`bfs_order`, the numbers of its successor and partner and the
+    multiplicity at its vertex."""
+    order = bfs_order(g, start)
+    number = {h: i for i, h in enumerate(order)}
+    succ, partner, vertex_of = g.successor_of, g.partner, g.vertex_of
+    return tuple(
+        (number[succ[h]], number[partner[h]], g.multiplicity(vertex_of[h])) for h in order
+    )
+
+
+def isomorphism_oracle(g1: BrauerGraph, g2: BrauerGraph) -> dict[str, str] | None:
+    """The half-edge bijection by full codes: the discovery order of the
+    first start of ``g1`` in name order with the least code, zipped with
+    that of the first start of ``g2`` in name order with the same code."""
+    if len(g1.half_edges) != len(g2.half_edges):
+        return None
+    code1, start1 = min((bfs_encoding(g1, h), h) for h in g1.half_edges)
+    for start2 in g2.half_edges:
+        if bfs_encoding(g2, start2) == code1:
+            return dict(zip(bfs_order(g1, start1), bfs_order(g2, start2)))
+    return None
+
+
+def brauer_shapes(n_edges: int) -> list[BrauerGraph]:
+    """Connected multiplicity-one Brauer graphs with ``n_edges`` edges, one
+    per isomorphism class (the two-vertex single edge included), each at its
+    rooted map of least code, in generation order."""
+    return [_shape_of(cycles, partner) for cycles, partner, _ in _canonical_maps(n_edges)]
+
+
 def brute_force_shape_keys(n_edges: int) -> set[tuple]:
     """Keys of the connected ribbon graphs with ``n_edges`` edges, by a sweep
     over all (2n)! successor permutations with the pairing held fixed; every
@@ -425,6 +479,47 @@ def dedup_gentle_algebras(max_vertices: int, max_arrows: int) -> list[GentleAlge
                     seen.add(key)
                     algebras.append(algebra)
     return algebras
+
+
+def presentations_isomorphic(p1: Presentation, p2: Presentation) -> bool:
+    """Exact isomorphism of presentations (vertex/arrow bijection matching
+    relations), by the library's presentation key."""
+    if len(p1.quiver.vertices) != len(p2.quiver.vertices):
+        return False
+    if len(p1.quiver.arrows) != len(p2.quiver.arrows):
+        return False
+    return canonical_presentation_key(p1) == canonical_presentation_key(p2)
+
+
+def relabel_presentation(
+    pres: Presentation,
+    vertex_map: dict[str, str] | None = None,
+    arrow_map: dict[str, str] | None = None,
+) -> Presentation:
+    """Rename vertices and arrows throughout a presentation.
+
+    Maps may be partial; unmentioned identifiers are kept.  The renamed
+    identifiers must remain pairwise distinct.
+    """
+    vmap = dict(vertex_map or {})
+    amap = dict(arrow_map or {})
+    rv = lambda v: vmap.get(v, v)
+    ra = lambda a: amap.get(a, a)
+    quiver = Quiver(
+        (rv(v) for v in pres.quiver.vertices),
+        ((ra(a.name), rv(a.source), rv(a.target)) for a in pres.quiver.arrows),
+    )
+
+    def rp(p: Path) -> Path:
+        return Path(tuple(rv(v) for v in p.vertices), tuple(ra(a) for a in p.arrows))
+
+    relations: list[Monomial | Binomial] = []
+    for r in pres.relations:
+        if isinstance(r, Monomial):
+            relations.append(Monomial(rp(r.path)))
+        else:
+            relations.append(Binomial(rp(r.left), rp(r.right)))
+    return Presentation(quiver, relations)
 
 
 def carries_bases(a: SSBPresentation, b: SSBPresentation, witness) -> bool:

@@ -1,6 +1,6 @@
 import random
 
-from oracles import canonical_form_oracle, quotient_dimension
+from oracles import canonical_form_oracle, isomorphism_oracle, quotient_dimension
 from quiveralg.brauer import (
     BrauerGraph,
     algebra_of,
@@ -167,6 +167,20 @@ class TestCanonicalForm:
             )
             assert mapping[line3.partner[h]] == other.partner[image]
             assert mapping[line3.successor(h)] == other.successor(image)
+
+    def test_witness_is_the_reference_witness(self):
+        """The witness is the full-code reference's on every (4, 3) census
+        graph against a seeded relabelled copy, both ways, and None against
+        the next class."""
+        from quiveralg.census import connected_brauer_graphs
+
+        rng = random.Random(1618)
+        graphs = list(connected_brauer_graphs(4, 3))
+        for g, following in zip(graphs, graphs[1:] + graphs[:1]):
+            copy = relabel_brauer_graph(g, rng)
+            assert find_isomorphism(g, copy) == isomorphism_oracle(g, copy)
+            assert find_isomorphism(copy, g) == isomorphism_oracle(copy, g)
+            assert find_isomorphism(g, following) is isomorphism_oracle(g, following) is None
 
     def test_matches_full_minimum_over_starts(self):
         from quiveralg.census import connected_brauer_graphs

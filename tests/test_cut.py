@@ -1,8 +1,9 @@
 import pytest
 
+from oracles import presentations_isomorphic
 from quiveralg import suites
 from quiveralg.brauer import algebra_of
-from quiveralg.census import connected_brauer_graphs, presentations_isomorphic
+from quiveralg.census import connected_brauer_graphs
 from quiveralg.cut import (
     CuttingSet,
     admissible_cut,

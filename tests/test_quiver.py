@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import relabel_presentation
 from quiveralg.errors import CompositionError, ParseError, RotationError
 from quiveralg.quiver import (
     Binomial,
@@ -13,7 +14,6 @@ from quiveralg.quiver import (
     parse_presentation,
     power,
     presentation_dot,
-    relabel_presentation,
     rotate,
     serialize_presentation,
     trivial_path,

@@ -4,11 +4,16 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import brute_force_ssb_isomorphism, carries_bases, ssb_isomorphisms
+from oracles import (
+    brute_force_ssb_isomorphism,
+    carries_bases,
+    relabel_presentation,
+    ssb_isomorphisms,
+)
 from quiveralg.brauer import algebra_of, is_isomorphic
 from quiveralg.census import connected_brauer_graphs
 from quiveralg.errors import RotationError, ValidationError
-from quiveralg.quiver import Path, Quiver, parse_presentation, relabel_presentation
+from quiveralg.quiver import Path, Quiver, parse_presentation
 from quiveralg.ssb import (
     find_ssb_isomorphism,
     graph_of_ssb,

@@ -1,7 +1,7 @@
 import pytest
 
+from oracles import presentations_isomorphic
 from quiveralg.brauer import algebra_of, validate_brauer_graph
-from quiveralg.census import presentations_isomorphic
 from quiveralg.cli import main
 from quiveralg.cut import CuttingSet, admissible_cut
 from quiveralg.errors import ValidationError

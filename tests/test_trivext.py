@@ -35,7 +35,7 @@ class TestGentleGraph:
 
     def test_labels(self, fig1_algebra):
         gg = graph_of_gentle(fig1_algebra)
-        labelled = {m.label() for m in gg.label_of.values()}
+        labelled = {m.label() for _, m in gg.vertex_labels}
         assert labelled == {"p", "u v", "e(3)"}
         assert dict(gg.edge_labels) == {"1": "1", "2": "2", "3": "3"}
 
@@ -43,7 +43,7 @@ class TestGentleGraph:
         # a maximal path of length n spans a fan of n+1 germs
         for algebra in (a3r, fig1_algebra):
             gg = graph_of_gentle(algebra)
-            by_label = {gg.label_of[v]: v for v in gg.graph.multiplicities}
+            by_label = {m: v for v, m in gg.vertex_labels}
             for m, station in by_label.items():
                 expected = len(m.arrows) + 1 if not m.is_trivial() else 1
                 assert gg.graph.valency(station) == expected
