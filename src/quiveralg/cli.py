@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path as FilePath
 
 from . import brauer, cut, quiver, ssb, suites, surface, trivext
@@ -27,7 +28,10 @@ def _read(path: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        FilePath(out).write_text(text, encoding="utf-8")
+        try:
+            FilePath(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise QuiverAlgError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -152,13 +156,7 @@ def cmd_cuts(args) -> int:
 
 
 def cmd_check(args) -> int:
-    bounds = suites.Bounds(
-        max_edges=args.max_edges,
-        max_mult=args.max_mult,
-        max_vertices=args.max_vertices,
-        max_arrows=args.max_arrows,
-        seed=args.seed,
-    )
+    bounds = suites.Bounds(**{f.name: getattr(args, f.name) for f in fields(suites.Bounds)})
     try:
         report = suites.run_suite(args.suite, bounds)
     except ValueError as exc:
@@ -227,11 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a verification suite over enumerated instances")
     p.add_argument("--suite", required=True)
-    p.add_argument("--max-edges", type=int, default=4)
-    p.add_argument("--max-mult", type=int, default=3)
-    p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--max-arrows", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(suites.Bounds):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 

@@ -25,6 +25,7 @@ from .quiver import (
     Presentation,
     Problem,
     Quiver,
+    Validation,
     compose,
     path_sort_key,
     trivial_path,
@@ -53,16 +54,6 @@ class GentleAlgebra:
     @cached_property
     def dimension(self) -> int:
         return len(nonzero_paths(self))
-
-
-@dataclass(frozen=True)
-class GentleValidation:
-    problems: tuple[Problem, ...]
-    algebra: GentleAlgebra | None
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
 
 
 def _allowed_successors(pres: Presentation, arrow: Arrow) -> list[Arrow]:
@@ -144,7 +135,7 @@ def _has_relation_free_cycle(quiver: Quiver, zero: Collection[tuple[str, str]]) 
     return any(color.get(a.name, 0) == 0 and dfs(a) for a in quiver.arrows)
 
 
-def validate_gentle(pres: Presentation) -> GentleValidation:
+def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     """Full gentle validation; on success the returned report carries the algebra.
 
     Beyond the special biserial conditions and the quadratic-monomial shape
@@ -197,7 +188,7 @@ def validate_gentle(pres: Presentation) -> GentleValidation:
         )
 
     if problems:
-        return GentleValidation(tuple(problems), None)
+        return Validation(tuple(problems), None)
 
     maximal = _maximal_path_chains(quiver, after, before)
     extended = maximal + tuple(
@@ -213,8 +204,8 @@ def validate_gentle(pres: Presentation) -> GentleValidation:
                 )
             )
     if problems:  # pragma: no cover - unreachable for inputs passing the checks above
-        return GentleValidation(tuple(problems), None)
-    return GentleValidation((), algebra)
+        return Validation(tuple(problems), None)
+    return Validation((), algebra)
 
 
 def gentle_algebra(pres: Presentation) -> GentleAlgebra:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Generic, Iterable, TypeVar, Union
 
 from .errors import CompositionError, ParseError, RotationError
 
@@ -35,6 +35,21 @@ class Problem:
 
     def __str__(self):
         return f"[{self.code}] {self.message}"
+
+
+_Algebra = TypeVar("_Algebra")
+
+
+@dataclass(frozen=True)
+class Validation(Generic[_Algebra]):
+    """A validator's findings, and the validated algebra when there are none."""
+
+    problems: tuple[Problem, ...]
+    algebra: _Algebra | None
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
 
 @dataclass(frozen=True)
@@ -113,15 +128,6 @@ def compose(p: Path, q: Path) -> Path:
             f"cannot compose: target {p.target!r} != source {q.source!r}"
         )
     return Path(p.vertices + q.vertices[1:], p.arrows + q.arrows)
-
-
-def power(p: Path, n: int) -> Path:
-    if n < 1:
-        raise ValueError("exponent must be >= 1")
-    out = p
-    for _ in range(n - 1):
-        out = compose(out, p)
-    return out
 
 
 def rotate(p: Path, k: int) -> Path:

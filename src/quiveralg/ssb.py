@@ -33,6 +33,7 @@ from .quiver import (
     Path,
     Presentation,
     Problem,
+    Validation,
     path_sort_key,
     rotate,
     trivial_path,
@@ -91,16 +92,6 @@ class SSBPresentation:
         return tuple(discovery_code(*links, x.name) for x in self.quiver.arrows)
 
 
-@dataclass(frozen=True)
-class SSBValidation:
-    problems: tuple[Problem, ...]
-    algebra: SSBPresentation | None
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
 def simple_cycle_decomposition(p: Path) -> SimpleCycleDecomp:
     """Smallest-period decomposition ``p = p0^m`` of a nontrivial cycle."""
     if p.is_trivial() or not p.is_cyclic():
@@ -143,7 +134,7 @@ def _looks_like_dual_numbers(pres: Presentation) -> bool:
     )
 
 
-def validate_ssb(pres: Presentation) -> SSBValidation:
+def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
     """Check normalized form and derive the projective descriptors.
 
     The validator refuses to guess: every structural fact the construction
@@ -155,14 +146,14 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
     quiver = pres.quiver
 
     if not quiver.vertices:
-        return SSBValidation((Problem("degenerate", "empty quiver"),), None)
+        return Validation((Problem("degenerate", "empty quiver"),), None)
     if len(quiver.vertices) == 1 and not quiver.arrows:
-        return SSBValidation(
+        return Validation(
             (Problem("degenerate", "one vertex and no arrows (the ground field)"),),
             None,
         )
     if _looks_like_dual_numbers(pres):
-        return SSBValidation(
+        return Validation(
             (
                 Problem(
                     "degenerate",
@@ -204,7 +195,7 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
                 )
 
     if problems:
-        return SSBValidation(tuple(problems), None)
+        return Validation(tuple(problems), None)
 
     # exactly one socle-defining relation based at every vertex
     based: dict[str, list[ProjectiveDescriptor]] = {v: [] for v in quiver.vertices}
@@ -228,7 +219,7 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
         else:
             descriptors.append(based[v][0])
     if problems:
-        return SSBValidation(tuple(problems), None)
+        return Validation(tuple(problems), None)
 
     outs, ins = quiver.arrows_from, quiver.arrows_into
     for d in descriptors:
@@ -285,7 +276,7 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
             )
         )
     if problems:
-        return SSBValidation(tuple(problems), None)
+        return Validation(tuple(problems), None)
 
     # zero relations must sit exactly at the out-of-cycle compositions; every
     # arrow now lies once on one cycle, so its cycle successor is unique
@@ -306,9 +297,9 @@ def validate_ssb(pres: Presentation) -> SSBValidation:
                 problems.append(Problem("normal-form", f"composition {a.name} {b.name} {where}"))
 
     if problems:
-        return SSBValidation(tuple(problems), None)
+        return Validation(tuple(problems), None)
     cycle_families = tuple(sorted(families.items(), key=lambda it: path_sort_key(it[0])))
-    return SSBValidation((), SSBPresentation(pres, tuple(descriptors), cycle_families))
+    return Validation((), SSBPresentation(pres, tuple(descriptors), cycle_families))
 
 
 def ssb_presentation(pres: Presentation) -> SSBPresentation:

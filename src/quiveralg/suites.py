@@ -3,7 +3,8 @@
 Each suite checks one of the structural identities on every instance within
 the requested bounds and reports the failures; an empty failure list over a
 nonempty census is the machine-checked statement.  Instances are enumerated
-deterministically and failure reports are sorted.
+deterministically and failure reports are sorted.  A suite's entry in
+``SUITES`` says everything about it, down to how large its bounds may be.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .brauer import (
     algebra_of,
@@ -28,15 +29,6 @@ from .gentle import socle_basis
 from .quiver import serialize_presentation
 from .ssb import graph_of_ssb, projective_basis
 from .trivext import graph_of_gentle, projectives_oracle, trivial_extension
-
-MAX_EDGES_GUARD = 5
-MAX_VERTICES_GUARD = 5
-MAX_ARROWS_GUARD = 10
-MAX_MULT_GUARD = 4
-# Suites that may take one more edge at multiplicity one: thm-1-1 checks
-# the 10,439 six-edge graphs in about 12 s.
-SIX_EDGES_AT_MULT_ONE = ("graph-algebra-roundtrip",)
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -65,25 +57,16 @@ class Bounds:
     seed: int = 0
 
 
-def _guard(bounds: Bounds, suite: str) -> None:
-    below = [
-        f"{name}={getattr(bounds, name)}"
-        for name in ("max_edges", "max_mult", "max_vertices", "max_arrows")
-        if getattr(bounds, name) < 1
-    ]
+def _guard(bounds: Bounds, limits: tuple[Bounds, ...]) -> None:
+    sizes = ("max_edges", "max_mult", "max_vertices", "max_arrows")
+    below = [f"{n}={getattr(bounds, n)}" for n in sizes if getattr(bounds, n) < 1]
     if below:
         raise ValueError(f"bounds must be at least 1, got {', '.join(below)}")
-    six_edges = suite in SIX_EDGES_AT_MULT_ONE and bounds.max_mult == 1
-    if (
-        bounds.max_edges > MAX_EDGES_GUARD + (1 if six_edges else 0)
-        or bounds.max_vertices > MAX_VERTICES_GUARD
-        or bounds.max_arrows > MAX_ARROWS_GUARD
-        or bounds.max_mult > MAX_MULT_GUARD
-    ):
+    if not any(all(getattr(bounds, n) <= getattr(box, n) for n in sizes) for box in limits):
         raise ValueError(
             "bounds too large for exhaustive enumeration; stay within "
-            f"{MAX_EDGES_GUARD} edges, multiplicity {MAX_MULT_GUARD}, "
-            f"{MAX_VERTICES_GUARD} vertices, {MAX_ARROWS_GUARD} arrows"
+            "{0.max_edges} edges, multiplicity {0.max_mult}, "
+            "{0.max_vertices} vertices, {0.max_arrows} arrows".format(limits[0])
         )
 
 
@@ -188,34 +171,52 @@ def _check_socle_maximal(algebra, bounds: Bounds) -> list[tuple[str, str]]:
     return failures
 
 
-# name -> (alias, census, check, encoder).  The census and the encoder are
-# lambdas so that they look up the module-level functions at call time: a
-# function object stored here would bypass any later rebinding of the name
-# (tracing, monkeypatching in tests).
-SUITES: dict[str, tuple[str, Callable[[Bounds], Iterable], Callable, Callable[..., str]]] = {
-    "graph-algebra-roundtrip": (
+# A suite: its alias, census, check and instance encoder, and the limits of
+# its bounds.  The census and the encoder are lambdas so that they look up
+# the module-level functions at call time: a function object stored here
+# would bypass any later rebinding of the name (tracing, monkeypatching in
+# tests).  A run is allowed when its bounds fit under one of the limits; a
+# refusal states the first.
+class Suite(NamedTuple):
+    alias: str
+    census: Callable[[Bounds], Iterable]
+    check: Callable
+    encode: Callable[..., str]
+    limits: tuple[Bounds, ...]
+
+
+# Every suite may enumerate this box; thm-1-1 also takes six edges at
+# multiplicity one, checking the 10,439 six-edge graphs in about 12 s.
+SHARED_LIMIT = Bounds(max_edges=5, max_mult=4, max_vertices=5, max_arrows=10)
+
+SUITES: dict[str, Suite] = {
+    "graph-algebra-roundtrip": Suite(
         "thm-1-1",
         lambda b: connected_brauer_graphs(b.max_edges, b.max_mult),
         _check_graph_algebra_roundtrip,
         lambda g: serialize_brauer_graph(g),
+        (SHARED_LIMIT, Bounds(max_edges=6, max_mult=1, max_vertices=5, max_arrows=10)),
     ),
-    "trivial-extension": (
+    "trivial-extension": Suite(
         "thm-1-2",
         lambda b: gentle_algebras(b.max_vertices, b.max_arrows),
         _check_trivial_extension,
         lambda a: serialize_presentation(a.presentation),
+        (SHARED_LIMIT,),
     ),
-    "admissible-cut": (
+    "admissible-cut": Suite(
         "thm-1-3",
         lambda b: connected_brauer_graphs(b.max_edges, 1),
         _check_admissible_cut,
         lambda g: serialize_brauer_graph(g),
+        (SHARED_LIMIT,),
     ),
-    "socle-maximal": (
+    "socle-maximal": Suite(
         "lemma-2-1",
         lambda b: gentle_algebras(b.max_vertices, b.max_arrows),
         _check_socle_maximal,
         lambda a: serialize_presentation(a.presentation),
+        (SHARED_LIMIT,),
     ),
 }
 
@@ -229,21 +230,21 @@ def run_suite(name: str, bounds: Bounds) -> CheckReport:
     ``census`` failure, since a run that checked nothing proves nothing.
     Failures are sorted.
     """
-    canonical = next((n for n, (alias, *_) in SUITES.items() if name in (n, alias)), None)
+    canonical = next((n for n, s in SUITES.items() if name in (n, s.alias)), None)
     if canonical is None:
-        known = ", ".join(sorted(SUITES) + sorted(alias for alias, *_ in SUITES.values()))
+        known = ", ".join(sorted(SUITES) + sorted(s.alias for s in SUITES.values()))
         raise ValueError(f"unknown suite {name!r}; known: {known}")
-    _guard(bounds, canonical)
-    _, census, check, encode = SUITES[canonical]
+    suite = SUITES[canonical]
+    _guard(bounds, suite.limits)
     instances = 0
     failures = []
-    for item in census(bounds):
+    for item in suite.census(bounds):
         instances += 1
         try:
-            found = check(item, bounds)
+            found = suite.check(item, bounds)
         except QuiverAlgError as exc:
             found = [("exception", f"{type(exc).__name__}: {exc}")]
-        failures.extend((_one_line(encode(item)), prop, diag) for prop, diag in found)
+        failures.extend((_one_line(suite.encode(item)), prop, diag) for prop, diag in found)
     if not instances:
         failures.append(("(none)", "census", "no instances within the bounds"))
     return CheckReport(canonical, instances, tuple(sorted(failures)))

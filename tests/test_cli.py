@@ -310,19 +310,36 @@ class TestCheck:
         assert code == 2
         assert "bounds too large" in err
 
-    def test_six_edges_at_multiplicity_one_allowed_for_thm_1_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv,call",
+        [
+            (
+                ("thm-1-1", "--max-edges", "5", "--max-mult", "4", "--max-vertices", "5", "--max-arrows", "10"),
+                ("connected_brauer_graphs", 5, 4),
+            ),
+            (("thm-1-1", "--max-edges", "6", "--max-mult", "1"), ("connected_brauer_graphs", 6, 1)),
+            (("thm-1-3", "--max-edges", "5"), ("connected_brauer_graphs", 5, 1)),
+            (("thm-1-2", "--max-vertices", "5", "--max-arrows", "10"), ("gentle_algebras", 5, 10)),
+            (("lemma-2-1", "--max-vertices", "5", "--max-arrows", "10"), ("gentle_algebras", 5, 10)),
+        ],
+    )
+    def test_bounds_at_the_limits_allowed(self, capsys, monkeypatch, argv, call):
         asked = []
 
-        def census(n_edges, max_mult):
-            asked.append((n_edges, max_mult))
-            return connected_brauer_graphs(2, 1)
+        def stub(name, small):
+            real = getattr(suites, name)
 
-        monkeypatch.setattr(suites, "connected_brauer_graphs", census)
-        code, out, err = run(
-            capsys, "check", "--suite", "thm-1-1", "--max-edges", "6", "--max-mult", "1"
-        )
-        assert (code, err, asked) == (0, "", [(6, 1)])
-        assert out.startswith("suite graph-algebra-roundtrip: ")
+            def census(*bounds):
+                asked.append((name, *bounds))
+                return real(*small)
+
+            monkeypatch.setattr(suites, name, census)
+
+        stub("connected_brauer_graphs", (2, 1))
+        stub("gentle_algebras", (2, 2))
+        code, out, err = run(capsys, "check", "--suite", *argv)
+        assert (code, err, asked) == (0, "", [call])
+        assert ", 0 failures\n" in out
 
     @pytest.mark.parametrize(
         "argv",
@@ -335,6 +352,9 @@ class TestCheck:
             ("lemma-2-1", "--max-edges", "6", "--max-mult", "1"),
             ("thm-1-1", "--max-edges", "6", "--max-mult", "1", "--max-vertices", "6"),
             ("thm-1-1", "--max-mult", "5"),
+            ("thm-1-2", "--max-vertices", "6"),
+            ("lemma-2-1", "--max-arrows", "11"),
+            ("thm-1-3", "--max-mult", "5"),
         ],
     )
     def test_other_bounds_beyond_the_guard_refused(self, capsys, monkeypatch, argv):
@@ -383,6 +403,23 @@ class TestDeterminism:
         first = run(capsys, *self._fill(argv, files))
         second = run(capsys, *self._fill(argv, files))
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("convert", "--mode", "bg-to-alg", "{e21}"),
+        ("cuts", "--enumerate", "{ta2}"),
+        ("check", "--suite", "thm-1-1", "--max-edges", "2", "--max-mult", "1"),
+        ("dot", "--kind", "bg", "{e21}"),
+    ],
+)
+def test_out_to_an_unwritable_path_is_an_input_error(capsys, files, tmp_path, argv):
+    target = tmp_path / "missing" / "x.out"
+    argv = [a.format(**{k: str(v) for k, v in files.items()}) for a in argv]
+    code, out, err = run(capsys, argv[0], "--out", str(target), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_dot_refuses_invalid_brauer_graph(capsys, tmp_path):

@@ -12,7 +12,6 @@ from quiveralg.quiver import (
     compose,
     is_subpath,
     parse_presentation,
-    power,
     presentation_dot,
     rotate,
     serialize_presentation,
@@ -187,11 +186,6 @@ def test_dot_is_sorted_and_stable(chain3):
     dot = presentation_dot(pres)
     assert dot.index('"a"') < dot.index('"b"')
     assert presentation_dot(pres) == dot
-
-
-def test_power(chain3):
-    q = Quiver(["1"], [("x", "1", "1")])
-    assert power(q.path(["x"]), 3) == q.path(["x", "x", "x"])
 
 
 def _paths_up_to(quiver: Quiver, cap: int):
