@@ -29,7 +29,6 @@ a relation, and for a loop the two out-of-order compositions do too.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InconsistencyError, ParseError
@@ -41,6 +40,7 @@ from .quiver import (
     Problem,
     Quiver,
     Relation,
+    cached_property,
 )
 
 
@@ -224,15 +224,19 @@ def quiver_of(g: BrauerGraph) -> Quiver:
     return Quiver(g._edges, arrows)
 
 
-def _cycle_power(g: BrauerGraph, start: str) -> Path:
-    """The cycle at the vertex of ``start`` raised to that vertex's
-    multiplicity, as a path based at the edge of ``start``."""
-    v = g.vertex_of[start]
-    seq = g._rotations[v]
-    i = seq.index(start)
-    germs, m = seq[i:] + seq[:i], g._mult[v]
-    edge_of = g.edge_of
-    return Path(tuple(edge_of[h] for h in germs) * m + (edge_of[start],), germs * m)
+def _cycle_powers(g: BrauerGraph) -> dict[str, Path]:
+    """Per germ, the cycle at its vertex raised to that vertex's
+    multiplicity, as a path based at the edge of the germ.  Each vertex's
+    itinerary is read once, repeated past one full power, and every germ's
+    path is a slice of it."""
+    edge_of, powers = g.edge_of, {}
+    for v, seq in g._rotations.items():
+        m = g._mult[v]
+        length = len(seq) * m
+        germs, edges = seq * (m + 1), tuple(edge_of[h] for h in seq) * (m + 1)
+        for i, h in enumerate(seq):
+            powers[h] = Path(edges[i : i + length + 1], germs[i : i + length])
+    return powers
 
 
 def relations_of(g: BrauerGraph) -> list[Relation]:
@@ -243,6 +247,7 @@ def relations_of(g: BrauerGraph) -> list[Relation]:
     """
     relations: list[Relation] = []
     edge_of, succ, silent = g.edge_of, g.successor_of, g.silent_leaves
+    powers = _cycle_powers(g)
     ends = {e: tuple(sorted(pair)) for e, pair in sorted(g._edges.items())}
     for e, (h, k) in ends.items():
         if h in silent and k in silent:
@@ -252,11 +257,11 @@ def relations_of(g: BrauerGraph) -> list[Relation]:
             )
         if h in silent or k in silent:
             loud = k if h in silent else h
-            full = _cycle_power(g, loud)
+            full = powers[loud]
             one_past_socle = Path(full.vertices + full.vertices[1:2], full.arrows + (loud,))
             relations.append(Monomial(one_past_socle))
         else:
-            relations.append(Binomial(_cycle_power(g, h), _cycle_power(g, k)))
+            relations.append(Binomial(powers[h], powers[k]))
     for h in g.half_edges:
         if h in silent:
             continue
@@ -341,10 +346,21 @@ def _least_code(g: BrauerGraph) -> tuple[tuple, list[str]]:
     vertex's multiplicity, with the order of the first start reaching it."""
     if not g.half_edges:
         raise ValueError("a graph without half-edges has no canonical form")
+    succ, partner = g.successor_of, g.partner
     label = {h: g._mult[v] for h, v in g.vertex_of.items()}
+    # A start's first code step numbers itself 0 and then its successor and
+    # partner; the least code begins with the least first step, so the other
+    # starts are skipped before their walk.
+    first = {}
+    for h in g.half_edges:
+        s, p = succ[h], partner[h]
+        first[h] = (int(s != h), 0 if p == h else 2 - (p == s or s == h), label[h])
+    least = min(first.values())
     best = bound = None
     for start in reversed(g.half_edges):  # a tie replaces best: the first start wins
-        found = discovery_code(g.successor_of, g.partner, label, start, bound)
+        if first[start] != least:
+            continue
+        found = discovery_code(succ, partner, label, start, bound)
         if found is not None:
             best, bound = found, found[0]
     return best

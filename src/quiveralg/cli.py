@@ -13,7 +13,7 @@ from dataclasses import fields
 from pathlib import Path as FilePath
 
 from . import brauer, cut, quiver, ssb, suites, surface, trivext
-from .errors import ParseError, QuiverAlgError, ValidationError
+from .errors import QuiverAlgError, ValidationError
 from .gentle import gentle_algebra, validate_gentle
 
 OK, PROPERTY_FALSE, INPUT_ERROR = 0, 1, 2
@@ -23,7 +23,7 @@ def _read(path: str) -> str:
     try:
         return FilePath(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(0, f"cannot read {path}: {exc}") from None
+        raise QuiverAlgError(f"cannot read {path}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -243,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return INPUT_ERROR
     except ValidationError as exc:
         for p in exc.problems:
             print(p, file=sys.stderr)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ValidationError
 from .quiver import (
@@ -26,6 +25,7 @@ from .quiver import (
     Problem,
     Quiver,
     Validation,
+    cached_property,
     compose,
     path_sort_key,
     trivial_path,

@@ -20,10 +20,24 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Generic, Iterable, TypeVar, Union
 
 from .errors import CompositionError, ParseError, RotationError
+
+
+class cached_property:
+    """:func:`functools.cached_property` without its lock, which Python 3.11
+    takes on every first read; values here are pure, so a rare second
+    computation is harmless."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -52,7 +66,7 @@ class Validation(Generic[_Algebra]):
         return not self.problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     name: str
     source: str
@@ -62,7 +76,7 @@ class Arrow:
         return self.source == self.target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A path, stored as its vertex itinerary plus the arrow names traversed.
 
@@ -154,7 +168,7 @@ def is_subpath(p: Path, q: Path) -> bool:
     return any(q.arrows[i : i + n] == p.arrows for i in range(m - n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """A zero relation: the path is declared zero in the algebra."""
 
@@ -171,7 +185,7 @@ class Monomial:
         return f"Monomial<{self.path.label()}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binomial:
     """A commutativity relation ``left - right`` between two parallel paths."""
 
@@ -273,14 +287,17 @@ class Quiver:
         vertices.append(arrows[-1].target)
         return Path(tuple(vertices), names)
 
+    @cached_property
+    def arrow_steps(self) -> frozenset[tuple[str, str, str]]:
+        """Every arrow as its step ``(name, source, target)``."""
+        return frozenset((a.name, a.source, a.target) for a in self.arrows)
+
     def contains_path(self, p: Path) -> bool:
         """Whether ``p`` is a genuine path of this quiver (names and itinerary)."""
-        arrow_map, vertices = self.arrow_map, p.vertices
-        for i, n in enumerate(p.arrows):
-            a = arrow_map.get(n)
-            if a is None or a.source != vertices[i] or a.target != vertices[i + 1]:
-                return False
-        return p.source in self.arrows_from
+        vertices = p.vertices
+        return p.source in self.arrows_from and self.arrow_steps.issuperset(
+            zip(p.arrows, vertices, vertices[1:])
+        )
 
     def is_connected(self) -> bool:
         """Connectivity as an undirected graph; the empty quiver is not connected."""

@@ -24,7 +24,6 @@ the image vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .brauer import BrauerGraph, discovery_code
 from .errors import InconsistencyError, RotationError, ValidationError
@@ -34,6 +33,7 @@ from .quiver import (
     Presentation,
     Problem,
     Validation,
+    cached_property,
     path_sort_key,
     rotate,
     trivial_path,
@@ -41,7 +41,7 @@ from .quiver import (
 from .gentle import validate_special_biserial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleCycleDecomp:
     """A cyclic path written as the smallest repeating cycle and its exponent."""
 
@@ -49,7 +49,7 @@ class SimpleCycleDecomp:
     exponent: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectiveDescriptor:
     """The two maximal cyclic paths through a vertex; ``second`` may be trivial."""
 
@@ -326,7 +326,10 @@ def projective_basis(ssb: SSBPresentation, vertex: str) -> tuple[Path, ...]:
 
 
 def projective_dimension(ssb: SSBPresentation, vertex: str) -> int:
-    return len(projective_basis(ssb, vertex))
+    """``len(projective_basis(ssb, vertex))``, counted without building it:
+    the trivial path, the socle, and the proper nontrivial prefixes of each
+    nontrivial maximal path."""
+    return 2 + sum(len(w) - 1 for w in ssb.projective_at[vertex].paths() if w.arrows)
 
 
 def graph_of_ssb(ssb: SSBPresentation) -> BrauerGraph:

@@ -28,7 +28,7 @@ from .errors import QuiverAlgError, ValidationError
 from .gentle import socle_basis
 from .quiver import serialize_presentation
 from .ssb import graph_of_ssb, projective_basis
-from .trivext import graph_of_gentle, projectives_oracle, trivial_extension
+from .trivext import extension_of_graph, graph_of_gentle, projectives_oracle
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -94,7 +94,7 @@ def _check_graph_algebra_roundtrip(g, bounds: Bounds) -> list[tuple[str, str]]:
         shuffled = relabel_brauer_graph(g, rng)
         if canonical_form(shuffled) != reference:
             failures.append(("canonical-stability", "relabeling changed the canonical form"))
-    dim = sum(len(projective_basis(ssb, v)) for v in ssb.quiver.vertices)
+    dim = ssb.dimension
     if dim != structural_dimension(g):
         failures.append(
             ("dimension", f"projective sum {dim} != structural {structural_dimension(g)}")
@@ -111,7 +111,7 @@ def _check_trivial_extension(algebra, bounds: Bounds) -> list[tuple[str, str]]:
     """
     failures = []
     gg = graph_of_gentle(algebra)
-    ext = trivial_extension(algebra)
+    ext = extension_of_graph(algebra, gg)
     for v in algebra.quiver.vertices:
         if set(projectives_oracle(algebra, v)) != set(projective_basis(ext, v)):
             failures.append(

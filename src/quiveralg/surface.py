@@ -17,13 +17,12 @@ turning the triangulation itself into a multiplicity-one Brauer graph.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .brauer import BrauerGraph
 from .errors import InconsistencyError, ParseError, ValidationError
 from .gentle import GentleAlgebra, gentle_algebra
-from .quiver import Monomial, Presentation, Problem, Quiver
+from .quiver import Monomial, Presentation, Problem, Quiver, cached_property
 
 
 class Triangulation:

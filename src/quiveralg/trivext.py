@@ -130,7 +130,12 @@ def trivial_extension(algebra: GentleAlgebra) -> SSBPresentation:
     trusted, with each return arrow named by the last germ at its maximal
     path's graph vertex, so that the names are computed once.
     """
-    gg = graph_of_gentle(algebra)
+    return extension_of_graph(algebra, graph_of_gentle(algebra))
+
+
+def extension_of_graph(algebra: GentleAlgebra, gg: GentleGraph) -> SSBPresentation:
+    """:func:`trivial_extension` from the already built graph ``gg`` of
+    ``algebra``, for callers that need the graph too."""
     ssb = algebra_of(gg.graph)
     rotations = gg.graph.rotations
     betas = {m: rotations[station][-1] for station, m in gg.vertex_labels}

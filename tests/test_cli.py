@@ -422,6 +422,24 @@ def test_out_to_an_unwritable_path_is_an_input_error(capsys, files, tmp_path, ar
     assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--kind", "bg"),
+        ("convert", "--mode", "bg-to-alg"),
+        ("iso", "--kind", "bg", "{e21}"),
+        ("cuts", "--enumerate"),
+        ("dot", "--kind", "bg"),
+    ],
+)
+def test_unreadable_input_is_an_input_error(capsys, files, tmp_path, argv):
+    missing = tmp_path / "missing.bg"
+    argv = [a.format(**{k: str(v) for k, v in files.items()}) for a in argv]
+    code, out, err = run(capsys, *argv, str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {missing}: ") and err.count("\n") == 1
+
+
 def test_dot_refuses_invalid_brauer_graph(capsys, tmp_path):
     bad = tmp_path / "bad.bg"
     bad.write_text("bvertex w mult=1\nbedge H a@w b@w\norder w = zz\n")  # a, b unplaced

@@ -111,9 +111,30 @@ class TestRelationInvariants:
             Binomial(q.path(["x"]), q.path(["x", "x"]))
 
     def test_presentation_rejects_foreign_paths(self, chain3):
+        class Bare:  # carries any path, trivial ones too, to the presentation's check
+            def __init__(self, path):
+                self.path = path
+
+            def paths(self):
+                return (self.path,)
+
         foreign = Path(("1", "1"), ("z",))
-        with pytest.raises(ValueError, match="not a path"):
-            Presentation(chain3, [Monomial(compose(foreign, foreign))])
+        table = {
+            "unknown arrow": Monomial(compose(foreign, foreign)),
+            "wrong source": Monomial(Path(("2", "2", "3"), ("a", "b"))),
+            "wrong target": Monomial(Path(("1", "1", "2"), ("a", "a"))),
+            "undeclared vertex": Bare(trivial_path("9")),
+        }
+        rejected = []
+        for case, relation in table.items():
+            try:
+                Presentation(chain3, [relation])
+            except ValueError as exc:
+                if "not a path" in str(exc):
+                    rejected.append(case)
+        assert rejected == list(table)
+        # the same shapes with the right steps, and a declared vertex, pass
+        Presentation(chain3, [Monomial(chain3.path(["a", "b"])), Bare(trivial_path("1"))])
 
 
 class TestTextFormat:

@@ -12,6 +12,7 @@ from oracles import (
 )
 from quiveralg.brauer import algebra_of, is_isomorphic
 from quiveralg.census import connected_brauer_graphs
+from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.errors import RotationError, ValidationError
 from quiveralg.quiver import Path, Quiver, parse_presentation
 from quiveralg.ssb import (
@@ -26,6 +27,7 @@ from quiveralg.ssb import (
     ssb_presentation,
     validate_ssb,
 )
+from quiveralg.trivext import trivial_extension
 
 
 def codes(problems):
@@ -323,6 +325,20 @@ class TestProjectiveBases:
         for g, dims in ((e21, [3]), (line3, [3, 3, 4]), (loop_graph, [4]), (star3, [4, 4, 4])):
             ssb = algebra_of(g)
             assert sorted(projective_dimension(ssb, v) for v in ssb.quiver.vertices) == dims
+
+    def test_counted_dimension_is_the_basis_length(self):
+        """projective_dimension counts what projective_basis lists, on every
+        (4,3) census algebra and every trivial extension of a (4,1) cut."""
+
+        def algebras():
+            yield from map(algebra_of, connected_brauer_graphs(4, 3))
+            for ssb in map(algebra_of, connected_brauer_graphs(4, 1)):
+                for c in enumerate_cutting_sets(ssb):
+                    yield trivial_extension(admissible_cut(ssb, c))
+
+        for ssb in algebras():
+            for v in ssb.quiver.vertices:
+                assert projective_dimension(ssb, v) == len(projective_basis(ssb, v))
 
 
 class TestGraphOfSSB:
