@@ -341,6 +341,12 @@ def discovery_code(succ, partner, label, start, bound=None) -> tuple[tuple, list
     return (bound[: len(order)] if code is None else tuple(code)), order
 
 
+def _first_step(h, s, p, label) -> tuple:
+    """The first step of the discovery code from germ ``h``, whose successor
+    is ``s`` and partner ``p``: it numbers ``h`` 0, then ``s`` and ``p``."""
+    return (int(s != h), 0 if p == h else 2 - (p == s or s == h), label)
+
+
 def _least_code(g: BrauerGraph) -> tuple[tuple, list[str]]:
     """The least discovery code over all starts, each germ labelled by its
     vertex's multiplicity, with the order of the first start reaching it."""
@@ -348,13 +354,9 @@ def _least_code(g: BrauerGraph) -> tuple[tuple, list[str]]:
         raise ValueError("a graph without half-edges has no canonical form")
     succ, partner = g.successor_of, g.partner
     label = {h: g._mult[v] for h, v in g.vertex_of.items()}
-    # A start's first code step numbers itself 0 and then its successor and
-    # partner; the least code begins with the least first step, so the other
-    # starts are skipped before their walk.
-    first = {}
-    for h in g.half_edges:
-        s, p = succ[h], partner[h]
-        first[h] = (int(s != h), 0 if p == h else 2 - (p == s or s == h), label[h])
+    # the least code begins with the least first step, so the other starts
+    # are skipped before their walk
+    first = {h: _first_step(h, succ[h], partner[h], label[h]) for h in g.half_edges}
     least = min(first.values())
     best = bound = None
     for start in reversed(g.half_edges):  # a tie replaces best: the first start wins

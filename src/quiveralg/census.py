@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .brauer import BrauerGraph, discovery_code
+from .brauer import BrauerGraph, _first_step, discovery_code
 from .gentle import GentleAlgebra, _has_relation_free_cycle, validate_gentle
 from .quiver import Monomial, Presentation, Quiver
 
@@ -97,15 +97,25 @@ def _automorphisms(
 
     The code from germ 0 is ``(succ, partner)`` itself, zipped with a
     constant label; the code from any other root is
-    :func:`~quiveralg.brauer.discovery_code` bounded by germ 0's.  A root
-    whose code ties is an automorphism, given as its discovery order (germ
-    ``i`` goes to ``order[i]``): a map automorphism is fixed by the image of
-    one germ, so these roots are the whole group.
+    :func:`~quiveralg.brauer.discovery_code` bounded by germ 0's, walked
+    only when the root's first code step ties germ 0's (a smaller one
+    rejects the map before any walk).  A root whose code ties is an
+    automorphism, given as its discovery order (germ ``i`` goes to
+    ``order[i]``): a map automorphism is fixed by the image of one germ, so
+    these roots are the whole group.
     """
+    least = _first_step(0, succ[0], partner[0], 0)
+    ties = []
+    for root in range(1, len(succ)):  # every first step before any walk
+        step = _first_step(root, succ[root], partner[root], 0)
+        if step < least:
+            return None  # that root's code is smaller
+        if step == least:
+            ties.append(root)
     label = (0,) * len(succ)
     root_code = tuple(zip(succ, partner, label))
     found = []
-    for root in range(1, len(succ)):
+    for root in ties:
         tie = discovery_code(succ, partner, label, root, root_code)
         if tie is not None:
             if tie[0] != root_code:

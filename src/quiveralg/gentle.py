@@ -4,11 +4,15 @@ Gentle algebras are presented by a quiver with only quadratic monomial
 relations, subject to the local conditions: at most two arrows in and out of
 every vertex, at most one allowed continuation and one forbidden
 continuation on either side of every arrow.  On a validated presentation
-this module computes the nonzero paths, the maximal paths, the extended
-maximal-path set used by the trivial-extension construction, and the socle
-basis (computed from the annihilation definition, independently of the
-maximal-path machinery, so that their equality is a checkable fact rather
-than a definition).
+this module computes the maximal paths, the extended maximal-path set used
+by the trivial-extension construction, the nonzero paths (enumerated once
+per algebra, by extending each path with the allowed successors of its last
+arrow) and the socle basis.  The socle comes from the annihilation
+definition: a nonzero path is in it when every arrow multiplies it to zero
+on both sides.  Only the arrows into its source and out of its target can
+compose with it, so only those are tested, each with the generic zero test
+of the presentation; the maximal-path chains are never consulted, so that
+their equality with the socle is a checkable fact rather than a definition.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .quiver import (
     Quiver,
     Validation,
     cached_property,
-    compose,
     path_sort_key,
     trivial_path,
 )
@@ -52,17 +55,45 @@ class GentleAlgebra:
         return self.presentation.quiver
 
     @cached_property
+    def nonzero_basis(self) -> tuple[Path, ...]:
+        """The paths avoiding the relations, trivial paths included, in
+        :func:`path_sort_key` order: a basis of the algebra.
+
+        Every single arrow is nonzero, and a longer nonzero path extends a
+        shorter one by an allowed successor of its last arrow, so this
+        reaches each path exactly once; finiteness is guaranteed by the
+        relation-free cycle rejection in :func:`validate_gentle`.
+        """
+        outs, zero = self.quiver.arrows_from, self.presentation.quadratic_monomials
+        out = [trivial_path(v) for v in self.quiver.vertices]
+        frontier = [Path((a.source, a.target), (a.name,)) for a in self.quiver.arrows]
+        while frontier:
+            p = frontier.pop()
+            out.append(p)
+            last = p.arrows[-1]
+            for a in outs[p.target]:
+                if (last, a.name) not in zero:
+                    frontier.append(Path(p.vertices + (a.target,), p.arrows + (a.name,)))
+        return tuple(sorted(out, key=path_sort_key))
+
+    @cached_property
     def dimension(self) -> int:
-        return len(nonzero_paths(self))
+        return len(self.nonzero_basis)
 
-
-def _allowed_successors(pres: Presentation, arrow: Arrow) -> list[Arrow]:
-    rel2 = pres.quadratic_monomials
-    return [
-        b
-        for b in pres.quiver.arrows_from[arrow.target]
-        if (arrow.name, b.name) not in rel2
-    ]
+    @cached_property
+    def return_arrow_names(self) -> dict[Path, str]:
+        """Names for the return arrows of the trivial extension, one per
+        nontrivial maximal path, computed once per algebra; see
+        :func:`~quiveralg.trivext.return_arrow_names`.  Not to be modified."""
+        taken = {a.name for a in self.quiver.arrows}
+        names: dict[Path, str] = {}
+        for m in sorted(self.maximal_paths, key=path_sort_key):
+            candidate = f"b({'.'.join(m.arrows)})"
+            while candidate in taken:
+                candidate = "b" + candidate
+            names[m] = candidate
+            taken.add(candidate)
+        return names
 
 
 def validate_special_biserial(pres: Presentation) -> list[Problem]:
@@ -230,14 +261,12 @@ def _maximal_path_chains(
     chains: list[Path] = []
     used: set[str] = set()
     for start in starts:
-        names = [start.name]
-        used.add(start.name)
-        current = start
-        while after[current.name]:
-            current = after[current.name][0]
-            names.append(current.name)
-            used.add(current.name)
-        chains.append(quiver.path(names))
+        chain = [start]
+        while after[chain[-1].name]:
+            chain.append(after[chain[-1].name][0])
+        names = tuple(a.name for a in chain)
+        used.update(names)
+        chains.append(Path((start.source, *(a.target for a in chain)), names))
     leftover = [a.name for a in quiver.arrows if a.name not in used]
     if leftover:  # pragma: no cover - excluded by the relation-free cycle check
         raise ValidationError(
@@ -279,53 +308,36 @@ def vertex_occurrences(algebra: GentleAlgebra) -> dict[str, list[tuple[Path, int
 
 
 def nonzero_paths(algebra: GentleAlgebra) -> list[Path]:
-    """All paths avoiding the relations, trivial paths included.
-
-    This set is a basis of the algebra; finiteness is guaranteed by the
-    relation-free cycle rejection in :func:`validate_gentle`.
-    """
-    pres = algebra.presentation
-    quiver = pres.quiver
-    out: list[Path] = [trivial_path(v) for v in quiver.vertices]
-    # every single arrow is nonzero; longer nonzero paths are their unique
-    # allowed-successor extensions, so this reaches each path exactly once
-    frontier: list[Path] = [quiver.path([a.name]) for a in quiver.arrows]
-    while frontier:
-        p = frontier.pop()
-        out.append(p)
-        last = quiver.arrow_map[p.arrows[-1]]
-        for nxt in _allowed_successors(pres, last):
-            frontier.append(compose(p, quiver.path([nxt.name])))
-    return sorted(out, key=path_sort_key)
+    """All paths avoiding the relations, trivial paths included: the
+    algebra's :attr:`~GentleAlgebra.nonzero_basis`, sorted."""
+    return list(algebra.nonzero_basis)
 
 
 def socle_basis(algebra: GentleAlgebra) -> list[Path]:
-    """Nonzero paths killed by every arrow on both sides.
+    """Nonzero paths killed by every arrow on both sides, sorted.
 
-    Computed by testing annihilation over the enumerated nonzero paths with
-    the generic zero test of the presentation (relation pairs looked up,
-    longer relations scanned as subpaths), not via the maximal-path chain
-    decomposition; agreement with ``GentleAlgebra.maximal_paths`` is
-    therefore a meaningful check.
+    An arrow that does not end at ``p.source`` (on the left) or start at
+    ``p.target`` (on the right) multiplies ``p`` to zero in the quiver
+    alone, so only ``arrows_into[p.source]`` and ``arrows_from[p.target]``
+    are tested, each by extending ``p`` and applying the generic zero test
+    of the presentation (relation pairs looked up, longer relations scanned
+    as subpaths).  This is the annihilation definition, not the
+    maximal-path chain decomposition; agreement with
+    ``GentleAlgebra.maximal_paths`` is therefore a meaningful check.
     """
     pres = algebra.presentation
-    quiver = pres.quiver
-
-    def is_zero_extension(p: Path, a: Arrow, on_left: bool) -> bool:
-        if on_left:
-            if a.target != p.source:
-                return True
-            extended = compose(quiver.path([a.name]), p)
+    ins, outs = pres.quiver.arrows_into, pres.quiver.arrows_from
+    nonzero = pres.path_is_nonzero_monomially
+    basis = []
+    for p in algebra.nonzero_basis:
+        vertices, arrows = p.vertices, p.arrows
+        for a in ins[vertices[0]]:
+            if nonzero(Path((a.source,) + vertices, (a.name,) + arrows)):
+                break  # a nonzero left multiple
         else:
-            if p.target != a.source:
-                return True
-            extended = compose(p, quiver.path([a.name]))
-        return not pres.path_is_nonzero_monomially(extended)
-
-    basis = [
-        p
-        for p in nonzero_paths(algebra)
-        if all(is_zero_extension(p, a, True) for a in quiver.arrows)
-        and all(is_zero_extension(p, a, False) for a in quiver.arrows)
-    ]
-    return sorted(basis, key=path_sort_key)
+            for a in outs[vertices[-1]]:
+                if nonzero(Path(vertices + (a.target,), arrows + (a.name,))):
+                    break  # a nonzero right multiple
+            else:
+                basis.append(p)
+    return basis

@@ -365,7 +365,8 @@ class Presentation:
         arrows = p.arrows
         if not self.quadratic_monomials.isdisjoint(zip(arrows, arrows[1:])):
             return False
-        return not any(is_subpath(m, p) for m in self.long_monomials if len(m) <= len(arrows))
+        longer = self.long_monomials
+        return not longer or not any(is_subpath(m, p) for m in longer if len(m) <= len(arrows))
 
 
 # ---------------------------------------------------------------------------

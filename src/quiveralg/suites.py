@@ -113,7 +113,8 @@ def _check_trivial_extension(algebra, bounds: Bounds) -> list[tuple[str, str]]:
     gg = graph_of_gentle(algebra)
     ext = extension_of_graph(algebra, gg)
     for v in algebra.quiver.vertices:
-        if set(projectives_oracle(algebra, v)) != set(projective_basis(ext, v)):
+        # both sorted by path_sort_key and free of repeats: equal as sets
+        if projectives_oracle(algebra, v) != projective_basis(ext, v):
             failures.append(
                 ("projective-gluing", f"basis mismatch at vertex {v!r}")
             )

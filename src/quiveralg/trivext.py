@@ -50,17 +50,11 @@ def return_arrow_names(algebra: GentleAlgebra) -> dict[Path, str]:
     """Deterministic names for the new arrows, one per nontrivial maximal path.
 
     Derived from the path's arrow word; suffixed defensively in the unlikely
-    event a user-chosen arrow name collides.
+    event a user-chosen arrow name collides.  Computed once per algebra
+    (:attr:`GentleAlgebra.return_arrow_names`); the dict is shared, so
+    callers must not modify it.
     """
-    taken = {a.name for a in algebra.quiver.arrows}
-    names: dict[Path, str] = {}
-    for m in sorted(algebra.maximal_paths, key=path_sort_key):
-        candidate = f"b({'.'.join(m.arrows)})"
-        while candidate in taken:
-            candidate = "b" + candidate
-        names[m] = candidate
-        taken.add(candidate)
-    return names
+    return algebra.return_arrow_names
 
 
 def _leaf_germ_names(algebra: GentleAlgebra, taken: set[str]) -> dict[str, str]:

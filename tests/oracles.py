@@ -9,6 +9,11 @@ elimination.  The computation refuses (raises) rather than return an
 uncertified number: it requires every surviving path of maximal enumerated
 length to be provably zero, which bounds all longer paths.
 
+The gentle nonzero-path oracle grows every path by composing one-arrow
+paths, and the socle oracle tests every arrow of the quiver on both sides
+of every such path, composing where the ends meet; they share only the
+presentation's relation pairs and zero test with the library.
+
 The presentation key oracle tries every vertex bijection, with no
 refinement into classes, so it decides isomorphism by exhaustion.  The
 quiver-class oracle keys every connected labelled endpoint multiset, with no
@@ -65,6 +70,7 @@ from quiveralg.quiver import (
     Presentation,
     Quiver,
     compose,
+    path_sort_key,
     trivial_path,
 )
 from quiveralg.ssb import SSBPresentation
@@ -214,6 +220,50 @@ def gentle_dimension_by_walk(pres: Presentation, limit: int = 60000) -> int:
     if any(isinstance(r, Binomial) for r in pres.relations):
         raise ValueError("only monomial presentations are counted by walking")
     return len(_clean_paths(pres, limit, limit))
+
+
+def nonzero_paths_by_compose(algebra: GentleAlgebra) -> list[Path]:
+    """The nonzero paths of a gentle algebra, grown by :func:`compose` with
+    a one-arrow path for every outgoing arrow whose pair with the last arrow
+    is not a zero relation."""
+    pres = algebra.presentation
+    quiver = pres.quiver
+    out: list[Path] = [trivial_path(v) for v in quiver.vertices]
+    frontier: list[Path] = [quiver.path([a.name]) for a in quiver.arrows]
+    while frontier:
+        p = frontier.pop()
+        out.append(p)
+        for nxt in quiver.arrows_from[p.target]:
+            if (p.arrows[-1], nxt.name) not in pres.quadratic_monomials:
+                frontier.append(compose(p, quiver.path([nxt.name])))
+    return sorted(out, key=path_sort_key)
+
+
+def socle_by_all_arrows(algebra: GentleAlgebra) -> list[Path]:
+    """The nonzero paths that every arrow of the quiver kills on both
+    sides: an arrow whose end does not meet the path kills it, and any
+    other is composed with it and the composite given to the zero test."""
+    pres = algebra.presentation
+    quiver = pres.quiver
+
+    def is_zero_extension(p: Path, a, on_left: bool) -> bool:
+        if on_left:
+            if a.target != p.source:
+                return True
+            extended = compose(quiver.path([a.name]), p)
+        else:
+            if p.target != a.source:
+                return True
+            extended = compose(p, quiver.path([a.name]))
+        return not pres.path_is_nonzero_monomially(extended)
+
+    basis = [
+        p
+        for p in nonzero_paths_by_compose(algebra)
+        if all(is_zero_extension(p, a, True) for a in quiver.arrows)
+        and all(is_zero_extension(p, a, False) for a in quiver.arrows)
+    ]
+    return sorted(basis, key=path_sort_key)
 
 
 def brute_force_presentation_key(pres: Presentation):

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 
 from quiveralg import suites
 from quiveralg.brauer import (
+    BrauerGraph,
     algebra_of,
     parse_brauer_graph,
     serialize_brauer_graph,
+    structural_dimension,
     validate_brauer_graph,
 )
 from quiveralg.census import connected_brauer_graphs, gentle_algebras
 from quiveralg.cli import main
+from quiveralg.cut import enumerate_cutting_sets
 from quiveralg.quiver import parse_presentation, serialize_presentation
+from quiveralg.ssb import graph_of_ssb
 from quiveralg.surface import serialize_triangulation
-from quiveralg.trivext import trivial_extension
+from quiveralg.trivext import projectives_oracle, trivial_extension
 
 E21_BG = """bvertex u mult=2
 bvertex w mult=1
@@ -403,6 +407,44 @@ class TestDeterminism:
         first = run(capsys, *self._fill(argv, files))
         second = run(capsys, *self._fill(argv, files))
         assert first == second
+
+
+def _heavier(g: BrauerGraph) -> BrauerGraph:
+    """``g`` with every multiplicity raised by one: never isomorphic to it."""
+    mults = {v: m + 1 for v, m in g.multiplicities.items()}
+    return BrauerGraph(mults, g.edges, g.rotations)
+
+
+def _one_heavier(algebras):
+    for algebra in algebras:
+        algebra.__dict__["dimension"] = algebra.dimension + 1  # the cached value
+        yield algebra
+
+
+# (suite, name in ``suites``, its replacement, the one property that fails)
+BROKEN_PROPERTIES = [
+    ("thm-1-2", "projectives_oracle", lambda a, v: projectives_oracle(a, v)[:-1],
+     "projective-gluing"),
+    ("thm-1-2", "is_isomorphic", lambda g1, g2: False, "graph-of-extension"),
+    ("thm-1-2", "gentle_algebras", lambda *b: _one_heavier(gentle_algebras(*b)),
+     "dimension-doubling"),
+    ("thm-1-1", "graph_of_ssb", lambda ssb: _heavier(graph_of_ssb(ssb)), "graph-roundtrip"),
+    ("thm-1-1", "relabel_brauer_graph", lambda g, rng: _heavier(g), "canonical-stability"),
+    ("thm-1-1", "structural_dimension", lambda g: structural_dimension(g) + 1, "dimension"),
+    ("thm-1-3", "enumerate_cutting_sets", lambda ssb: enumerate_cutting_sets(ssb)[1:],
+     "cut-count"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,name,replacement,prop", BROKEN_PROPERTIES, ids=[row[3] for row in BROKEN_PROPERTIES]
+)
+def test_a_broken_step_fails_exactly_its_property(monkeypatch, suite, name, replacement, prop):
+    monkeypatch.setattr(suites, name, replacement)
+    bounds = suites.Bounds(max_edges=3, max_mult=2, max_vertices=3, max_arrows=3)
+    report = suites.run_suite(suite, bounds)
+    assert report.instances > 0 and report.failures
+    assert {failed for _, failed, _ in report.failures} == {prop}
 
 
 @pytest.mark.parametrize(

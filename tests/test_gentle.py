@@ -2,7 +2,11 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import nonzero_paths_by_compose, socle_by_all_arrows
 from quiveralg import suites
+from quiveralg.brauer import algebra_of
+from quiveralg.census import connected_brauer_graphs, gentle_algebras
+from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.errors import ValidationError
 from quiveralg.gentle import (
     gentle_algebra,
@@ -49,8 +53,6 @@ class TestValidateGentle:
         assert "finite" in codes(validate_gentle(Presentation(q, [])).problems)
 
     def test_binomial_rejected(self, loop_graph):
-        from quiveralg.brauer import algebra_of
-
         pres = algebra_of(loop_graph).presentation
         assert "S3" in codes(validate_gentle(pres).problems)
 
@@ -163,3 +165,31 @@ class TestSocle:
         report = suites.run_suite("lemma-2-1", suites.Bounds())
         assert report.instances == 1
         assert [prop for _, prop, _ in report.failures] == ["dimension"]
+
+
+def _cuts_of_four_edge_graphs():
+    for g in connected_brauer_graphs(4, 1):
+        ssb = algebra_of(g)
+        for cut in enumerate_cutting_sets(ssb):
+            yield admissible_cut(ssb, cut)
+
+
+ORACLE_CENSUSES = {
+    "gentle-4-6": lambda: gentle_algebras(4, 6),
+    "gentle-5-5": lambda: gentle_algebras(5, 5),
+    "cuts-4-1": _cuts_of_four_edge_graphs,
+}
+
+
+@pytest.mark.parametrize("census", sorted(ORACLE_CENSUSES))
+def test_nonzero_basis_and_socle_match_their_oracles(census):
+    """The per-algebra basis against the compose-built enumeration, and the
+    socle tested at the path ends against the scan over every arrow."""
+    count = 0
+    for algebra in ORACLE_CENSUSES[census]():
+        count += 1
+        expected = nonzero_paths_by_compose(algebra)
+        assert nonzero_paths(algebra) == expected
+        assert algebra.dimension == len(expected)
+        assert socle_basis(algebra) == socle_by_all_arrows(algebra)
+    assert count > 0
