@@ -2,12 +2,15 @@
 
 Exit codes: 0 for success or a true property, 1 for a property that is
 false or a suite with failures, 2 for unusable input.  All output is
-deterministic byte for byte for fixed inputs and flags.
+deterministic byte for byte for fixed inputs and flags.  ``main`` may be
+called repeatedly in one process: the parser is built once and shared, so
+nothing may mutate it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path as FilePath
@@ -22,7 +25,7 @@ OK, PROPERTY_FALSE, INPUT_ERROR = 0, 1, 2
 def _read(path: str) -> str:
     try:
         return FilePath(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise QuiverAlgError(f"cannot read {path}: {exc}") from None
 
 
@@ -178,7 +181,9 @@ def cmd_dot(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first; do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="quiveralg",
         description="Gentle algebras, Brauer graphs, trivial extensions and admissible cuts.",
@@ -188,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate an input file")
     p.add_argument("--kind", choices=["alg", "gentle", "ssb", "bg", "tri"], required=True)
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("convert", help="convert between the object kinds")
     p.add_argument(
@@ -205,13 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="direction of triangulation arrows at shared corners",
     )
     p.add_argument("file")
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("iso", help="test two files for isomorphism")
     p.add_argument("--kind", choices=["bg", "alg"], required=True)
     p.add_argument("file1")
     p.add_argument("file2")
-    p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("cuts", help="admissible cuts of a Brauer graph algebra")
     group = p.add_mutually_exclusive_group(required=True)
@@ -221,20 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="render the algebra with the cut dashed")
     p.add_argument("--out")
     p.add_argument("file")
-    p.set_defaults(func=cmd_cuts)
 
     p = sub.add_parser("check", help="run a verification suite over enumerated instances")
     p.add_argument("--suite", required=True)
     for f in fields(suites.Bounds):
         p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("dot", help="Graphviz DOT for an input file")
     p.add_argument("--kind", choices=["alg", "bg", "tri"], required=True)
     p.add_argument("--out")
     p.add_argument("file")
-    p.set_defaults(func=cmd_dot)
 
     return parser
 
@@ -242,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so a rebound ``cmd_*`` is the one that runs
+        return globals()["cmd_" + args.command](args)
     except ValidationError as exc:
         for p in exc.problems:
             print(p, file=sys.stderr)

@@ -1,14 +1,20 @@
-"""End-to-end command line tests; everything runs in process via main()."""
+"""End-to-end command line tests, in process via main() but for the one-shot test."""
 
+import argparse
 import contextlib
 import functools
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from quiveralg import suites
+import quiveralg
+from quiveralg import cli, suites
 from quiveralg.brauer import (
     BrauerGraph,
     algebra_of,
@@ -57,7 +63,10 @@ def files(tmp_path, fig1_triangulation, a2):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -482,6 +491,25 @@ def test_unreadable_input_is_an_input_error(capsys, files, tmp_path, argv):
     assert err.startswith(f"cannot read {missing}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("validate", "--kind", kind, "{bin}") for kind in ("alg", "gentle", "ssb", "bg", "tri")),
+        ("convert", "--mode", "bg-to-alg", "{bin}"),
+        ("iso", "--kind", "bg", "{bin}", "{e21}"),
+        ("iso", "--kind", "bg", "{e21}", "{bin}"),
+        ("cuts", "--enumerate", "{bin}"),
+        ("dot", "--kind", "bg", "{bin}"),
+    ],
+)
+def test_input_that_is_not_utf8_is_an_input_error(capsys, files, tmp_path, argv):
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *(a.format(bin=binary, **files) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {binary}: ") and err.count("\n") == 1
+
+
 def test_dot_refuses_invalid_brauer_graph(capsys, tmp_path):
     bad = tmp_path / "bad.bg"
     bad.write_text("bvertex w mult=1\nbedge H a@w b@w\norder w = zz\n")  # a, b unplaced
@@ -505,6 +533,88 @@ def test_dot_command_kinds(capsys, files):
         code, out, _ = run(capsys, "dot", "--kind", kind, str(files[key]))
         assert code == 0
         assert marker in out
+
+
+# The parser is built once per process and shared by every main() call.
+
+
+# (a first request, then a second whose result must not depend on the first)
+REQUEST_PAIRS = [
+    (
+        ("check", "--suite", "thm-1-3", "--max-edges", "2"),
+        ("check", "--suite", "thm-1-3"),
+    ),
+    (("cuts", "{ta2}"), ("cuts", "--enumerate", "{ta2}")),
+    (
+        ("convert", "--mode", "bg-to-alg", "--out", "{out}", "{e21}"),
+        ("convert", "--mode", "bg-to-alg", "{e21}"),
+    ),
+    (
+        ("convert", "--mode", "bg-to-alg", "--dot", "{e21}"),
+        ("convert", "--mode", "bg-to-alg", "{e21}"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "first,second", REQUEST_PAIRS, ids=["check-bounds", "usage-error", "out", "dot"]
+)
+def test_the_shared_parser_leaks_nothing_between_calls(capsys, files, tmp_path, first, second):
+    def fill(argv):
+        return [a.format(out=tmp_path / "first.out", **files) for a in argv]
+
+    cli.build_parser.cache_clear()
+    alone = run(capsys, *fill(second))
+    cli.build_parser.cache_clear()
+    run(capsys, *fill(first))
+    assert run(capsys, *fill(second)) == alone
+    assert alone[0] == 0 and alone[1]
+
+
+def test_a_command_rebound_after_the_first_call_is_honoured(capsys, files, monkeypatch):
+    argv = ["convert", "--mode", "bg-to-alg", str(files["e21"])]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "cmd_convert", lambda args: 7)
+    assert run(capsys, *argv)[0] == 7
+
+
+def test_ten_calls_build_the_parser_at_most_once(capsys, files, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(10):
+        assert run(capsys, "validate", "--kind", "bg", str(files["e21"]))[0] == 0
+    assert built.count("quiveralg") <= 1
+
+
+# The one-shot path: ``python -m quiveralg`` in a fresh interpreter.
+
+ONE_SHOT_REQUESTS = [
+    ("validate", "--kind", "bg", "{e21}"),
+    ("convert", "--mode", "trivext", "{a2}"),
+    ("iso", "--kind", "alg", "{ta2}", "{ta2}"),
+    ("cuts", "--enumerate", "--verify", "{ta2}"),
+    ("dot", "--kind", "tri", "{tri}"),
+    ("--help",),
+]
+
+
+@pytest.mark.parametrize("argv", ONE_SHOT_REQUESTS, ids=[argv[0] for argv in ONE_SHOT_REQUESTS])
+def test_one_shot_run_matches_main(capsys, files, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # the width of the help text
+    src = str(Path(quiveralg.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [a.format(**files) for a in argv]
+    shot = subprocess.run(
+        [sys.executable, "-m", "quiveralg", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (shot.returncode, shot.stdout, shot.stderr) == run(capsys, *argv)
+    assert shot.stdout
 
 
 # Robustness: every subcommand, on mutated serializations of census
