@@ -414,7 +414,13 @@ def gentle_quivers(
     """Connected quivers on ``n_vertices`` vertices with at most ``max_arrows``
     arrows and out- and in-degrees at most two, one per isomorphism class, in
     the order they are first generated, each with its nontrivial
-    automorphisms as arrow permutations (arrow ``i`` goes to ``perm[i]``).
+    automorphisms as arrow permutations (arrow ``i``, named ``a<i>``, goes
+    to ``perm[i]``).
+
+    The arrows stop at ``2 * n_vertices - 1`` whatever ``max_arrows`` is.
+    With ``2 * n_vertices`` arrows every out-degree is two, so every arrow
+    has a relation-free continuation and no relation set gives a
+    finite-dimensional algebra.
 
     Only degree-sorted labellings are generated (see ``_endpoint_multisets``
     and ``_degree_sorted``), so the isomorphism key is computed on a few
@@ -426,7 +432,7 @@ def gentle_quivers(
     """
     vertices = [str(i) for i in range(n_vertices)]
     seen: set = set()
-    for na in range(max(1, n_vertices - 1), max_arrows + 1):
+    for na in range(max(1, n_vertices - 1), min(max_arrows, 2 * n_vertices - 1) + 1):
         names = [f"a{i}" for i in range(na)]
         for endpoints in _endpoint_multisets(n_vertices, na):
             if not _degree_sorted(n_vertices, endpoints):
@@ -466,7 +472,8 @@ def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebr
     """
     for nv in range(1, max_vertices + 1):
         for quiver, automorphisms in gentle_quivers(nv, max_arrows):
-            names = [a.name for a in quiver.arrows]
+            # numeric order, as in the automorphisms: a9 before a10
+            names = [f"a{i}" for i in range(len(quiver.arrows))]
             index = {name: i for i, name in enumerate(names)}
             per_vertex = []
             for v in quiver.vertices:

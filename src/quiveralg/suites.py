@@ -5,14 +5,25 @@ the requested bounds and reports the failures; an empty failure list over a
 nonempty census is the machine-checked statement.  Instances are enumerated
 deterministically and failure reports are sorted.  A suite's entry in
 ``SUITES`` says everything about it, down to how large its bounds may be.
+
+A run is split into one shard per CPU that the process may use (its CPU
+affinity, so ``taskset`` sets the count).  The shards are forked processes,
+the calling one being shard 0; each walks the whole census again and checks
+every ``shards``-th instance, and each adds its own memory to the total.
+The report does not depend on the number of shards.  The library starts
+no threads; a caller that has its own should run suites on one CPU, since
+a forked child gets only the forking thread.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 from .brauer import (
     algebra_of,
@@ -222,14 +233,88 @@ SUITES: dict[str, Suite] = {
 }
 
 
+def _shard_count() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_shard(suite: Suite, bounds: Bounds, rank: int, shards: int) -> tuple[int, list]:
+    """Walk the whole census and check the instances whose index is
+    ``rank`` modulo ``shards``; return the census size and the failures."""
+    instances = 0
+    failures = []
+    for i, item in enumerate(suite.census(bounds)):
+        instances += 1
+        if i % shards != rank:
+            continue
+        try:
+            found = suite.check(item, bounds)
+        except QuiverAlgError as exc:
+            found = [("exception", f"{type(exc).__name__}: {exc}")]
+        failures.extend((_one_line(suite.encode(item)), prop, diag) for prop, diag in found)
+    return instances, failures
+
+
+def _fork_shard(suite: Suite, bounds: Bounds, rank: int, shards: int) -> tuple[int, BinaryIO]:
+    """Fork a child that checks shard ``rank`` and writes its marshalled
+    ``(instances, failures)``, or the text of what it raised, to a pipe.
+    Returns the child's pid and the read end of the pipe."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    code = 1
+    try:
+        os.close(read)
+        try:
+            result = _check_shard(suite, bounds, rank, shards)
+        except BaseException:  # the child's top level: all of it goes to the parent
+            import traceback
+
+            result = traceback.format_exc()
+        with open(write, "wb") as pipe:
+            pipe.write(marshal.dumps(result))
+        code = 1 if isinstance(result, str) else 0
+    finally:
+        os._exit(code)
+
+
+def _shard_result(rank: int, shards: int, data: bytes, status: int):
+    """A child's ``(instances, failures)``; RuntimeError if it did not
+    finish its shard, carrying its traceback if it raised."""
+    code = os.waitstatus_to_exitcode(status)
+    try:
+        result = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        result = None
+    if code == 0 and isinstance(result, tuple):
+        return result
+    if code == 1 and isinstance(result, str):
+        raise RuntimeError(f"shard {rank} of {shards} raised:\n{result}")
+    ended = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+    raise RuntimeError(f"shard {rank} of {shards} {ended} after writing {len(data)} bytes")
+
+
 def run_suite(name: str, bounds: Bounds) -> CheckReport:
     """Run the suite called ``name`` (or its alias) over its census.
 
-    The census is checked as it is generated, one instance at a time.  A
-    ``QuiverAlgError`` raised by a check is reported as an ``exception``
-    failure of that instance, and a census that yields nothing as a
-    ``census`` failure, since a run that checked nothing proves nothing.
-    Failures are sorted.
+    The census is checked as it is generated, one instance at a time, by
+    one shard per CPU (see the module docstring).  A ``QuiverAlgError``
+    raised by a check is reported as an ``exception`` failure of that
+    instance, and a census that yields nothing as a ``census`` failure,
+    since a run that checked nothing proves nothing.  Failures are sorted.
+    Any other exception in a shard, a shard that dies or a shard that
+    counts another census size makes the run raise; no child outlives it.
     """
     canonical = next((n for n, s in SUITES.items() if name in (n, s.alias)), None)
     if canonical is None:
@@ -237,15 +322,34 @@ def run_suite(name: str, bounds: Bounds) -> CheckReport:
         raise ValueError(f"unknown suite {name!r}; known: {known}")
     suite = SUITES[canonical]
     _guard(bounds, suite.limits)
-    instances = 0
-    failures = []
-    for item in suite.census(bounds):
-        instances += 1
-        try:
-            found = suite.check(item, bounds)
-        except QuiverAlgError as exc:
-            found = [("exception", f"{type(exc).__name__}: {exc}")]
-        failures.extend((_one_line(suite.encode(item)), prop, diag) for prop, diag in found)
+    shards = _shard_count()
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for rank in range(1, shards):
+            pid, pipe = _fork_shard(suite, bounds, rank, shards)
+            children[pid] = pipe
+        instances, failures = _check_shard(suite, bounds, 0, shards)
+        for rank, (pid, pipe) in enumerate(list(children.items()), 1):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            count, found = _shard_result(rank, shards, data, status)
+            if count != instances:
+                raise RuntimeError(
+                    f"shard {rank} of {shards} counted {count} instances, shard 0 {instances}"
+                )
+            failures.extend(found)
+    finally:
+        if children:  # only on the error path, so signal is imported only here
+            import signal
+
+            for pid, pipe in children.items():
+                pipe.close()
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
     if not instances:
         failures.append(("(none)", "census", "no instances within the bounds"))
     return CheckReport(canonical, instances, tuple(sorted(failures)))

@@ -7,7 +7,7 @@ set, the orbit-counting identity and the census by presentation-key dedup;
 and the census of admissible cuts against the gentle census."""
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -30,6 +30,7 @@ from oracles import (
     relabel_presentation,
     relation_products,
 )
+from quiveralg import census
 from quiveralg.brauer import (
     algebra_of,
     canonical_form,
@@ -37,6 +38,8 @@ from quiveralg.brauer import (
     validate_brauer_graph,
 )
 from quiveralg.census import (
+    _automorphisms,
+    _cycles_of,
     canonical_presentation_key,
     connected_brauer_graphs,
     gentle_algebras,
@@ -107,14 +110,18 @@ def test_gentle_algebra_counts(bounds, expected):
 @pytest.mark.parametrize("n_vertices,max_arrows", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 5)])
 def test_gentle_quivers_are_the_quiver_classes_once_each(n_vertices, max_arrows):
     """The degree-sorted quiver layer against keys of every connected
-    labelled endpoint multiset."""
+    labelled endpoint multiset, up to its cap of 2n - 1 arrows (that no
+    gentle algebra has 2n arrows is checked on the same sweep by
+    test_gentle_algebras_are_the_presentation_classes_once_each at (1, 6)
+    and (2, 6), and by the cut-orbit counts in
+    test_admissible_cuts_are_exactly_the_gentle_algebras)."""
     keys = [
         canonical_presentation_key(Presentation(q, ()))
         for q, _ in gentle_quivers(n_vertices, max_arrows)
     ]
     assert len(set(keys)) == len(keys)
     assert set(keys) == brute_force_quiver_keys(
-        n_vertices, max_arrows, canonical_presentation_key
+        n_vertices, min(max_arrows, 2 * n_vertices - 1), canonical_presentation_key
     )
 
 
@@ -197,6 +204,65 @@ def test_gentle_census_satisfies_the_orbit_counting_identity():
             checked += valid
     assert not on_quiver
     assert checked > GENTLE_COUNTS[(4, 6)]
+
+
+# Six vertices and eleven arrows, named a0 to a10 as the quiver layer names
+# them; swapping vertices 1 and 2 and vertices 3 and 4 is an automorphism
+# that moves arrows on both sides of a9 and a10.
+ELEVEN_ARROWS = [
+    (0, 1), (0, 2), (1, 3), (2, 4), (1, 4), (2, 3), (3, 5), (4, 5), (3, 1), (4, 2), (5, 0)
+]
+
+
+def test_automorphisms_act_on_arrows_in_numeric_order(monkeypatch):
+    """Past ten arrows the names' string order (a1, a10, a2, ...) is not
+    the numeric order of the automorphisms; the relation layer must use
+    the numeric one.  Burnside's count of the valid relation sets under the
+    brute-force Aut(Q) gives the number of classes."""
+    vertices = [str(v) for v in range(6)]
+    quiver = Quiver(
+        vertices, [(f"a{i}", vertices[s], vertices[t]) for i, (s, t) in enumerate(ELEVEN_ARROWS)]
+    )
+    automorphisms = _arrow_automorphisms(quiver)
+    perms = {tuple(int(s[f"a{i}"][1:]) for i in range(11)) for s in automorphisms}
+    perms.discard(tuple(range(11)))
+    assert len(automorphisms) == 2 and len(perms) == 1
+    monkeypatch.setattr(
+        census, "gentle_quivers", lambda n, a: iter([(quiver, list(perms))] if n == 6 else [])
+    )
+    keys = [canonical_presentation_key(a.presentation) for a in gentle_algebras(6, 11)]
+    valid = [
+        pres.quadratic_monomials for pres in relation_products(quiver) if validate_gentle(pres).ok
+    ]
+    fixed = sum(
+        1 for s in automorphisms for zero in valid if {(s[a], s[b]) for a, b in zero} == zero
+    )
+    assert len(set(keys)) == len(keys) == Fraction(fixed, len(automorphisms)) == 8
+
+
+def _cut_orbit_counts(max_edges: int) -> Counter:
+    """(n, a) -> the Aut-orbits of cutting sets summed over the
+    multiplicity-one Brauer graphs with n edges and 2n - a vertices.
+
+    A cutting set takes one arrow from each vertex cycle, and with
+    multiplicity one those arrows are the germs at the vertex (a leaf's
+    single germ stands for its empty cycle), so the orbits are those of
+    one-germ-per-vertex choices under the germ automorphisms."""
+    counts: Counter = Counter()
+    for n in range(1, max_edges + 1):
+        for succ, partner in rooted_maps(n):
+            automorphisms = _automorphisms(succ, partner)
+            if automorphisms is None:
+                continue
+            cycles = _cycles_of(succ)
+            arrows = 2 * n - len(cycles)
+            if arrows == 0:
+                continue  # the single edge: no algebra on either side
+            group = [range(2 * n), *automorphisms]
+            for choice in product(*cycles):
+                least = min(sorted(order[h] for h in choice) for order in group)
+                counts[n, arrows] += sorted(choice) == least
+    return counts
 
 
 def _is_bfs_code(succ: tuple[int, ...], partner: tuple[int, ...]) -> bool:
@@ -396,7 +462,12 @@ def test_presentation_key_is_invariant_under_random_relabeling(index, extend, rn
 def test_admissible_cuts_are_exactly_the_gentle_algebras():
     """Cut surjectivity: the admissible cuts of the multiplicity-one Brauer
     graphs with n edges are, up to isomorphism, the gentle algebras with n
-    vertices.  The two sides come from the two independent enumerators."""
+    vertices.  The two sides come from the two independent enumerators.
+
+    Counted by size, the gentle algebras with n vertices and a arrows
+    number the cut orbits over the maps with n edges and 2n - a vertices.
+    A map has a vertex, so a <= 2n - 1: the census, asked for 2n arrows at
+    n = 5, has no algebra with them at any n."""
     cuts: dict[int, set] = {n: set() for n in range(1, 6)}
     for g in connected_brauer_graphs(5, 1):
         ssb = algebra_of(g)
@@ -404,10 +475,13 @@ def test_admissible_cuts_are_exactly_the_gentle_algebras():
             cut = admissible_cut(ssb, c).presentation
             cuts[len(g.edges)].add(canonical_presentation_key(cut))
     gentle: dict[int, set] = {n: set() for n in range(1, 6)}
+    sizes: Counter = Counter()
     count = 0
     for algebra in gentle_algebras(5, 10):
         count += 1
         gentle[len(algebra.quiver.vertices)].add(canonical_presentation_key(algebra.presentation))
+        sizes[len(algebra.quiver.vertices), len(algebra.quiver.arrows)] += 1
     assert [len(cuts[n]) for n in range(1, 6)] == [1, 9, 77, 894, 13398]
     assert cuts == gentle
     assert sum(map(len, cuts.values())) == count == GENTLE_COUNTS[(5, 10)]
+    assert sizes == _cut_orbit_counts(5)
