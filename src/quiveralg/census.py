@@ -14,35 +14,31 @@ that are lexicographically least among their images under the
 automorphisms.  No set of earlier classes is kept and nothing is sorted:
 classes come out in generation order, one at a time.
 
-Gentle presentations are generated per quiver and per relation choice.
-Quivers come from connected endpoint multisets with the degree bounds of the
-special biserial conditions, and only from degree-sorted labellings: the
-vertex labels must be in nonincreasing order of (out-degree, in-degree, loop
-count).  Every quiver has such a labelling, so no class is lost, and the
-key below is computed on a few labellings per class instead of on all of
-them (an orderly-generation filter in the sense of Read, 1978).  A canonical
-key dedupes the quivers: vertices are split into classes by colour
-refinement (degrees, loops and relation incidence, refined by neighbour
-colours), each class gets its own block of labels, and the key is the
-minimum encoding over the permutations inside each class and the orderings
-of parallel arrows; the labellings that tie at the minimum give the quiver's
-automorphisms.  At each vertex the admissible choices of which compositions
-vanish form a partial matching between incoming and outgoing arrows whose
-complement is again a partial matching.  A product of these choices is kept
-only when its sorted arrow-index code is least among its images under the
-automorphisms and it has no relation-free oriented cycle; no algebra is
-keyed, and classes come out in generation order.
+Gentle algebras come from the same shapes, as admissible cuts.  By the
+paper's Theorem 1.3 and cut surjectivity (Schroll, "Brauer graph
+algebras", arXiv:1612.00061, section 6), every connected gentle algebra
+with n vertices and a arrows is a cut of the algebra of a
+multiplicity-one Brauer graph with n edges and 2n - a vertices, and two
+cuts give isomorphic algebras exactly when an automorphism of the graph
+maps one cutting set to the other.  A cutting set takes one germ from
+every vertex of valency at least two, so the census keeps, per shape, the
+choices whose sorted germs are least among their images under the shape's
+automorphisms.  Nothing is keyed and nothing is held between classes.
+
+``canonical_presentation_key`` is an isomorphism key for any presentation,
+by colour refinement and the permutations inside each colour class.  The
+census does not use it; the tests compare presentations with it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, permutations, product
-from typing import Iterator
+from itertools import permutations, product
+from typing import Container, Iterator
 
-from .brauer import BrauerGraph, _first_step, discovery_code
-from .gentle import GentleAlgebra, _has_relation_free_cycle, validate_gentle
-from .quiver import Monomial, Presentation, Quiver
+from .brauer import BrauerGraph, _first_step, algebra_of, discovery_code
+from .cut import CuttingSet, admissible_cut
+from .gentle import GentleAlgebra
+from .quiver import Monomial, Presentation
 
 
 def rooted_maps(n_edges: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -154,21 +150,21 @@ def _shape_of(cycles: list[list[int]], partner: tuple[int, ...]) -> BrauerGraph:
     )
 
 
-def _canonical_maps(n_edges: int) -> Iterator[tuple[list, tuple, set]]:
+def _canonical_maps(
+    n_edges: int, vertex_counts: Container[int] | None = None
+) -> Iterator[tuple[list, tuple, list]]:
     """For each map with ``n_edges`` edges, once: the vertex cycles and
     partner of its rooted map of least code, and its nontrivial
-    automorphisms as vertex permutations (vertex ``v`` goes to ``perm[v]``)."""
+    automorphisms as discovery orders (germ ``h`` goes to ``order[h]``).
+    Given ``vertex_counts``, a rooted map whose number of vertices is not
+    in it is dropped before its automorphisms are sought."""
     for succ, partner in rooted_maps(n_edges):
-        automorphisms = _automorphisms(succ, partner)
-        if automorphisms is None:
-            continue
         cycles = _cycles_of(succ)
-        vertex_of = {h: v for v, cycle in enumerate(cycles) for h in cycle}
-        perms = {
-            tuple(vertex_of[order[cycle[0]]] for cycle in cycles) for order in automorphisms
-        }
-        perms.discard(tuple(range(len(cycles))))
-        yield cycles, partner, perms
+        if vertex_counts is not None and len(cycles) not in vertex_counts:
+            continue
+        automorphisms = _automorphisms(succ, partner)
+        if automorphisms is not None:
+            yield cycles, partner, automorphisms
 
 
 def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGraph]:
@@ -177,12 +173,19 @@ def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGra
     One representative per isomorphism class, excluding the two degenerate
     shapes that the algebra correspondence rejects.  Each shape comes with
     the multiplicity assignments that are lexicographically least among
-    their images under its automorphisms.  Deterministic generation order
+    their images under its automorphisms, read as vertex permutations
+    (vertex ``v`` goes to ``perm[v]``).  Deterministic generation order
     (by edge count, then shape, then assignment), not sorted; nothing is
     held between classes.
     """
     for n_edges in range(1, max_edges + 1):
-        for cycles, partner, perms in _canonical_maps(n_edges):
+        for cycles, partner, automorphisms in _canonical_maps(n_edges):
+            vertex_of = {h: v for v, cycle in enumerate(cycles) for h in cycle}
+            perms = {
+                tuple(vertex_of[order[cycle[0]]] for cycle in cycles)
+                for order in automorphisms
+            }
+            perms.discard(tuple(range(len(cycles))))
             shape = _shape_of(cycles, partner)
             vertices = list(shape.multiplicities)
             for mults in product(range(1, max_mult + 1), repeat=len(vertices)):
@@ -192,98 +195,29 @@ def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGra
                     yield BrauerGraph(dict(zip(vertices, mults)), shape.edges, shape.rotations)
 
 
-@lru_cache(maxsize=None)
-def _relation_choices(n_in: int, n_out: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Vanishing-composition choices at a vertex with ``n_in`` incoming and
-    ``n_out`` outgoing arrows, as (incoming, outgoing) index pairs.
+def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebra]:
+    """All connected gentle algebras within the bounds, one per isomorphism
+    class, as admissible cuts (see the module docstring).
 
-    A choice and its complement must both be partial matchings between the
-    incoming and outgoing arrows (the forbidden- and the allowed-successor
-    conditions respectively).  They depend only on the two degrees, which
-    take nine values, so each sweep runs once.
+    The algebras with ``n`` vertices and ``a`` arrows are the cuts of the
+    maps with ``n`` edges and ``2n - a`` vertices, so only maps with at
+    least ``2n - max_arrows`` vertices and at most ``2n - 1`` are read: the
+    single edge, with two vertices, has no arrow and no algebra.  A map has
+    at least one vertex, so no connected gentle algebra with ``n`` vertices
+    has more than ``2n - 1`` arrows, whatever ``max_arrows`` is.  Each kept
+    map's algebra is built once; a cutting set, one germ per vertex cycle of
+    length at least two, is cut when its sorted germs are least among their
+    images under the map's automorphisms.  Deterministic generation order
+    (by vertex count, map, cutting set), not sorted.
     """
-    pairs = list(product(range(n_in), range(n_out)))
-
-    def matching(group) -> bool:
-        return len({a for a, _ in group}) == len(group) == len({b for _, b in group})
-
-    return tuple(
-        chosen
-        for k in range(len(pairs) + 1)
-        for chosen in combinations(pairs, k)
-        if matching(chosen) and matching([p for p in pairs if p not in chosen])
-    )
-
-
-def _endpoint_multisets(
-    n_vertices: int, count: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Nondecreasing endpoint sequences over the vertices ``0..n_vertices-1``
-    with out- and in-degrees at most two and out-degrees nonincreasing in the
-    vertex label.
-
-    Pairs come in source-major order, so the out-degree of a source is final
-    once the sequence moves past it: an arrow at source ``s > 0`` is added
-    only while ``s`` has fewer arrows than ``s - 1``.  Prunes as it builds,
-    which matters at five vertices.
-    """
-    pairs = [(s, t) for s in range(n_vertices) for t in range(n_vertices)]
-    out_deg = [0] * n_vertices
-    in_deg = [0] * n_vertices
-    acc: list[tuple[int, int]] = []
-
-    def rec(start: int, remaining: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for i in range(start, len(pairs)):
-            s, t = pairs[i]
-            if out_deg[s] >= (out_deg[s - 1] if s else 2) or in_deg[t] >= 2:
-                continue
-            out_deg[s] += 1
-            in_deg[t] += 1
-            acc.append(pairs[i])
-            yield from rec(i, remaining - 1)
-            acc.pop()
-            out_deg[s] -= 1
-            in_deg[t] -= 1
-
-    yield from rec(0, count)
-
-
-def _degree_sorted(n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> bool:
-    """Whether the labels ``0..n_vertices-1`` are in nonincreasing order of
-    (out-degree, in-degree, loop count).  Sorting the vertices of any quiver
-    by this name-free triple gives such a labelling, so keeping only these
-    loses no isomorphism class."""
-    degrees = [[0, 0, 0] for _ in range(n_vertices)]
-    for s, t in endpoints:
-        degrees[s][0] += 1
-        degrees[t][1] += 1
-        if s == t:
-            degrees[s][2] += 1
-    return all(degrees[v - 1] >= degrees[v] for v in range(1, n_vertices))
-
-
-def _connects(n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> bool:
-    """Whether arrows with these endpoints join the vertices ``0..n_vertices-1``
-    into one undirected component; a union-find on the raw pairs, so that no
-    ``Quiver`` is built for a disconnected multiset."""
-    root = list(range(n_vertices))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    components = n_vertices
-    for s, t in endpoints:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            root[rs] = rt
-            components -= 1
-    return components == 1
+    for n in range(1, max_vertices + 1):
+        vertex_counts = range(max(1, 2 * n - max_arrows), 2 * n)
+        for cycles, partner, automorphisms in _canonical_maps(n, vertex_counts):
+            ssb = algebra_of(_shape_of(cycles, partner))
+            for choice in product(*(cycle for cycle in cycles if len(cycle) > 1)):
+                code = sorted(choice)
+                if all(code <= sorted(order[h] for h in choice) for order in automorphisms):
+                    yield admissible_cut(ssb, CuttingSet(f"h{h}" for h in choice))
 
 
 def _rank(colours: dict[str, tuple]) -> dict[str, int]:
@@ -406,96 +340,3 @@ def canonical_presentation_key(pres: Presentation, ties: list | None = None):
             elif ties is not None and key == best:
                 ties.append(amap)
     return best
-
-
-def gentle_quivers(
-    n_vertices: int, max_arrows: int
-) -> Iterator[tuple[Quiver, list[tuple[int, ...]]]]:
-    """Connected quivers on ``n_vertices`` vertices with at most ``max_arrows``
-    arrows and out- and in-degrees at most two, one per isomorphism class, in
-    the order they are first generated, each with its nontrivial
-    automorphisms as arrow permutations (arrow ``i``, named ``a<i>``, goes
-    to ``perm[i]``).
-
-    The arrows stop at ``2 * n_vertices - 1`` whatever ``max_arrows`` is.
-    With ``2 * n_vertices`` arrows every out-degree is two, so every arrow
-    has a relation-free continuation and no relation set gives a
-    finite-dimensional algebra.
-
-    Only degree-sorted labellings are generated (see ``_endpoint_multisets``
-    and ``_degree_sorted``), so the isomorphism key is computed on a few
-    candidates per class rather than on every labelled endpoint multiset.
-    The automorphisms come from the labellings that tie at the minimum of
-    the key: with ``first`` one of them, each other tie ``L`` gives the
-    automorphism that sends an arrow ``x`` to the arrow that ``L`` puts
-    where ``first`` puts ``x``.
-    """
-    vertices = [str(i) for i in range(n_vertices)]
-    seen: set = set()
-    for na in range(max(1, n_vertices - 1), min(max_arrows, 2 * n_vertices - 1) + 1):
-        names = [f"a{i}" for i in range(na)]
-        for endpoints in _endpoint_multisets(n_vertices, na):
-            if not _degree_sorted(n_vertices, endpoints):
-                continue
-            if not _connects(n_vertices, endpoints):
-                continue
-            quiver = Quiver(
-                vertices,
-                [(name, vertices[s], vertices[t]) for name, (s, t) in zip(names, endpoints)],
-            )
-            ties: list = []
-            key = canonical_presentation_key(Presentation(quiver, ()), ties)
-            if key in seen:
-                continue
-            seen.add(key)
-            first = [ties[0][name] for name in names]
-            perms = []
-            for labelling in ties[1:]:
-                at = [0] * na
-                for i, name in enumerate(names):
-                    at[labelling[name]] = i
-                perms.append(tuple(at[position] for position in first))
-            yield quiver, perms
-
-
-def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebra]:
-    """All gentle algebras within the bounds, one per isomorphism class.
-
-    On each quiver class, a product of the per-vertex relation choices,
-    written as a sorted code of (arrow, arrow) index pairs, is kept only
-    when its code is least among its images under the quiver's
-    automorphisms: one set per isomorphism class of presentations on that
-    quiver.  A kept set with a relation-free oriented cycle is dropped on
-    its raw pairs, and every other one goes through the full validator.
-    Deterministic generation order (by vertex count, quiver, relation set),
-    not sorted; only the keys of the quiver classes are held.
-    """
-    for nv in range(1, max_vertices + 1):
-        for quiver, automorphisms in gentle_quivers(nv, max_arrows):
-            # numeric order, as in the automorphisms: a9 before a10
-            names = [f"a{i}" for i in range(len(quiver.arrows))]
-            index = {name: i for i, name in enumerate(names)}
-            per_vertex = []
-            for v in quiver.vertices:
-                ins = [index[a.name] for a in quiver.arrows_into[v]]
-                outs = [index[a.name] for a in quiver.arrows_from[v]]
-                per_vertex.append(
-                    [
-                        [(ins[i], outs[j]) for i, j in choice]
-                        for choice in _relation_choices(len(ins), len(outs))
-                    ]
-                )
-            for combo in product(*per_vertex):
-                code = sorted(pair for choice in combo for pair in choice)
-                if any(
-                    code > sorted((perm[a], perm[b]) for a, b in code)
-                    for perm in automorphisms
-                ):
-                    continue
-                pairs = [(names[a], names[b]) for a, b in code]
-                if _has_relation_free_cycle(quiver, set(pairs)):
-                    continue
-                relations = [Monomial(quiver.path(pair)) for pair in pairs]
-                report = validate_gentle(Presentation(quiver, relations))
-                if report.algebra is not None:
-                    yield report.algebra

@@ -242,15 +242,22 @@ def _shard_count() -> int:
     return os.cpu_count() or 1
 
 
-def _check_shard(suite: Suite, bounds: Bounds, rank: int, shards: int) -> tuple[int, list]:
+def _check_shard(
+    suite: Suite, bounds: Bounds, rank: int, shards: int, parent: int | None = None
+) -> tuple[int, list]:
     """Walk the whole census and check the instances whose index is
-    ``rank`` modulo ``shards``; return the census size and the failures."""
+    ``rank`` modulo ``shards``; return the census size and the failures.
+    A forked shard passes the pid of its ``parent`` and exits before its
+    next instance once that is no longer its parent: a parent killed by a
+    signal it cannot catch has no way to stop it."""
     instances = 0
     failures = []
     for i, item in enumerate(suite.census(bounds)):
         instances += 1
         if i % shards != rank:
             continue
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         try:
             found = suite.check(item, bounds)
         except QuiverAlgError as exc:
@@ -264,6 +271,7 @@ def _fork_shard(suite: Suite, bounds: Bounds, rank: int, shards: int) -> tuple[i
     ``(instances, failures)``, or the text of what it raised, to a pipe.
     Returns the child's pid and the read end of the pipe."""
     read, write = os.pipe()
+    parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:
@@ -277,7 +285,7 @@ def _fork_shard(suite: Suite, bounds: Bounds, rank: int, shards: int) -> tuple[i
     try:
         os.close(read)
         try:
-            result = _check_shard(suite, bounds, rank, shards)
+            result = _check_shard(suite, bounds, rank, shards, parent)
         except BaseException:  # the child's top level: all of it goes to the parent
             import traceback
 
@@ -315,6 +323,7 @@ def run_suite(name: str, bounds: Bounds) -> CheckReport:
     since a run that checked nothing proves nothing.  Failures are sorted.
     Any other exception in a shard, a shard that dies or a shard that
     counts another census size makes the run raise; no child outlives it.
+    A shard whose caller is killed outright exits before its next instance.
     """
     canonical = next((n for n, s in SUITES.items() if name in (n, s.alias)), None)
     if canonical is None:

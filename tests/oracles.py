@@ -14,6 +14,20 @@ paths, and the socle oracle tests every arrow of the quiver on both sides
 of every such path, composing where the ends meet; they share only the
 presentation's relation pairs and zero test with the library.
 
+The reference gentle census enumerates quivers and relations, where the
+library's census reads admissible cuts of Brauer graphs; the two share the
+gentle validator and nothing of their enumeration.  Its quiver layer
+generates connected endpoint multisets with the degree bounds of the
+special biserial conditions, only in degree-sorted labellings (vertex
+labels in nonincreasing order of out-degree, in-degree and loop count), and
+dedups them by the library's ``canonical_presentation_key``, which the
+library's census does not use; the labellings that tie at the minimum of
+the key give the quiver's automorphisms.  At each vertex the admissible
+choices of which compositions vanish form a partial matching between
+incoming and outgoing arrows whose complement is again a partial matching,
+and a product of these choices is kept when its sorted arrow-index code is
+least among its images under the automorphisms.
+
 The presentation key oracle tries every vertex bijection, with no
 refinement into classes, so it decides isomorphism by exhaustion.  The
 quiver-class oracle keys every connected labelled endpoint multiset, with no
@@ -29,18 +43,18 @@ orders of two starts whose full codes agree.  The symmetric special
 biserial isomorphism oracle tries every vertex bijection and every
 endpoint-respecting arrow bijection.  The Brauer census oracle dedups every
 rooted map and every multiplicity assignment through a set of canonical
-forms, and the gentle census oracle dedups every product of per-vertex
-relation choices through a set of presentation keys.
+forms, and the gentle dedup census validates every product of per-vertex
+relation choices on the reference quiver layer and dedups through a set of
+presentation keys.
 
-Apart from the two census oracles and the isomorphism oracle, nothing here
+Apart from the census oracles and the isomorphism oracle, nothing here
 inspects descriptors, cycles, graphs or any other structure the library
 derives; only the raw quiver and relation list, or plain integer
 permutations.  The isomorphism oracle reads the library's projective
 descriptors but builds the bases from them itself, as sets of paths, in
 place of the library's comparison of maximal words, and replaces its
-search; the census oracles share the library's generators and canonical forms
-(rooted-map codes and ``canonical_form``; quiver classes, relation choices
-and ``canonical_presentation_key``) and replace only its orderly filters.
+search; the Brauer census oracle shares the library's rooted-map codes and
+``canonical_form`` and replaces only its orderly filter.
 
 The remaining helpers serve the tests and check nothing by themselves: the
 census shapes one per class, presentation isomorphism by the library's key,
@@ -49,6 +63,7 @@ and the renaming of a presentation.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterator, Sequence
 
@@ -56,13 +71,11 @@ from quiveralg.brauer import BrauerGraph, canonical_form
 from quiveralg.census import (
     _canonical_maps,
     _cycles_of,
-    _relation_choices,
     _shape_of,
     canonical_presentation_key,
-    gentle_quivers,
     rooted_maps,
 )
-from quiveralg.gentle import GentleAlgebra, validate_gentle
+from quiveralg.gentle import GentleAlgebra, _has_relation_free_cycle, validate_gentle
 from quiveralg.quiver import (
     Binomial,
     Monomial,
@@ -493,6 +506,200 @@ def dedup_brauer_graphs(max_edges: int, max_mult: int) -> list[BrauerGraph]:
     return graphs
 
 
+# ---------------------------------------------------------------------------
+# The reference gentle census: quiver classes by a presentation key, then the
+# relation sets on each quiver class
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _relation_choices(n_in: int, n_out: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Vanishing-composition choices at a vertex with ``n_in`` incoming and
+    ``n_out`` outgoing arrows, as (incoming, outgoing) index pairs.
+
+    A choice and its complement must both be partial matchings between the
+    incoming and outgoing arrows (the forbidden- and the allowed-successor
+    conditions respectively).  They depend only on the two degrees, which
+    take nine values, so each sweep runs once.
+    """
+    pairs = list(product(range(n_in), range(n_out)))
+
+    def matching(group) -> bool:
+        return len({a for a, _ in group}) == len(group) == len({b for _, b in group})
+
+    return tuple(
+        chosen
+        for k in range(len(pairs) + 1)
+        for chosen in combinations(pairs, k)
+        if matching(chosen) and matching([p for p in pairs if p not in chosen])
+    )
+
+
+def _endpoint_multisets(
+    n_vertices: int, count: int
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Nondecreasing endpoint sequences over the vertices ``0..n_vertices-1``
+    with out- and in-degrees at most two and out-degrees nonincreasing in the
+    vertex label.
+
+    Pairs come in source-major order, so the out-degree of a source is final
+    once the sequence moves past it: an arrow at source ``s > 0`` is added
+    only while ``s`` has fewer arrows than ``s - 1``.  Prunes as it builds,
+    which matters at five vertices.
+    """
+    pairs = [(s, t) for s in range(n_vertices) for t in range(n_vertices)]
+    out_deg = [0] * n_vertices
+    in_deg = [0] * n_vertices
+    acc: list[tuple[int, int]] = []
+
+    def rec(start: int, remaining: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        for i in range(start, len(pairs)):
+            s, t = pairs[i]
+            if out_deg[s] >= (out_deg[s - 1] if s else 2) or in_deg[t] >= 2:
+                continue
+            out_deg[s] += 1
+            in_deg[t] += 1
+            acc.append(pairs[i])
+            yield from rec(i, remaining - 1)
+            acc.pop()
+            out_deg[s] -= 1
+            in_deg[t] -= 1
+
+    yield from rec(0, count)
+
+
+def _degree_sorted(n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the labels ``0..n_vertices-1`` are in nonincreasing order of
+    (out-degree, in-degree, loop count).  Sorting the vertices of any quiver
+    by this name-free triple gives such a labelling, so keeping only these
+    loses no isomorphism class."""
+    degrees = [[0, 0, 0] for _ in range(n_vertices)]
+    for s, t in endpoints:
+        degrees[s][0] += 1
+        degrees[t][1] += 1
+        if s == t:
+            degrees[s][2] += 1
+    return all(degrees[v - 1] >= degrees[v] for v in range(1, n_vertices))
+
+
+def _connects(n_vertices: int, endpoints: tuple[tuple[int, int], ...]) -> bool:
+    """Whether arrows with these endpoints join the vertices ``0..n_vertices-1``
+    into one undirected component; a union-find on the raw pairs, so that no
+    ``Quiver`` is built for a disconnected multiset."""
+    root = list(range(n_vertices))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    components = n_vertices
+    for s, t in endpoints:
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            root[rs] = rt
+            components -= 1
+    return components == 1
+
+
+def gentle_quivers(
+    n_vertices: int, max_arrows: int
+) -> Iterator[tuple[Quiver, list[tuple[int, ...]]]]:
+    """Connected quivers on ``n_vertices`` vertices with at most ``max_arrows``
+    arrows and out- and in-degrees at most two, one per isomorphism class, in
+    the order they are first generated, each with its nontrivial
+    automorphisms as arrow permutations (arrow ``i``, named ``a<i>``, goes
+    to ``perm[i]``).
+
+    The arrows stop at ``2 * n_vertices - 1`` whatever ``max_arrows`` is.
+    With ``2 * n_vertices`` arrows every out-degree is two, so every arrow
+    has a relation-free continuation and no relation set gives a
+    finite-dimensional algebra.
+
+    Only degree-sorted labellings are generated (see ``_endpoint_multisets``
+    and ``_degree_sorted``), so the isomorphism key is computed on a few
+    candidates per class rather than on every labelled endpoint multiset.
+    The automorphisms come from the labellings that tie at the minimum of
+    the key: with ``first`` one of them, each other tie ``L`` gives the
+    automorphism that sends an arrow ``x`` to the arrow that ``L`` puts
+    where ``first`` puts ``x``.
+    """
+    vertices = [str(i) for i in range(n_vertices)]
+    seen: set = set()
+    for na in range(max(1, n_vertices - 1), min(max_arrows, 2 * n_vertices - 1) + 1):
+        names = [f"a{i}" for i in range(na)]
+        for endpoints in _endpoint_multisets(n_vertices, na):
+            if not _degree_sorted(n_vertices, endpoints):
+                continue
+            if not _connects(n_vertices, endpoints):
+                continue
+            quiver = Quiver(
+                vertices,
+                [(name, vertices[s], vertices[t]) for name, (s, t) in zip(names, endpoints)],
+            )
+            ties: list = []
+            key = canonical_presentation_key(Presentation(quiver, ()), ties)
+            if key in seen:
+                continue
+            seen.add(key)
+            first = [ties[0][name] for name in names]
+            perms = []
+            for labelling in ties[1:]:
+                at = [0] * na
+                for i, name in enumerate(names):
+                    at[labelling[name]] = i
+                perms.append(tuple(at[position] for position in first))
+            yield quiver, perms
+
+
+def reference_gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebra]:
+    """All gentle algebras within the bounds, one per isomorphism class, by
+    the quiver layer and an orderly relation layer.
+
+    On each quiver class, a product of the per-vertex relation choices,
+    written as a sorted code of (arrow, arrow) index pairs, is kept only
+    when its code is least among its images under the quiver's
+    automorphisms: one set per isomorphism class of presentations on that
+    quiver.  A kept set with a relation-free oriented cycle is dropped on
+    its raw pairs, and every other one goes through the full validator.
+    Deterministic generation order (by vertex count, quiver, relation set),
+    not sorted; only the keys of the quiver classes are held.
+    """
+    for nv in range(1, max_vertices + 1):
+        for quiver, automorphisms in gentle_quivers(nv, max_arrows):
+            # numeric order, as in the automorphisms: a9 before a10
+            names = [f"a{i}" for i in range(len(quiver.arrows))]
+            index = {name: i for i, name in enumerate(names)}
+            per_vertex = []
+            for v in quiver.vertices:
+                ins = [index[a.name] for a in quiver.arrows_into[v]]
+                outs = [index[a.name] for a in quiver.arrows_from[v]]
+                per_vertex.append(
+                    [
+                        [(ins[i], outs[j]) for i, j in choice]
+                        for choice in _relation_choices(len(ins), len(outs))
+                    ]
+                )
+            for combo in product(*per_vertex):
+                code = sorted(pair for choice in combo for pair in choice)
+                if any(
+                    code > sorted((perm[a], perm[b]) for a, b in code)
+                    for perm in automorphisms
+                ):
+                    continue
+                pairs = [(names[a], names[b]) for a, b in code]
+                if _has_relation_free_cycle(quiver, set(pairs)):
+                    continue
+                relations = [Monomial(quiver.path(pair)) for pair in pairs]
+                report = validate_gentle(Presentation(quiver, relations))
+                if report.algebra is not None:
+                    yield report.algebra
+
+
 def relation_products(quiver: Quiver) -> Iterator[Presentation]:
     """The presentation of every product of the per-vertex relation choices
     on ``quiver``, valid or not, with no reduction by automorphisms."""
@@ -515,7 +722,7 @@ def dedup_gentle_algebras(max_vertices: int, max_arrows: int) -> list[GentleAlge
     every product of the per-vertex relation choices is validated, and a
     valid presentation is kept when its key is new among those with the same
     vertex count.  Shares the quiver layer, the relation choices and the key
-    with the library and replaces its orderly filter."""
+    with :func:`reference_gentle_algebras` and replaces its orderly filter."""
     algebras = []
     for nv in range(1, max_vertices + 1):
         seen: set = set()

@@ -1,10 +1,13 @@
-"""Enumeration tests: class counts frozen from the first run, backed by the
-rooted-map counts, a brute-force sweep of rotation systems, the
-orbit-counting identity and the census by canonical-form dedup; the
-presentation key against a brute-force oracle; the quiver layer against an
-unpruned sweep; the gentle relation layer against a sweep of every relation
-set, the orbit-counting identity and the census by presentation-key dedup;
-and the census of admissible cuts against the gentle census."""
+"""Enumeration tests.  The Brauer class counts are backed by the rooted-map
+counts, a brute-force sweep of rotation systems, the orbit-counting
+identity and the census by canonical-form dedup.  The gentle class counts
+are backed by the reference census of ``oracles``, which enumerates
+quivers and relations where the library's census takes admissible cuts of
+Brauer graphs: its quiver layer against an unpruned sweep, its relation
+layer against the orbit-counting identity, and its presentation key against
+a brute-force oracle.  The library's census is checked against a sweep of
+every relation set, the reference's dedup census, and the reference's key
+sets and per-size counts, which also back the cut-surjectivity identity."""
 
 import random
 from collections import Counter, defaultdict
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     bfs_encoding,
     brauer_shapes,
@@ -26,11 +30,12 @@ from oracles import (
     brute_force_shape_keys,
     dedup_brauer_graphs,
     dedup_gentle_algebras,
+    gentle_quivers,
     presentations_isomorphic,
+    reference_gentle_algebras,
     relabel_presentation,
     relation_products,
 )
-from quiveralg import census
 from quiveralg.brauer import (
     algebra_of,
     canonical_form,
@@ -38,15 +43,11 @@ from quiveralg.brauer import (
     validate_brauer_graph,
 )
 from quiveralg.census import (
-    _automorphisms,
-    _cycles_of,
     canonical_presentation_key,
     connected_brauer_graphs,
     gentle_algebras,
-    gentle_quivers,
     rooted_maps,
 )
-from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.gentle import validate_gentle
 from quiveralg.quiver import Presentation, Quiver
 from quiveralg.trivext import trivial_extension
@@ -109,11 +110,11 @@ def test_gentle_algebra_counts(bounds, expected):
 
 @pytest.mark.parametrize("n_vertices,max_arrows", [(1, 6), (2, 6), (3, 6), (4, 6), (5, 5)])
 def test_gentle_quivers_are_the_quiver_classes_once_each(n_vertices, max_arrows):
-    """The degree-sorted quiver layer against keys of every connected
-    labelled endpoint multiset, up to its cap of 2n - 1 arrows (that no
-    gentle algebra has 2n arrows is checked on the same sweep by
+    """The reference's degree-sorted quiver layer against keys of every
+    connected labelled endpoint multiset, up to its cap of 2n - 1 arrows
+    (that no gentle algebra has 2n arrows is checked on the same sweep by
     test_gentle_algebras_are_the_presentation_classes_once_each at (1, 6)
-    and (2, 6), and by the cut-orbit counts in
+    and (2, 6), and by the reference census in
     test_admissible_cuts_are_exactly_the_gentle_algebras)."""
     keys = [
         canonical_presentation_key(Presentation(q, ()))
@@ -127,8 +128,8 @@ def test_gentle_quivers_are_the_quiver_classes_once_each(n_vertices, max_arrows)
 
 @pytest.mark.parametrize("n_vertices,max_arrows", [(1, 6), (2, 6), (3, 5), (4, 4)])
 def test_gentle_algebras_are_the_presentation_classes_once_each(n_vertices, max_arrows):
-    """The orderly relation layer against keys of every valid set of
-    length-two zero relations on every connected labelled quiver."""
+    """The census against keys of every valid set of length-two zero
+    relations on every connected labelled quiver."""
     keys = [
         canonical_presentation_key(a.presentation)
         for a in gentle_algebras(n_vertices, max_arrows)
@@ -142,8 +143,8 @@ def test_gentle_algebras_are_the_presentation_classes_once_each(n_vertices, max_
 
 @pytest.mark.parametrize("bounds", [(4, 6), (5, 5)])
 def test_gentle_census_is_the_dedup_census(bounds):
-    """The orderly census gives each class of the presentation-key dedup
-    exactly once."""
+    """The census of cuts gives each class of the reference's
+    presentation-key dedup exactly once."""
     keys = [canonical_presentation_key(a.presentation) for a in gentle_algebras(*bounds)]
     dedup = [canonical_presentation_key(a.presentation) for a in dedup_gentle_algebras(*bounds)]
     assert len(set(keys)) == len(keys) == len(dedup)
@@ -180,10 +181,10 @@ def _endpoints(quiver: Quiver) -> tuple:
 def test_gentle_census_satisfies_the_orbit_counting_identity():
     """On each quiver class, the valid relation sets in the unreduced product
     of per-vertex choices number the sum of |Aut(Q)| / |Stab(R)| over the
-    census classes on that quiver; Aut(Q) by brute force, which must also
-    be the group that the quiver layer reads off its key."""
+    reference census's classes on that quiver; Aut(Q) by brute force, which
+    must also be the group that the quiver layer reads off its key."""
     on_quiver = defaultdict(list)
-    for algebra in gentle_algebras(4, 6):
+    for algebra in reference_gentle_algebras(4, 6):
         on_quiver[_endpoints(algebra.quiver)].append(algebra.presentation.quadratic_monomials)
     checked = 0
     for n_vertices in range(1, 5):
@@ -218,7 +219,8 @@ def test_automorphisms_act_on_arrows_in_numeric_order(monkeypatch):
     """Past ten arrows the names' string order (a1, a10, a2, ...) is not
     the numeric order of the automorphisms; the relation layer must use
     the numeric one.  Burnside's count of the valid relation sets under the
-    brute-force Aut(Q) gives the number of classes."""
+    brute-force Aut(Q) gives the number of classes of the reference census
+    on a stubbed quiver layer."""
     vertices = [str(v) for v in range(6)]
     quiver = Quiver(
         vertices, [(f"a{i}", vertices[s], vertices[t]) for i, (s, t) in enumerate(ELEVEN_ARROWS)]
@@ -228,9 +230,9 @@ def test_automorphisms_act_on_arrows_in_numeric_order(monkeypatch):
     perms.discard(tuple(range(11)))
     assert len(automorphisms) == 2 and len(perms) == 1
     monkeypatch.setattr(
-        census, "gentle_quivers", lambda n, a: iter([(quiver, list(perms))] if n == 6 else [])
+        oracles, "gentle_quivers", lambda n, a: iter([(quiver, list(perms))] if n == 6 else [])
     )
-    keys = [canonical_presentation_key(a.presentation) for a in gentle_algebras(6, 11)]
+    keys = [canonical_presentation_key(a.presentation) for a in reference_gentle_algebras(6, 11)]
     valid = [
         pres.quadratic_monomials for pres in relation_products(quiver) if validate_gentle(pres).ok
     ]
@@ -238,31 +240,6 @@ def test_automorphisms_act_on_arrows_in_numeric_order(monkeypatch):
         1 for s in automorphisms for zero in valid if {(s[a], s[b]) for a, b in zero} == zero
     )
     assert len(set(keys)) == len(keys) == Fraction(fixed, len(automorphisms)) == 8
-
-
-def _cut_orbit_counts(max_edges: int) -> Counter:
-    """(n, a) -> the Aut-orbits of cutting sets summed over the
-    multiplicity-one Brauer graphs with n edges and 2n - a vertices.
-
-    A cutting set takes one arrow from each vertex cycle, and with
-    multiplicity one those arrows are the germs at the vertex (a leaf's
-    single germ stands for its empty cycle), so the orbits are those of
-    one-germ-per-vertex choices under the germ automorphisms."""
-    counts: Counter = Counter()
-    for n in range(1, max_edges + 1):
-        for succ, partner in rooted_maps(n):
-            automorphisms = _automorphisms(succ, partner)
-            if automorphisms is None:
-                continue
-            cycles = _cycles_of(succ)
-            arrows = 2 * n - len(cycles)
-            if arrows == 0:
-                continue  # the single edge: no algebra on either side
-            group = [range(2 * n), *automorphisms]
-            for choice in product(*cycles):
-                least = min(sorted(order[h] for h in choice) for order in group)
-                counts[n, arrows] += sorted(choice) == least
-    return counts
 
 
 def _is_bfs_code(succ: tuple[int, ...], partner: tuple[int, ...]) -> bool:
@@ -459,29 +436,35 @@ def test_presentation_key_is_invariant_under_random_relabeling(index, extend, rn
     assert canonical_presentation_key(_shuffled(pres, rng)) == canonical_presentation_key(pres)
 
 
+def _keys_by_size(algebras) -> tuple[dict[int, list], Counter]:
+    """Presentation keys grouped by vertex count, and the number of
+    algebras per (vertices, arrows)."""
+    keys: dict[int, list] = defaultdict(list)
+    sizes: Counter = Counter()
+    for algebra in algebras:
+        n = len(algebra.quiver.vertices)
+        keys[n].append(canonical_presentation_key(algebra.presentation))
+        sizes[n, len(algebra.quiver.arrows)] += 1
+    return keys, sizes
+
+
 def test_admissible_cuts_are_exactly_the_gentle_algebras():
-    """Cut surjectivity: the admissible cuts of the multiplicity-one Brauer
-    graphs with n edges are, up to isomorphism, the gentle algebras with n
-    vertices.  The two sides come from the two independent enumerators.
+    """Cut surjectivity: the census's admissible cuts of the
+    multiplicity-one Brauer graphs with n edges, one per automorphism orbit
+    of cutting sets, are the gentle algebras with n vertices of the
+    reference census, which enumerates quivers and relations, each once.
 
     Counted by size, the gentle algebras with n vertices and a arrows
-    number the cut orbits over the maps with n edges and 2n - a vertices.
-    A map has a vertex, so a <= 2n - 1: the census, asked for 2n arrows at
-    n = 5, has no algebra with them at any n."""
-    cuts: dict[int, set] = {n: set() for n in range(1, 6)}
-    for g in connected_brauer_graphs(5, 1):
-        ssb = algebra_of(g)
-        for c in enumerate_cutting_sets(ssb):
-            cut = admissible_cut(ssb, c).presentation
-            cuts[len(g.edges)].add(canonical_presentation_key(cut))
-    gentle: dict[int, set] = {n: set() for n in range(1, 6)}
-    sizes: Counter = Counter()
-    count = 0
-    for algebra in gentle_algebras(5, 10):
-        count += 1
-        gentle[len(algebra.quiver.vertices)].add(canonical_presentation_key(algebra.presentation))
-        sizes[len(algebra.quiver.vertices), len(algebra.quiver.arrows)] += 1
-    assert [len(cuts[n]) for n in range(1, 6)] == [1, 9, 77, 894, 13398]
-    assert cuts == gentle
-    assert sum(map(len, cuts.values())) == count == GENTLE_COUNTS[(5, 10)]
-    assert sizes == _cut_orbit_counts(5)
+    number the cut orbits over the maps with n edges and 2n - a vertices;
+    the census and the reference agree on every (n, a).  A map has a
+    vertex, so a <= 2n - 1: neither census, asked for 2n arrows at n = 5,
+    has an algebra with them at any n."""
+    reference, reference_sizes = _keys_by_size(reference_gentle_algebras(5, 10))
+    found, sizes = _keys_by_size(gentle_algebras(5, 10))
+    assert [len(found[n]) for n in range(1, 6)] == [1, 9, 77, 894, 13398]
+    assert all(len(set(keys)) == len(keys) for keys in found.values())
+    assert {n: set(keys) for n, keys in found.items()} == {
+        n: set(keys) for n, keys in reference.items()
+    }
+    assert sizes == reference_sizes
+    assert sum(sizes.values()) == GENTLE_COUNTS[(5, 10)]

@@ -1,13 +1,18 @@
 """Sharded suite runs: the report is the same on one, two and three shards,
 and a shard that does not finish makes the run raise, with no child
-process left behind either way."""
+process left behind either way, not even when the caller is killed."""
 
 from __future__ import annotations
 
 import os
 import random
+import select
 import signal
+import subprocess
+import sys
 import time
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +170,53 @@ def test_an_error_in_the_calling_shard_stops_the_children(monkeypatch):
         suites.run_suite("thm-1-1", BOUNDS)
     assert time.monotonic() - start < 30
     _assert_no_child_left()
+
+
+# A two-shard thm-1-3 run whose check sleeps, so that a shard would run for
+# about 17 s after its caller's death if nothing stopped it; the caller
+# prints the shard's pid once it is forked.
+ORPHANED_RUN = """
+import time
+from quiveralg import suites
+
+def slow(g, bounds):
+    time.sleep(0.2)
+    return []
+
+fork = suites._fork_shard
+
+def announce(*args):
+    pid, pipe = fork(*args)
+    print(pid, flush=True)
+    return pid, pipe
+
+suites._shard_count = lambda: 2
+suites._fork_shard = announce
+suites.SUITES["admissible-cut"] = suites.SUITES["admissible-cut"]._replace(check=slow)
+suites.run_suite("thm-1-3", suites.Bounds())
+"""
+
+
+def test_a_shard_ends_soon_after_its_caller_is_killed():
+    """SIGKILL on the caller leaves its shard orphaned; the shard exits
+    before its next instance.  The shard holds the write end of the stdout
+    pipe, so the pipe reaches end of file once both processes have ended,
+    whether or not anything reaps the orphan."""
+    src = str(Path(suites.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.Popen(
+        [sys.executable, "-c", ORPHANED_RUN],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+        start_new_session=True,
+    )
+    try:
+        assert run.stdout.readline().strip().isdigit()  # the shard is forked
+        os.kill(run.pid, signal.SIGKILL)
+        run.wait()
+        ended, _, _ = select.select([run.stdout], [], [], 5)
+        assert ended and os.read(run.stdout.fileno(), 1) == b""
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGKILL)
+        run.stdout.close()
