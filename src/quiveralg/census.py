@@ -289,25 +289,18 @@ def _class_labelings(classes: list[list[str]]) -> Iterator[dict[str, int]]:
         }
 
 
-def canonical_presentation_key(pres: Presentation, ties: list | None = None):
-    """Isomorphism-invariant key: minimum over admissible relabelings of the structure.
+def _labelled_codes(pres: Presentation) -> Iterator[tuple[tuple, dict[str, int]]]:
+    """The structure relabelled by every admissible labelling, with the arrow
+    labelling (arrow name to position) that gives it.
 
     Vertices are split into colour-refinement classes (see
     ``_colour_classes``) and labelled blockwise, permuting only inside each
     class; parallel arrows (which a vertex bijection cannot separate) run
-    over their orderings.  Arrows are then renamed positionally, so the key
-    is independent of all names.  Isomorphic presentations have the same
-    admissible labelings up to the isomorphism, hence the same minimum, and
-    an equal minimum encodes one labelled presentation isomorphic to both.
-
-    When a list ``ties`` is given, it receives the arrow labellings (arrow
-    name to position) that reach the minimum.  Composing an admissible
-    labelling with an automorphism gives another one with the same code, so
-    the ties are one labelling composed with each automorphism, once each.
+    over their orderings.  Arrows are then renamed positionally, so each
+    code is independent of all names.
     """
     quiver = pres.quiver
     n = len(quiver.vertices)
-    best = None
     for vmap in _class_labelings(_colour_classes(pres)):
         groups: dict[tuple[int, int], list[str]] = {}
         for a in quiver.arrows:
@@ -332,11 +325,15 @@ def canonical_presentation_key(pres: Presentation, ties: list | None = None):
                         tuple(amap[x] for x in p.arrows) for p in r.paths()
                     )
                     rels.append((1, tuple(sides[0]), tuple(sides[1])))
-            key = (n, tuple(endpoints), tuple(sorted(rels)))
-            if best is None or key < best:
-                best = key
-                if ties is not None:
-                    ties[:] = [amap]
-            elif ties is not None and key == best:
-                ties.append(amap)
-    return best
+            yield (n, tuple(endpoints), tuple(sorted(rels))), amap
+
+
+def canonical_presentation_key(pres: Presentation):
+    """Isomorphism-invariant key: minimum over admissible relabelings of the structure.
+
+    The relabelings are those of ``_labelled_codes``.  Isomorphic
+    presentations have the same admissible labelings up to the isomorphism,
+    hence the same minimum, and an equal minimum encodes one labelled
+    presentation isomorphic to both.
+    """
+    return min(code for code, _ in _labelled_codes(pres))

@@ -71,6 +71,7 @@ from quiveralg.brauer import BrauerGraph, canonical_form
 from quiveralg.census import (
     _canonical_maps,
     _cycles_of,
+    _labelled_codes,
     _shape_of,
     canonical_presentation_key,
     rooted_maps,
@@ -623,10 +624,13 @@ def gentle_quivers(
     Only degree-sorted labellings are generated (see ``_endpoint_multisets``
     and ``_degree_sorted``), so the isomorphism key is computed on a few
     candidates per class rather than on every labelled endpoint multiset.
-    The automorphisms come from the labellings that tie at the minimum of
-    the key: with ``first`` one of them, each other tie ``L`` gives the
-    automorphism that sends an arrow ``x`` to the arrow that ``L`` puts
-    where ``first`` puts ``x``.
+    The automorphisms come from the labellings of ``census._labelled_codes``
+    that tie at the minimum of the key.  Composing an admissible labelling
+    with an automorphism gives another one with the same code, so the ties
+    are one labelling composed with each automorphism, once each: with
+    ``first`` one of them, each other tie ``L`` gives the automorphism that
+    sends an arrow ``x`` to the arrow that ``L`` puts where ``first`` puts
+    ``x``.
     """
     vertices = [str(i) for i in range(n_vertices)]
     seen: set = set()
@@ -641,11 +645,12 @@ def gentle_quivers(
                 vertices,
                 [(name, vertices[s], vertices[t]) for name, (s, t) in zip(names, endpoints)],
             )
-            ties: list = []
-            key = canonical_presentation_key(Presentation(quiver, ()), ties)
+            codes = list(_labelled_codes(Presentation(quiver, ())))
+            key = min(code for code, _ in codes)
             if key in seen:
                 continue
             seen.add(key)
+            ties = [amap for code, amap in codes if code == key]
             first = [ties[0][name] for name in names]
             perms = []
             for labelling in ties[1:]:

@@ -7,7 +7,9 @@ Brauer graphs: its quiver layer against an unpruned sweep, its relation
 layer against the orbit-counting identity, and its presentation key against
 a brute-force oracle.  The library's census is checked against a sweep of
 every relation set, the reference's dedup census, and the reference's key
-sets and per-size counts, which also back the cut-surjectivity identity."""
+sets and per-size counts, which also back the cut-surjectivity identity;
+the keys of every admissible cut of the multiplicity-one graphs up to
+five edges are the reference's classes too."""
 
 import random
 from collections import Counter, defaultdict
@@ -48,6 +50,7 @@ from quiveralg.census import (
     gentle_algebras,
     rooted_maps,
 )
+from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.gentle import validate_gentle
 from quiveralg.quiver import Presentation, Quiver
 from quiveralg.trivext import trivial_extension
@@ -458,8 +461,20 @@ def test_admissible_cuts_are_exactly_the_gentle_algebras():
     number the cut orbits over the maps with n edges and 2n - a vertices;
     the census and the reference agree on every (n, a).  A map has a
     vertex, so a <= 2n - 1: neither census, asked for 2n arrows at n = 5,
-    has an algebra with them at any n."""
+    has an algebra with them at any n.
+
+    Every cutting set of every such graph, not only the census's orbit
+    representatives, is cut and keyed too: the keys are the reference's
+    classes again, so cuts that an automorphism relates (or that differ
+    only in the order of names) land in one class."""
     reference, reference_sizes = _keys_by_size(reference_gentle_algebras(5, 10))
+    cuts: dict[int, set] = {n: set() for n in range(1, 6)}
+    for g in connected_brauer_graphs(5, 1):
+        ssb = algebra_of(g)
+        for c in enumerate_cutting_sets(ssb):
+            cut = admissible_cut(ssb, c).presentation
+            cuts[len(g.edges)].add(canonical_presentation_key(cut))
+    assert cuts == {n: set(reference[n]) for n in range(1, 6)}
     found, sizes = _keys_by_size(gentle_algebras(5, 10))
     assert [len(found[n]) for n in range(1, 6)] == [1, 9, 77, 894, 13398]
     assert all(len(set(keys)) == len(keys) for keys in found.values())
