@@ -4,11 +4,12 @@ Brauer graph shapes come from connected rooted maps, generated directly as
 breadth-first codes: germs are numbered in the discovery order of
 ``brauer.discovery_code``, and the code grows one germ at a time by
 choosing its successor and partner among the numbered germs still free or
-the next new germ.  Each finished code is one rooted map (2, 10, 74, 706
-and 8162 of them for 1 to 5 edges).  Generation is orderly (Read, 1978;
-McKay, 1998): a rooted map is kept only when its root has the least code
-among all roots of the map, which holds for exactly one rooted map per
-shape, and the roots that tie with it are the automorphisms of the shape.
+the next new germ.  Each finished code is one rooted map (2, 10, 74, 706,
+8162 and 110,410 of them for 1 to 6 edges).  Generation is orderly (Read,
+1978; McKay, 1998): a rooted map is kept only when its root has the least
+code among all roots of the map, which holds for exactly one rooted map
+per shape, and the roots that tie with it are the automorphisms of the
+shape.
 Multiplicity assignments are layered on top of each shape, keeping those
 that are lexicographically least among their images under the
 automorphisms.  No set of earlier classes is kept and nothing is sorted:
@@ -23,7 +24,12 @@ cuts give isomorphic algebras exactly when an automorphism of the graph
 maps one cutting set to the other.  A cutting set takes one germ from
 every vertex of valency at least two, so the census keeps, per shape, the
 choices whose sorted germs are least among their images under the shape's
-automorphisms.  Nothing is keyed and nothing is held between classes.
+automorphisms.  Nothing is keyed and nothing is held between classes.  An
+arrow bound a is the lower bound 2n - a on the maps' vertex counts, and
+the rooted-map walk abandons the codes that cannot reach it.  The census
+also comes out deferred (``_gentle_cuts``): each item says which cut it
+is and builds its algebra on demand, so that a sharded suite run makes
+only the cuts it checks.
 
 ``canonical_presentation_key`` is an isomorphism key for any presentation,
 by colour refinement and the permutations inside each colour class.  The
@@ -32,8 +38,9 @@ census does not use it; the tests compare presentations with it.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations, product
-from typing import Container, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .brauer import BrauerGraph, _first_step, algebra_of, discovery_code
 from .cut import CuttingSet, admissible_cut
@@ -41,8 +48,11 @@ from .gentle import GentleAlgebra
 from .quiver import Monomial, Presentation
 
 
-def rooted_maps(n_edges: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every connected rooted map with ``n_edges`` edges, once each.
+def rooted_maps(
+    n_edges: int, min_vertices: int = 1
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every connected rooted map with ``n_edges`` edges and at least
+    ``min_vertices`` vertices, once each.
 
     A map is given by its breadth-first code: germs are numbered in the
     discovery order of ``brauer.discovery_code`` from the root germ 0
@@ -53,36 +63,60 @@ def rooted_maps(n_edges: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]
     already set, is a numbered germ without a partner, or the next new germ.
     A code is finished when all ``2 * n_edges`` germs are numbered and
     processed, and distinct codes are distinct rooted maps.
+
+    The vertices are the cycles of ``succ``.  A partial code has closed
+    some cycles, and every germ without a successor yet, numbered or not,
+    ends one open successor chain; each open chain closes into at most one
+    more cycle.  A partial code whose closed cycles and open chains
+    together fall below ``min_vertices`` is abandoned (the orderly idea of
+    McKay, 1998, applied to the vertex count), so the walk yields the full
+    walk's codes with enough vertices, in the same order.  With the
+    default bound nothing is abandoned.
     """
     size = 2 * n_edges
     succ = [-1] * size
     partner = [-1] * size
     is_image = [False] * size
+    # the open successor chains: head[e] starts the chain ending at e,
+    # tail[h] ends the chain starting at h; a germ alone is its own chain
+    head = list(range(size))
+    tail = list(range(size))
 
-    def grow(i: int, count: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def grow(
+        i: int, count: int, closed: int
+    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         if i == count:
             if count == size:
                 yield tuple(succ), tuple(partner)
             return  # otherwise the numbered germs form a closed component
+        start = head[i]
         for s in range(min(count + 1, size)):
             if is_image[s]:
                 continue
+            closes = s == start
+            if closed + closes + size - i - 1 < min_vertices:
+                continue  # too few cycles left to close
+            end = tail[s]
             succ[i] = s
             is_image[s] = True
+            if not closes:
+                head[end], tail[start] = start, end
             numbered = max(count, s + 1)
             if partner[i] >= 0:
-                yield from grow(i + 1, numbered)
+                yield from grow(i + 1, numbered, closed + closes)
             else:
                 for p in range(i + 1, min(numbered + 1, size)):
                     if partner[p] >= 0:
                         continue
                     partner[i], partner[p] = p, i
-                    yield from grow(i + 1, max(numbered, p + 1))
+                    yield from grow(i + 1, max(numbered, p + 1), closed + closes)
                     partner[p] = -1
                 partner[i] = -1
+            if not closes:
+                head[end], tail[start] = s, i
             is_image[s] = False
 
-    yield from grow(0, 1)
+    yield from grow(0, 1, 0)
 
 
 def _automorphisms(
@@ -151,14 +185,17 @@ def _shape_of(cycles: list[list[int]], partner: tuple[int, ...]) -> BrauerGraph:
 
 
 def _canonical_maps(
-    n_edges: int, vertex_counts: Container[int] | None = None
+    n_edges: int, vertex_counts: range | None = None
 ) -> Iterator[tuple[list, tuple, list]]:
     """For each map with ``n_edges`` edges, once: the vertex cycles and
     partner of its rooted map of least code, and its nontrivial
     automorphisms as discovery orders (germ ``h`` goes to ``order[h]``).
-    Given ``vertex_counts``, a rooted map whose number of vertices is not
-    in it is dropped before its automorphisms are sought."""
-    for succ, partner in rooted_maps(n_edges):
+    Given ``vertex_counts``, only maps whose number of vertices is in it
+    are read: the rooted-map walk abandons the codes with fewer vertices
+    than its start (see :func:`rooted_maps`), and a rooted map with more
+    than it holds is dropped before its automorphisms are sought."""
+    min_vertices = 1 if vertex_counts is None else vertex_counts.start
+    for succ, partner in rooted_maps(n_edges, min_vertices):
         cycles = _cycles_of(succ)
         if vertex_counts is not None and len(cycles) not in vertex_counts:
             continue
@@ -195,6 +232,48 @@ def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGra
                     yield BrauerGraph(dict(zip(vertices, mults)), shape.edges, shape.rotations)
 
 
+class _Cut(NamedTuple):
+    """One gentle algebra of the census, not yet built: the cut of the map
+    with vertex cycles ``cycles`` and partner involution ``partner`` at the
+    cutting set ``germs``.  ``build()`` makes the algebra.  The cuts of one
+    map share its ``cycles`` list and its algebra, built by the first of
+    them."""
+
+    cycles: list[list[int]]
+    partner: tuple[int, ...]
+    germs: tuple[int, ...]
+    build: Callable[[], GentleAlgebra]
+
+
+def _cutter(
+    cycles: list[list[int]], partner: tuple[int, ...]
+) -> Callable[[tuple[int, ...]], GentleAlgebra]:
+    """The admissible cut of one map at a cutting set of its germs.  The
+    map's algebra is built on the first cut and shared by the later ones."""
+    built = []
+
+    def cut(germs: tuple[int, ...]) -> GentleAlgebra:
+        if not built:
+            built.append(algebra_of(_shape_of(cycles, partner)))
+        return admissible_cut(built[0], CuttingSet(f"h{h}" for h in germs))
+
+    return cut
+
+
+def _gentle_cuts(max_vertices: int, max_arrows: int) -> Iterator[_Cut]:
+    """The census of :func:`gentle_algebras`, in its order, each algebra
+    deferred: walking the stream builds nothing, and a map's algebra is
+    built only when one of its cuts is."""
+    for n in range(1, max_vertices + 1):
+        vertex_counts = range(max(1, 2 * n - max_arrows), 2 * n)
+        for cycles, partner, automorphisms in _canonical_maps(n, vertex_counts):
+            cut = _cutter(cycles, partner)
+            for germs in product(*(cycle for cycle in cycles if len(cycle) > 1)):
+                code = sorted(germs)
+                if all(code <= sorted(order[h] for h in germs) for order in automorphisms):
+                    yield _Cut(cycles, partner, germs, partial(cut, germs))
+
+
 def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebra]:
     """All connected gentle algebras within the bounds, one per isomorphism
     class, as admissible cuts (see the module docstring).
@@ -208,16 +287,11 @@ def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebr
     map's algebra is built once; a cutting set, one germ per vertex cycle of
     length at least two, is cut when its sorted germs are least among their
     images under the map's automorphisms.  Deterministic generation order
-    (by vertex count, map, cutting set), not sorted.
+    (by vertex count, map, cutting set), not sorted.  Each algebra is an
+    item of :func:`_gentle_cuts`, built.
     """
-    for n in range(1, max_vertices + 1):
-        vertex_counts = range(max(1, 2 * n - max_arrows), 2 * n)
-        for cycles, partner, automorphisms in _canonical_maps(n, vertex_counts):
-            ssb = algebra_of(_shape_of(cycles, partner))
-            for choice in product(*(cycle for cycle in cycles if len(cycle) > 1)):
-                code = sorted(choice)
-                if all(code <= sorted(order[h] for h in choice) for order in automorphisms):
-                    yield admissible_cut(ssb, CuttingSet(f"h{h}" for h in choice))
+    for item in _gentle_cuts(max_vertices, max_arrows):
+        yield item.build()
 
 
 def _rank(colours: dict[str, tuple]) -> dict[str, int]:

@@ -8,11 +8,17 @@ deterministically and failure reports are sorted.  A suite's entry in
 
 A run is split into one shard per CPU that the process may use (its CPU
 affinity, so ``taskset`` sets the count).  The shards are forked processes,
-the calling one being shard 0; each walks the whole census again and checks
-every ``shards``-th instance, and each adds its own memory to the total.
-The report does not depend on the number of shards.  The library starts
-no threads; a caller that has its own should run suites on one CPU, since
-a forked child gets only the forking thread.
+the calling one being shard 0, and each adds its own memory to the total.
+Every shard walks the whole census, which is cheap: a census item is a
+Brauer graph, or on the gentle suites an admissible cut not yet made (see
+``census._gentle_cuts``).  Each shard builds and checks only its share:
+every ``shards``-th Brauer graph, and on the gentle suites whole maps, the
+cuts of each map going together to the shard with the fewest instances so
+far.  So every cut, and every map algebra the cuts are made from, is built
+once per run rather than once per shard.  The report does not depend on
+the number of shards.  The library starts no threads; a caller that has
+its own should run suites on one CPU, since a forked child gets only the
+forking thread.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .brauer import (
     serialize_brauer_graph,
     structural_dimension,
 )
-from .census import connected_brauer_graphs, gentle_algebras
+from .census import _gentle_cuts, connected_brauer_graphs
 from .cut import enumerate_cutting_sets, admissible_cut, verify_roundtrip, vertex_cycles
 from .errors import QuiverAlgError, ValidationError
 from .gentle import socle_basis
@@ -183,15 +189,22 @@ def _check_socle_maximal(algebra, bounds: Bounds) -> list[tuple[str, str]]:
     return failures
 
 
-# A suite: its alias, census, check and instance encoder, and the limits of
-# its bounds.  The census and the encoder are lambdas so that they look up
-# the module-level functions at call time: a function object stored here
-# would bypass any later rebinding of the name (tracing, monkeypatching in
-# tests).  A run is allowed when its bounds fit under one of the limits; a
-# refusal states the first.
+# A suite: its alias, census, group, build, check and instance encoder,
+# and the limits of its bounds.  The census yields items, and the build
+# makes the instance of an item: on the Brauer suites the item is the
+# instance, on the gentle ones it is a cut not yet made.  Consecutive items
+# of the same group (the same object) go to one shard: each gentle cut is
+# grouped with the other cuts of its map, so that the map's algebra is
+# built in one shard only.  The census and the encoder are lambdas so that
+# they look up the module-level functions at call time: a function object
+# stored here would bypass any later rebinding of the name (tracing,
+# monkeypatching in tests).  A run is allowed when its bounds fit under
+# one of the limits; a refusal states the first.
 class Suite(NamedTuple):
     alias: str
     census: Callable[[Bounds], Iterable]
+    group: Callable
+    build: Callable
     check: Callable
     encode: Callable[..., str]
     limits: tuple[Bounds, ...]
@@ -205,13 +218,17 @@ SUITES: dict[str, Suite] = {
     "graph-algebra-roundtrip": Suite(
         "thm-1-1",
         lambda b: connected_brauer_graphs(b.max_edges, b.max_mult),
+        lambda g: g,
+        lambda g: g,
         _check_graph_algebra_roundtrip,
         lambda g: serialize_brauer_graph(g),
         (SHARED_LIMIT, Bounds(max_edges=6, max_mult=1, max_vertices=5, max_arrows=10)),
     ),
     "trivial-extension": Suite(
         "thm-1-2",
-        lambda b: gentle_algebras(b.max_vertices, b.max_arrows),
+        lambda b: _gentle_cuts(b.max_vertices, b.max_arrows),
+        lambda cut: cut.cycles,
+        lambda cut: cut.build(),
         _check_trivial_extension,
         lambda a: serialize_presentation(a.presentation),
         (SHARED_LIMIT,),
@@ -219,13 +236,17 @@ SUITES: dict[str, Suite] = {
     "admissible-cut": Suite(
         "thm-1-3",
         lambda b: connected_brauer_graphs(b.max_edges, 1),
+        lambda g: g,
+        lambda g: g,
         _check_admissible_cut,
         lambda g: serialize_brauer_graph(g),
         (SHARED_LIMIT,),
     ),
     "socle-maximal": Suite(
         "lemma-2-1",
-        lambda b: gentle_algebras(b.max_vertices, b.max_arrows),
+        lambda b: _gentle_cuts(b.max_vertices, b.max_arrows),
+        lambda cut: cut.cycles,
+        lambda cut: cut.build(),
         _check_socle_maximal,
         lambda a: serialize_presentation(a.presentation),
         (SHARED_LIMIT,),
@@ -245,24 +266,35 @@ def _shard_count() -> int:
 def _check_shard(
     suite: Suite, bounds: Bounds, rank: int, shards: int, parent: int | None = None
 ) -> tuple[int, list]:
-    """Walk the whole census and check the instances whose index is
-    ``rank`` modulo ``shards``; return the census size and the failures.
-    A forked shard passes the pid of its ``parent`` and exits before its
-    next instance once that is no longer its parent: a parent killed by a
-    signal it cannot catch has no way to stop it."""
+    """Walk the whole census, and build and check the instances that fall
+    to shard ``rank`` of ``shards``; return the census size and the
+    failures.  The items come in groups (see ``Suite``), and each group
+    falls to the shard with the fewest instances so far, the lowest rank
+    on a tie: with groups of one item, shard ``rank`` gets the indices
+    equal to ``rank`` modulo ``shards``.  A build that raises is not a
+    failure of its instance: the error ends the run, as an error of the
+    census does.  A forked shard passes the pid of its ``parent`` and
+    exits before its next instance once that is no longer its parent: a
+    parent killed by a signal it cannot catch has no way to stop it."""
     instances = 0
     failures = []
-    for i, item in enumerate(suite.census(bounds)):
+    loads = [0] * shards  # instances fallen to each shard so far
+    group, owner = object(), 0
+    for item in suite.census(bounds):
         instances += 1
-        if i % shards != rank:
+        if (key := suite.group(item)) is not group:
+            group, owner = key, loads.index(min(loads))
+        loads[owner] += 1
+        if owner != rank:
             continue
         if parent is not None and os.getppid() != parent:
             os._exit(1)
+        instance = suite.build(item)
         try:
-            found = suite.check(item, bounds)
+            found = suite.check(instance, bounds)
         except QuiverAlgError as exc:
             found = [("exception", f"{type(exc).__name__}: {exc}")]
-        failures.extend((_one_line(suite.encode(item)), prop, diag) for prop, diag in found)
+        failures.extend((_one_line(suite.encode(instance)), prop, diag) for prop, diag in found)
     return instances, failures
 
 

@@ -15,7 +15,7 @@ import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, zip_longest
 from math import factorial
 
 import pytest
@@ -45,6 +45,7 @@ from quiveralg.brauer import (
     validate_brauer_graph,
 )
 from quiveralg.census import (
+    _cycles_of,
     canonical_presentation_key,
     connected_brauer_graphs,
     gentle_algebras,
@@ -86,7 +87,7 @@ GENTLE_COUNTS = {
 }
 
 # connected rooted maps with n edges (Walsh-Lehman 1972; OEIS A000698)
-ROOTED_MAP_COUNTS = {1: 2, 2: 10, 3: 74, 4: 706, 5: 8162}
+ROOTED_MAP_COUNTS = {1: 2, 2: 10, 3: 74, 4: 706, 5: 8162, 6: 110410}
 
 # sum over the classes with n = 1, 2, ... edges and multiplicities at most M
 # of 2^n n! / |Aut(g)|, keyed by M
@@ -270,6 +271,20 @@ def test_rooted_map_codes_are_the_rooted_maps(n_edges, expected):
     assert len(codes) == expected
     assert len(set(codes)) == expected
     assert all(_is_bfs_code(*code) for code in codes)
+
+
+@pytest.mark.parametrize(
+    "n_edges,min_vertices",
+    [(n, v) for n in range(1, 6) for v in range(1, 2 * n + 1)] + [(6, 7)],
+)
+def test_the_pruned_walk_is_the_filtered_walk(n_edges, min_vertices):
+    """Bounding the vertex count below abandons exactly the codes with
+    fewer vertices: the rooted maps with enough vertices, in walk order."""
+    filtered = (
+        code for code in rooted_maps(n_edges) if len(_cycles_of(code[0])) >= min_vertices
+    )
+    pruned = rooted_maps(n_edges, min_vertices)
+    assert all(a == b for a, b in zip_longest(filtered, pruned))
 
 
 @pytest.mark.parametrize("n_edges", [1, 2, 3, 4])

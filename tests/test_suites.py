@@ -11,21 +11,27 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import suppress
 from pathlib import Path
 
 import pytest
 
-from quiveralg import suites
+from quiveralg import census, suites
 from quiveralg.brauer import serialize_brauer_graph, structural_dimension
-from quiveralg.census import connected_brauer_graphs
-from quiveralg.cut import enumerate_cutting_sets
-from quiveralg.errors import CuttingSetError
+from quiveralg.census import _gentle_cuts, connected_brauer_graphs
+from quiveralg.cut import admissible_cut, enumerate_cutting_sets
+from quiveralg.errors import CuttingSetError, ValidationError
 from quiveralg.gentle import socle_basis
-from quiveralg.quiver import serialize_presentation
+from quiveralg.quiver import Problem, serialize_presentation
 from quiveralg.trivext import projectives_oracle
 
 BOUNDS = suites.Bounds(max_edges=3, max_mult=2, max_vertices=3, max_arrows=3)
+
+
+def _text(algebra) -> str:
+    """An algebra's presentation text, on one line."""
+    return suites._one_line(serialize_presentation(algebra.presentation))
 
 
 def _unlucky(text: str, odds: float = 0.3) -> bool:
@@ -137,6 +143,78 @@ def test_a_shard_that_does_not_finish_makes_the_run_raise(monkeypatch, action, m
     monkeypatch.setattr(suites, "structural_dimension", _in_children(action))
     with pytest.raises(RuntimeError, match=message):
         suites.run_suite("thm-1-1", BOUNDS)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("suite", ["thm-1-2", "lemma-2-1"])
+def test_each_shard_builds_exactly_the_instances_it_checks(monkeypatch, tmp_path, suite):
+    """Every process logs the map algebras and the cuts it builds.  On any
+    shard count, each instance is built once, so only by the shard that
+    checks it; each map algebra is built once, in the process that makes
+    its cuts; the shares are balanced up to one map's cuts; and the report
+    is the same."""
+    log = tmp_path / "builds"
+
+    def logged(build, kind):
+        def replacement(source, *args):
+            made = build(source, *args)
+            texts = [source, made] if kind == "cut" else [made]  # a cut names its map
+            with open(log, "a") as out:  # one short append per line: whole lines
+                out.write("\t".join([kind, str(os.getpid()), *map(_text, texts)]) + "\n")
+            return made
+
+        return replacement
+
+    def builds():
+        lines = [line.split("\t") for line in log.read_text().splitlines()]
+        log.unlink()
+        return [[tuple(line[1:]) for line in lines if line[0] == kind] for kind in ("map", "cut")]
+
+    monkeypatch.setattr(census, "algebra_of", logged(census.algebra_of, "map"))
+    monkeypatch.setattr(census, "admissible_cut", logged(census.admissible_cut, "cut"))
+    cuts = list(_gentle_cuts(BOUNDS.max_vertices, BOUNDS.max_arrows))
+    texts = sorted(_text(cut.build()) for cut in cuts)
+    maps = sorted(text for _, text in builds()[0])
+    most = max(Counter(id(cut.cycles) for cut in cuts).values())
+    assert len(set(maps)) == len(maps) and 1 < most < len(cuts) / 3
+    reports = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        reports.append(suites.run_suite(suite, BOUNDS))
+        map_builds, cut_builds = builds()
+        assert sorted(text for _, _, text in cut_builds) == texts
+        assert sorted(text for _, text in map_builds) == maps
+        assert {(pid, ssb) for pid, ssb, _ in cut_builds} == set(map_builds)
+        shares = Counter(pid for pid, _, _ in cut_builds)
+        assert len(shares) == cpus and str(os.getpid()) in shares
+        assert max(shares.values()) - min(shares.values()) <= most
+    assert reports[0].instances == len(texts) and reports[0].ok
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["calling shard", "child"])
+def test_a_build_error_makes_the_run_raise(monkeypatch, where):
+    """A census item that cannot be built is an error of the census, not an
+    ``exception`` failure of its instance."""
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def broken(ssb, cutting_set):
+        if (os.getpid() == parent) == (where == "calling shard"):
+            raise ValidationError([Problem("seeded", "seeded build error")])
+        return admissible_cut(ssb, cutting_set)
+
+    monkeypatch.setattr(census, "admissible_cut", broken)
+    if where == "calling shard":
+        expected = pytest.raises(ValidationError, match="seeded build error")
+    else:
+        expected = pytest.raises(
+            RuntimeError,
+            match=r"shard 1 of 2 raised:\n(.|\n)*ValidationError: \[seeded\] seeded build error",
+        )
+    with expected:
+        suites.run_suite("lemma-2-1", BOUNDS)
     _assert_no_child_left()
 
 
