@@ -27,9 +27,10 @@ choices whose sorted germs are least among their images under the shape's
 automorphisms.  Nothing is keyed and nothing is held between classes.  An
 arrow bound a is the lower bound 2n - a on the maps' vertex counts, and
 the rooted-map walk abandons the codes that cannot reach it.  The census
-also comes out deferred (``_gentle_cuts``): each item says which cut it
-is and builds its algebra on demand, so that a sharded suite run makes
-only the cuts it checks.
+also comes out grouped by map (``_cuts_by_map``): per map, the number of
+its cuts and a generator that builds the map's algebra and then its cuts
+when first read, so that a sharded suite run makes only the cuts it
+checks.
 
 ``canonical_presentation_key`` is an isomorphism key for any presentation,
 by colour refinement and the permutations inside each colour class.  The
@@ -38,9 +39,8 @@ census does not use it; the tests compare presentations with it.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import permutations, product
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator
 
 from .brauer import BrauerGraph, _first_step, algebra_of, discovery_code
 from .cut import CuttingSet, admissible_cut
@@ -232,46 +232,32 @@ def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGra
                     yield BrauerGraph(dict(zip(vertices, mults)), shape.edges, shape.rotations)
 
 
-class _Cut(NamedTuple):
-    """One gentle algebra of the census, not yet built: the cut of the map
-    with vertex cycles ``cycles`` and partner involution ``partner`` at the
-    cutting set ``germs``.  ``build()`` makes the algebra.  The cuts of one
-    map share its ``cycles`` list and its algebra, built by the first of
-    them."""
-
-    cycles: list[list[int]]
-    partner: tuple[int, ...]
-    germs: tuple[int, ...]
-    build: Callable[[], GentleAlgebra]
+def _cuts(
+    cycles: list[list[int]], partner: tuple[int, ...], cutting_sets: list[tuple[int, ...]]
+) -> Iterator[GentleAlgebra]:
+    """The admissible cuts of one map at the given cutting sets of its
+    germs.  The map's algebra is built on the first ``next()``."""
+    ssb = algebra_of(_shape_of(cycles, partner))
+    for germs in cutting_sets:
+        yield admissible_cut(ssb, CuttingSet(f"h{h}" for h in germs))
 
 
-def _cutter(
-    cycles: list[list[int]], partner: tuple[int, ...]
-) -> Callable[[tuple[int, ...]], GentleAlgebra]:
-    """The admissible cut of one map at a cutting set of its germs.  The
-    map's algebra is built on the first cut and shared by the later ones."""
-    built = []
-
-    def cut(germs: tuple[int, ...]) -> GentleAlgebra:
-        if not built:
-            built.append(algebra_of(_shape_of(cycles, partner)))
-        return admissible_cut(built[0], CuttingSet(f"h{h}" for h in germs))
-
-    return cut
-
-
-def _gentle_cuts(max_vertices: int, max_arrows: int) -> Iterator[_Cut]:
-    """The census of :func:`gentle_algebras`, in its order, each algebra
-    deferred: walking the stream builds nothing, and a map's algebra is
-    built only when one of its cuts is."""
+def _cuts_by_map(
+    max_vertices: int, max_arrows: int
+) -> Iterator[tuple[int, Iterator[GentleAlgebra]]]:
+    """The census of :func:`gentle_algebras`, in its order, one group per
+    kept map: the number of its orbit-least cutting sets and a generator
+    over their cuts.  Walking the stream builds nothing; a map's algebra is
+    built only when its generator is read."""
     for n in range(1, max_vertices + 1):
         vertex_counts = range(max(1, 2 * n - max_arrows), 2 * n)
         for cycles, partner, automorphisms in _canonical_maps(n, vertex_counts):
-            cut = _cutter(cycles, partner)
+            cutting_sets = []
             for germs in product(*(cycle for cycle in cycles if len(cycle) > 1)):
                 code = sorted(germs)
                 if all(code <= sorted(order[h] for h in germs) for order in automorphisms):
-                    yield _Cut(cycles, partner, germs, partial(cut, germs))
+                    cutting_sets.append(germs)
+            yield len(cutting_sets), _cuts(cycles, partner, cutting_sets)
 
 
 def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebra]:
@@ -287,11 +273,11 @@ def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebr
     map's algebra is built once; a cutting set, one germ per vertex cycle of
     length at least two, is cut when its sorted germs are least among their
     images under the map's automorphisms.  Deterministic generation order
-    (by vertex count, map, cutting set), not sorted.  Each algebra is an
-    item of :func:`_gentle_cuts`, built.
+    (by vertex count, map, cutting set), not sorted.  The algebras are
+    those of the groups of :func:`_cuts_by_map`, read in turn.
     """
-    for item in _gentle_cuts(max_vertices, max_arrows):
-        yield item.build()
+    for _, algebras in _cuts_by_map(max_vertices, max_arrows):
+        yield from algebras
 
 
 def _rank(colours: dict[str, tuple]) -> dict[str, int]:

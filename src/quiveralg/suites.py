@@ -9,16 +9,17 @@ deterministically and failure reports are sorted.  A suite's entry in
 A run is split into one shard per CPU that the process may use (its CPU
 affinity, so ``taskset`` sets the count).  The shards are forked processes,
 the calling one being shard 0, and each adds its own memory to the total.
-Every shard walks the whole census, which is cheap: a census item is a
-Brauer graph, or on the gentle suites an admissible cut not yet made (see
-``census._gentle_cuts``).  Each shard builds and checks only its share:
-every ``shards``-th Brauer graph, and on the gentle suites whole maps, the
-cuts of each map going together to the shard with the fewest instances so
-far.  So every cut, and every map algebra the cuts are made from, is built
-once per run rather than once per shard.  The report does not depend on
-the number of shards.  The library starts no threads; a caller that has
-its own should run suites on one CPU, since a forked child gets only the
-forking thread.
+Every shard walks the whole census, which is cheap: the census comes in
+groups, each the number of its instances and an iterable that yields
+them, read only by the shard the group falls to.  A Brauer graph is a
+group of one; on the gentle suites a group is the admissible cuts of one
+map, made when read (see ``census._cuts_by_map``).  Each group falls to
+the shard with the fewest instances so far, so a shard gets every
+``shards``-th Brauer graph, or on the gentle suites whole maps.  So every
+cut, and every map algebra the cuts are made from, is built once per run
+rather than once per shard.  The report does not depend on the number of
+shards.  The library starts no threads; a caller that has its own should
+run suites on one CPU, since a forked child gets only the forking thread.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .brauer import (
     serialize_brauer_graph,
     structural_dimension,
 )
-from .census import _gentle_cuts, connected_brauer_graphs
+from .census import _cuts_by_map, connected_brauer_graphs
 from .cut import enumerate_cutting_sets, admissible_cut, verify_roundtrip, vertex_cycles
 from .errors import QuiverAlgError, ValidationError
 from .gentle import socle_basis
@@ -78,9 +79,9 @@ def _guard(bounds: Bounds, limits: tuple[Bounds, ...]) -> None:
     sizes = ("max_edges", "max_mult", "max_vertices", "max_arrows")
     below = [f"{n}={getattr(bounds, n)}" for n in sizes if getattr(bounds, n) < 1]
     if below:
-        raise ValueError(f"bounds must be at least 1, got {', '.join(below)}")
+        raise QuiverAlgError(f"bounds must be at least 1, got {', '.join(below)}")
     if not any(all(getattr(bounds, n) <= getattr(box, n) for n in sizes) for box in limits):
-        raise ValueError(
+        raise QuiverAlgError(
             "bounds too large for exhaustive enumeration; stay within "
             "{0.max_edges} edges, multiplicity {0.max_mult}, "
             "{0.max_vertices} vertices, {0.max_arrows} arrows".format(limits[0])
@@ -189,22 +190,19 @@ def _check_socle_maximal(algebra, bounds: Bounds) -> list[tuple[str, str]]:
     return failures
 
 
-# A suite: its alias, census, group, build, check and instance encoder,
-# and the limits of its bounds.  The census yields items, and the build
-# makes the instance of an item: on the Brauer suites the item is the
-# instance, on the gentle ones it is a cut not yet made.  Consecutive items
-# of the same group (the same object) go to one shard: each gentle cut is
-# grouped with the other cuts of its map, so that the map's algebra is
-# built in one shard only.  The census and the encoder are lambdas so that
-# they look up the module-level functions at call time: a function object
-# stored here would bypass any later rebinding of the name (tracing,
-# monkeypatching in tests).  A run is allowed when its bounds fit under
-# one of the limits; a refusal states the first.
+# A suite: its alias, census, check and instance encoder, and the limits
+# of its bounds.  The census yields groups ``(count, instances)``, where
+# ``instances`` yields exactly ``count`` instances and is read only by the
+# shard the group falls to: on the Brauer suites each graph is a group of
+# one, on the gentle ones each group is the cuts of one map, so that the
+# map's algebra is built in one shard only.  The census and the encoder
+# are lambdas so that they look up the module-level functions at call
+# time: a function object stored here would bypass any later rebinding of
+# the name (tracing, monkeypatching in tests).  A run is allowed when its
+# bounds fit under one of the limits; a refusal states the first.
 class Suite(NamedTuple):
     alias: str
-    census: Callable[[Bounds], Iterable]
-    group: Callable
-    build: Callable
+    census: Callable[[Bounds], Iterable[tuple[int, Iterable]]]
     check: Callable
     encode: Callable[..., str]
     limits: tuple[Bounds, ...]
@@ -217,36 +215,28 @@ SHARED_LIMIT = Bounds(max_edges=5, max_mult=4, max_vertices=5, max_arrows=10)
 SUITES: dict[str, Suite] = {
     "graph-algebra-roundtrip": Suite(
         "thm-1-1",
-        lambda b: connected_brauer_graphs(b.max_edges, b.max_mult),
-        lambda g: g,
-        lambda g: g,
+        lambda b: ((1, (g,)) for g in connected_brauer_graphs(b.max_edges, b.max_mult)),
         _check_graph_algebra_roundtrip,
         lambda g: serialize_brauer_graph(g),
         (SHARED_LIMIT, Bounds(max_edges=6, max_mult=1, max_vertices=5, max_arrows=10)),
     ),
     "trivial-extension": Suite(
         "thm-1-2",
-        lambda b: _gentle_cuts(b.max_vertices, b.max_arrows),
-        lambda cut: cut.cycles,
-        lambda cut: cut.build(),
+        lambda b: _cuts_by_map(b.max_vertices, b.max_arrows),
         _check_trivial_extension,
         lambda a: serialize_presentation(a.presentation),
         (SHARED_LIMIT,),
     ),
     "admissible-cut": Suite(
         "thm-1-3",
-        lambda b: connected_brauer_graphs(b.max_edges, 1),
-        lambda g: g,
-        lambda g: g,
+        lambda b: ((1, (g,)) for g in connected_brauer_graphs(b.max_edges, 1)),
         _check_admissible_cut,
         lambda g: serialize_brauer_graph(g),
         (SHARED_LIMIT,),
     ),
     "socle-maximal": Suite(
         "lemma-2-1",
-        lambda b: _gentle_cuts(b.max_vertices, b.max_arrows),
-        lambda cut: cut.cycles,
-        lambda cut: cut.build(),
+        lambda b: _cuts_by_map(b.max_vertices, b.max_arrows),
         _check_socle_maximal,
         lambda a: serialize_presentation(a.presentation),
         (SHARED_LIMIT,),
@@ -268,33 +258,34 @@ def _check_shard(
 ) -> tuple[int, list]:
     """Walk the whole census, and build and check the instances that fall
     to shard ``rank`` of ``shards``; return the census size and the
-    failures.  The items come in groups (see ``Suite``), and each group
-    falls to the shard with the fewest instances so far, the lowest rank
-    on a tie: with groups of one item, shard ``rank`` gets the indices
-    equal to ``rank`` modulo ``shards``.  A build that raises is not a
-    failure of its instance: the error ends the run, as an error of the
-    census does.  A forked shard passes the pid of its ``parent`` and
-    exits before its next instance once that is no longer its parent: a
-    parent killed by a signal it cannot catch has no way to stop it."""
+    failures.  The census comes in groups (see ``Suite``), and each whole
+    group falls to the shard with the fewest instances so far, the lowest
+    rank on a tie: with groups of one, shard ``rank`` gets the indices
+    equal to ``rank`` modulo ``shards``.  Only that shard reads the
+    group's instances.  A build that raises is not a failure of its
+    instance: the error ends the run, as an error of the census does.  A
+    forked shard passes the pid of its ``parent`` and exits before its
+    next check once that is no longer its parent: a parent killed by a
+    signal it cannot catch has no way to stop it."""
     instances = 0
     failures = []
     loads = [0] * shards  # instances fallen to each shard so far
-    group, owner = object(), 0
-    for item in suite.census(bounds):
-        instances += 1
-        if (key := suite.group(item)) is not group:
-            group, owner = key, loads.index(min(loads))
-        loads[owner] += 1
+    for count, group in suite.census(bounds):
+        instances += count
+        owner = loads.index(min(loads))
+        loads[owner] += count
         if owner != rank:
             continue
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
-        instance = suite.build(item)
-        try:
-            found = suite.check(instance, bounds)
-        except QuiverAlgError as exc:
-            found = [("exception", f"{type(exc).__name__}: {exc}")]
-        failures.extend((_one_line(suite.encode(instance)), prop, diag) for prop, diag in found)
+        for instance in group:  # builds the instance, outside the try
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
+            try:
+                found = suite.check(instance, bounds)
+            except QuiverAlgError as exc:
+                found = [("exception", f"{type(exc).__name__}: {exc}")]
+            failures.extend(
+                (_one_line(suite.encode(instance)), prop, diag) for prop, diag in found
+            )
     return instances, failures
 
 
@@ -353,14 +344,16 @@ def run_suite(name: str, bounds: Bounds) -> CheckReport:
     raised by a check is reported as an ``exception`` failure of that
     instance, and a census that yields nothing as a ``census`` failure,
     since a run that checked nothing proves nothing.  Failures are sorted.
-    Any other exception in a shard, a shard that dies or a shard that
-    counts another census size makes the run raise; no child outlives it.
+    An unknown suite or bounds outside its limits raise a
+    ``QuiverAlgError`` before any census starts.  Any other exception in a
+    shard, a shard that dies or a shard that counts another census size
+    makes the run raise; no child outlives it.
     A shard whose caller is killed outright exits before its next instance.
     """
     canonical = next((n for n, s in SUITES.items() if name in (n, s.alias)), None)
     if canonical is None:
         known = ", ".join(sorted(SUITES) + sorted(s.alias for s in SUITES.values()))
-        raise ValueError(f"unknown suite {name!r}; known: {known}")
+        raise QuiverAlgError(f"unknown suite {name!r}; known: {known}")
     suite = SUITES[canonical]
     _guard(bounds, suite.limits)
     shards = _shard_count()

@@ -23,7 +23,7 @@ from quiveralg.brauer import (
     structural_dimension,
     validate_brauer_graph,
 )
-from quiveralg.census import _gentle_cuts, connected_brauer_graphs, gentle_algebras
+from quiveralg.census import _cuts_by_map, connected_brauer_graphs, gentle_algebras
 from quiveralg.cli import main
 from quiveralg.cut import enumerate_cutting_sets
 from quiveralg.quiver import parse_presentation, serialize_presentation
@@ -260,6 +260,11 @@ class TestCuts:
         assert code == 2
         assert "cut 2 times" in err
 
+    def test_empty_cut_exit_two(self, capsys, files):
+        code, out, err = run(capsys, "cuts", "--cut", "", str(files["ta2"]))
+        assert (code, out) == (2, "")
+        assert err == "vertex cycle (a b(a)) is uncut\n"
+
     def test_multiplicity_refused(self, capsys, files, tmp_path):
         e21_alg = tmp_path / "e21.alg"
         run(capsys, "convert", "--mode", "bg-to-alg", "--out", str(e21_alg), str(files["e21"]))
@@ -318,6 +323,25 @@ class TestCheck:
             main(["check", "--suite", "thm-1-1", "--threads", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("where", ["calling shard", "child"])
+    def test_an_error_from_a_check_is_not_an_input_error(self, monkeypatch, where):
+        """Only the suite name and the bounds are input: a check that raises
+        an error outside the library ends the run with that error, on one
+        shard as on two."""
+        cpus = 1 if where == "calling shard" else 2
+        monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        parent = os.getpid()
+
+        def broken(ssb):
+            if (os.getpid() == parent) == (where == "calling shard"):
+                raise ValueError("seeded check error")
+            return enumerate_cutting_sets(ssb)
+
+        monkeypatch.setattr(suites, "enumerate_cutting_sets", broken)
+        expected = ValueError if where == "calling shard" else RuntimeError
+        with pytest.raises(expected, match="seeded check error"):
+            main(["check", "--suite", "thm-1-3", "--max-edges", "2"])
+
     def test_bounds_guard(self, capsys):
         code, _, err = run(capsys, "check", "--suite", "thm-1-1", "--max-edges", "9")
         assert code == 2
@@ -332,8 +356,8 @@ class TestCheck:
             ),
             (("thm-1-1", "--max-edges", "6", "--max-mult", "1"), ("connected_brauer_graphs", 6, 1)),
             (("thm-1-3", "--max-edges", "5"), ("connected_brauer_graphs", 5, 1)),
-            (("thm-1-2", "--max-vertices", "5", "--max-arrows", "10"), ("_gentle_cuts", 5, 10)),
-            (("lemma-2-1", "--max-vertices", "5", "--max-arrows", "10"), ("_gentle_cuts", 5, 10)),
+            (("thm-1-2", "--max-vertices", "5", "--max-arrows", "10"), ("_cuts_by_map", 5, 10)),
+            (("lemma-2-1", "--max-vertices", "5", "--max-arrows", "10"), ("_cuts_by_map", 5, 10)),
         ],
     )
     def test_bounds_at_the_limits_allowed(self, capsys, monkeypatch, argv, call):
@@ -349,7 +373,7 @@ class TestCheck:
             monkeypatch.setattr(suites, name, census)
 
         stub("connected_brauer_graphs", (2, 1))
-        stub("_gentle_cuts", (2, 2))
+        stub("_cuts_by_map", (2, 2))
         code, out, err = run(capsys, "check", "--suite", *argv)
         assert (code, err, asked) == (0, "", [call])
         assert ", 0 failures\n" in out
@@ -375,7 +399,7 @@ class TestCheck:
             raise AssertionError("the census must not start")
 
         monkeypatch.setattr(suites, "connected_brauer_graphs", census)
-        monkeypatch.setattr(suites, "_gentle_cuts", census)
+        monkeypatch.setattr(suites, "_cuts_by_map", census)
         code, out, err = run(capsys, "check", "--suite", *argv)
         assert (code, out) == (2, "")
         assert err == (
@@ -424,16 +448,15 @@ def _heavier(g: BrauerGraph) -> BrauerGraph:
     return BrauerGraph(mults, g.edges, g.rotations)
 
 
-def _one_heavier(cuts):
-    """The census items, each building its algebra with a dimension one too large."""
+def _one_heavier(groups):
+    """The census groups, each algebra built with a dimension one too large."""
 
-    def heavier(build):
-        algebra = build()
+    def heavier(algebra):
         algebra.__dict__["dimension"] = algebra.dimension + 1  # the cached value
         return algebra
 
-    for cut in cuts:
-        yield cut._replace(build=functools.partial(heavier, cut.build))
+    for count, algebras in groups:
+        yield count, map(heavier, algebras)
 
 
 # (suite, name in ``suites``, its replacement, the one property that fails)
@@ -441,7 +464,7 @@ BROKEN_PROPERTIES = [
     ("thm-1-2", "projectives_oracle", lambda a, v: projectives_oracle(a, v)[:-1],
      "projective-gluing"),
     ("thm-1-2", "is_isomorphic", lambda g1, g2: False, "graph-of-extension"),
-    ("thm-1-2", "_gentle_cuts", lambda *b: _one_heavier(_gentle_cuts(*b)),
+    ("thm-1-2", "_cuts_by_map", lambda *b: _one_heavier(_cuts_by_map(*b)),
      "dimension-doubling"),
     ("thm-1-1", "graph_of_ssb", lambda ssb: _heavier(graph_of_ssb(ssb)), "graph-roundtrip"),
     ("thm-1-1", "relabel_brauer_graph", lambda g, rng: _heavier(g), "canonical-stability"),

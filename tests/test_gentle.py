@@ -5,7 +5,7 @@ import pytest
 from oracles import nonzero_paths_by_compose, socle_by_all_arrows
 from quiveralg import suites
 from quiveralg.brauer import algebra_of
-from quiveralg.census import _Cut, connected_brauer_graphs, gentle_algebras
+from quiveralg.census import connected_brauer_graphs, gentle_algebras
 from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.errors import ValidationError
 from quiveralg.gentle import (
@@ -161,8 +161,7 @@ class TestSocle:
     def test_suite_reports_a_dimension_failure(self, monkeypatch, fig1_algebra):
         p, uv = sorted(fig1_algebra.maximal_paths, key=len)
         doubled = replace(fig1_algebra, maximal_paths=(p, uv, p))
-        cut = _Cut([], (), (), lambda: doubled)
-        monkeypatch.setattr(suites, "_gentle_cuts", lambda *bounds: iter([cut]))
+        monkeypatch.setattr(suites, "_cuts_by_map", lambda *bounds: iter([(1, (doubled,))]))
         report = suites.run_suite("lemma-2-1", suites.Bounds())
         assert report.instances == 1
         assert [prop for _, prop, _ in report.failures] == ["dimension"]

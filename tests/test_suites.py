@@ -19,7 +19,7 @@ import pytest
 
 from quiveralg import census, suites
 from quiveralg.brauer import serialize_brauer_graph, structural_dimension
-from quiveralg.census import _gentle_cuts, connected_brauer_graphs
+from quiveralg.census import _cuts_by_map, connected_brauer_graphs
 from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.errors import CuttingSetError, ValidationError
 from quiveralg.gentle import socle_basis
@@ -172,11 +172,13 @@ def test_each_shard_builds_exactly_the_instances_it_checks(monkeypatch, tmp_path
 
     monkeypatch.setattr(census, "algebra_of", logged(census.algebra_of, "map"))
     monkeypatch.setattr(census, "admissible_cut", logged(census.admissible_cut, "cut"))
-    cuts = list(_gentle_cuts(BOUNDS.max_vertices, BOUNDS.max_arrows))
-    texts = sorted(_text(cut.build()) for cut in cuts)
+    census_groups = _cuts_by_map(BOUNDS.max_vertices, BOUNDS.max_arrows)
+    groups = [(count, list(cuts)) for count, cuts in census_groups]
+    assert all(count == len(cuts) for count, cuts in groups)
+    texts = sorted(_text(cut) for _, cuts in groups for cut in cuts)
     maps = sorted(text for _, text in builds()[0])
-    most = max(Counter(id(cut.cycles) for cut in cuts).values())
-    assert len(set(maps)) == len(maps) and 1 < most < len(cuts) / 3
+    most = max(count for count, _ in groups)
+    assert len(set(maps)) == len(maps) == len(groups) and 1 < most < len(texts) / 3
     reports = []
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
