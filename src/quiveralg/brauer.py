@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InconsistencyError, ParseError
 from .quiver import (
+    Arrow,
     Binomial,
     Monomial,
     Path,
@@ -220,58 +221,62 @@ def quiver_of(g: BrauerGraph) -> Quiver:
     a loop arrow, and a multiplicity-one leaf germ is silent.
     """
     edge_of, succ, silent = g.edge_of, g.successor_of, g.silent_leaves
-    arrows = [(h, edge_of[h], edge_of[succ[h]]) for h in g.half_edges if h not in silent]
+    arrows = [Arrow(h, edge_of[h], edge_of[succ[h]]) for h in g.half_edges if h not in silent]
     return Quiver(g._edges, arrows)
 
 
 def _cycle_powers(g: BrauerGraph) -> dict[str, Path]:
-    """Per germ, the cycle at its vertex raised to that vertex's
-    multiplicity, as a path based at the edge of the germ.  Each vertex's
-    itinerary is read once, repeated past one full power, and every germ's
-    path is a slice of it."""
-    edge_of, powers = g.edge_of, {}
+    """Per germ that is not silent, the cycle at its vertex raised to that
+    vertex's multiplicity, as a path based at the edge of the germ.  Each
+    vertex's itinerary is read once, repeated past one full power, and
+    every germ's path is a slice of it."""
+    edge_of, silent, powers = g.edge_of, g.silent_leaves, {}
     for v, seq in g._rotations.items():
         m = g._mult[v]
         length = len(seq) * m
-        germs, edges = seq * (m + 1), tuple(edge_of[h] for h in seq) * (m + 1)
+        germs, edges = seq * (m + 1), tuple([edge_of[h] for h in seq]) * (m + 1)
         for i, h in enumerate(seq):
-            powers[h] = Path(edges[i : i + length + 1], germs[i : i + length])
+            if h not in silent:
+                powers[h] = Path(edges[i : i + length + 1], germs[i : i + length])
     return powers
 
 
 def relations_of(g: BrauerGraph) -> list[Relation]:
-    """The defining relations of the Brauer graph algebra (see module docs).
+    """The defining relations of the Brauer graph algebra (see module docs):
+    per edge in name order its commutativity or zero relation, then per
+    germ in name order its quadratic zero relation, if any.
 
-    Paths are built straight from the rotations; :class:`Presentation`
-    checks each of them against the quiver.
+    The paths are built straight from the rotations: the cycle powers are
+    slices of each vertex's itinerary, and the one zero pair after arrow
+    ``h`` is ``h`` followed by the partner of its successor, unless that
+    germ is silent.  :class:`Presentation` checks them all against the
+    quiver.
     """
     relations: list[Relation] = []
-    edge_of, succ, silent = g.edge_of, g.successor_of, g.silent_leaves
+    edge_of, succ, silent, partner = g.edge_of, g.successor_of, g.silent_leaves, g.partner
     powers = _cycle_powers(g)
-    ends = {e: tuple(sorted(pair)) for e, pair in sorted(g._edges.items())}
-    for e, (h, k) in ends.items():
-        if h in silent and k in silent:
-            raise InconsistencyError(
-                f"edge {e!r} has multiplicity-one leaves at both ends; "
-                "validate the graph before building its algebra"
-            )
+    for e, (h, k) in sorted(g._edges.items()):
         if h in silent or k in silent:
+            if h in silent and k in silent:
+                raise InconsistencyError(
+                    f"edge {e!r} has multiplicity-one leaves at both ends; "
+                    "validate the graph before building its algebra"
+                )
             loud = k if h in silent else h
             full = powers[loud]
             one_past_socle = Path(full.vertices + full.vertices[1:2], full.arrows + (loud,))
             relations.append(Monomial(one_past_socle))
         else:
-            relations.append(Binomial(powers[h], powers[k]))
+            left, right = (h, k) if h < k else (k, h)
+            relations.append(Binomial(powers[left], powers[right]))
     for h in g.half_edges:
         if h in silent:
             continue
         nxt = succ[h]
-        out_edge = edge_of[nxt]
-        for b in ends[out_edge]:
-            if b == nxt or b in silent:
-                continue
-            path = Path((edge_of[h], out_edge, edge_of[succ[b]]), (h, b))
-            relations.append(Monomial(path))
+        b = partner[nxt]  # the other germ of the edge that h's arrow ends at
+        if b not in silent and b != nxt:
+            out_edge = edge_of[nxt]
+            relations.append(Monomial(Path((edge_of[h], out_edge, edge_of[succ[b]]), (h, b))))
     return relations
 
 

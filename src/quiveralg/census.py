@@ -250,14 +250,23 @@ def _cuts_by_map(
     over their cuts.  Walking the stream builds nothing; a map's algebra is
     built only when its generator is read."""
     for n in range(1, max_vertices + 1):
-        vertex_counts = range(max(1, 2 * n - max_arrows), 2 * n)
-        for cycles, partner, automorphisms in _canonical_maps(n, vertex_counts):
-            cutting_sets = []
-            for germs in product(*(cycle for cycle in cycles if len(cycle) > 1)):
-                code = sorted(germs)
-                if all(code <= sorted(order[h] for h in germs) for order in automorphisms):
-                    cutting_sets.append(germs)
-            yield len(cutting_sets), _cuts(cycles, partner, cutting_sets)
+        yield from _map_groups(n, range(max(1, 2 * n - max_arrows), 2 * n))
+
+
+def _map_groups(
+    n_edges: int, vertex_counts: range
+) -> Iterator[tuple[int, Iterator[GentleAlgebra]]]:
+    """The groups of :func:`_cuts_by_map` for the maps with ``n_edges``
+    edges and a number of vertices in ``vertex_counts``; their cuts have
+    ``n_edges`` vertices and ``2 * n_edges - v`` arrows on a map with ``v``
+    vertices."""
+    for cycles, partner, automorphisms in _canonical_maps(n_edges, vertex_counts):
+        cutting_sets = []
+        for germs in product(*(cycle for cycle in cycles if len(cycle) > 1)):
+            code = sorted(germs)
+            if all(code <= sorted(order[h] for h in germs) for order in automorphisms):
+                cutting_sets.append(germs)
+        yield len(cutting_sets), _cuts(cycles, partner, cutting_sets)
 
 
 def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebra]:

@@ -16,7 +16,7 @@ from dataclasses import fields
 from pathlib import Path as FilePath
 
 from . import brauer, cut, quiver, ssb, suites, surface, trivext
-from .errors import QuiverAlgError, ValidationError
+from .errors import CuttingSetError, QuiverAlgError, ValidationError
 from .gentle import gentle_algebra, validate_gentle
 
 OK, PROPERTY_FALSE, INPUT_ERROR = 0, 1, 2
@@ -132,7 +132,10 @@ def cmd_iso(args) -> int:
 def cmd_cuts(args) -> int:
     algebra = _load_ssb(args.file)
     if args.cut is not None:
-        chosen = cut.CuttingSet(args.cut.split(",") if args.cut else ())
+        names = args.cut.split(",") if args.cut else []
+        if "" in names:
+            raise CuttingSetError(f"empty arrow name in --cut {args.cut!r}")
+        chosen = cut.CuttingSet(names)
         gentle = cut.admissible_cut(algebra, chosen)
         if args.dot:
             dashed = frozenset(chosen.arrows)

@@ -108,6 +108,36 @@ def validate_special_biserial(pres: Presentation) -> list[Problem]:
     return _special_biserial(pres)[0]
 
 
+def _is_special_biserial(pres: Presentation) -> bool:
+    """Whether :func:`validate_special_biserial` finds nothing, decided
+    without naming what fails.
+
+    Every relation path is a path of the quiver, so a zero pair ``(a, b)``
+    has ``b`` among the arrows out of the target of ``a``.  With at most two
+    arrows out of every vertex, arrow ``a`` then has at most one allowed
+    successor exactly when its target has one arrow out, or some zero pair
+    starts with ``a``; and likewise for predecessors.
+    """
+    quiver = pres.quiver
+    if not quiver.vertices:
+        return True
+    out_degree = dict.fromkeys(quiver.vertices, 0)
+    in_degree = out_degree.copy()
+    for a in quiver.arrows:
+        out_degree[a.source] += 1
+        in_degree[a.target] += 1
+    if max(out_degree.values()) > 2 or max(in_degree.values()) > 2:
+        return False
+    zero = pres.quadratic_monomials
+    starts, ends = {a for a, _ in zero}, {b for _, b in zero}
+    for a in quiver.arrows:
+        if out_degree[a.target] == 2 and a.name not in starts:
+            return False
+        if in_degree[a.source] == 2 and a.name not in ends:
+            return False
+    return True
+
+
 def _special_biserial(
     pres: Presentation,
 ) -> tuple[list[Problem], dict[str, list[Arrow]], dict[str, list[Arrow]]]:

@@ -20,6 +20,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Generic, Iterable, TypeVar, Union
 
 from .errors import CompositionError, ParseError, RotationError
@@ -66,17 +67,31 @@ class Validation(Generic[_Algebra]):
         return not self.problems
 
 
-@dataclass(frozen=True, slots=True)
+# The value classes below are frozen; their constructors are written out
+# and set the fields with ``object.__setattr__`` directly, which the
+# generated ``__init__`` and ``__post_init__`` would do with a second call.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Arrow:
     name: str
     source: str
     target: str
 
+    def __init__(self, name: str, source: str, target: str):
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
+
     def is_loop(self) -> bool:
         return self.source == self.target
 
 
-@dataclass(frozen=True, slots=True)
+_name = attrgetter("name")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Path:
     """A path, stored as its vertex itinerary plus the arrow names traversed.
 
@@ -90,12 +105,13 @@ class Path:
     vertices: tuple[str, ...]
     arrows: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.vertices) != len(self.arrows) + 1:
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[str, ...]):
+        if len(vertices) != len(arrows) + 1:
             raise ValueError(
-                f"itinerary of {len(self.vertices)} vertices does not fit "
-                f"{len(self.arrows)} arrows"
+                f"itinerary of {len(vertices)} vertices does not fit {len(arrows)} arrows"
             )
+        _set(self, "vertices", vertices)
+        _set(self, "arrows", arrows)
 
     @property
     def source(self) -> str:
@@ -168,15 +184,16 @@ def is_subpath(p: Path, q: Path) -> bool:
     return any(q.arrows[i : i + n] == p.arrows for i in range(m - n + 1))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Monomial:
     """A zero relation: the path is declared zero in the algebra."""
 
     path: Path
 
-    def __post_init__(self):
-        if len(self.path) < 2:
+    def __init__(self, path: Path):
+        if len(path.arrows) < 2:
             raise ValueError("monomial relation needs a path of length >= 2")
+        _set(self, "path", path)
 
     def paths(self) -> tuple[Path, ...]:
         return (self.path,)
@@ -185,21 +202,23 @@ class Monomial:
         return f"Monomial<{self.path.label()}>"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Binomial:
     """A commutativity relation ``left - right`` between two parallel paths."""
 
     left: Path
     right: Path
 
-    def __post_init__(self):
-        if self.left.is_trivial() or self.right.is_trivial():
+    def __init__(self, left: Path, right: Path):
+        a, b = left.arrows, right.arrows
+        if not a or not b:
             raise ValueError("binomial relation needs two nontrivial paths")
-        if self.left.source != self.right.source or self.left.target != self.right.target:
+        if left.vertices[0] != right.vertices[0] or left.vertices[-1] != right.vertices[-1]:
             raise ValueError("binomial relation needs parallel paths")
-        shorter, longer = sorted((self.left, self.right), key=len)
-        if longer.arrows[: len(shorter)] == shorter.arrows:
+        if a[: len(b)] == b[: len(a)]:  # the shorter word begins the longer
             raise ValueError("binomial relation paths must not be prefixes of each other")
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def paths(self) -> tuple[Path, ...]:
         return (self.left, self.right)
@@ -225,12 +244,10 @@ class Quiver:
 
     def __init__(self, vertices: Iterable[str], arrows: Iterable):
         vs = tuple(sorted(set(vertices)))
-        normalized = []
-        for a in arrows:
-            normalized.append(a if isinstance(a, Arrow) else Arrow(*a))
-        normalized.sort(key=lambda a: a.name)
-        names = [a.name for a in normalized]
-        if len(set(names)) != len(names):
+        normalized = [a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]
+        normalized.sort(key=_name)
+        if len({a.name for a in normalized}) != len(normalized):
+            names = [a.name for a in normalized]
             dup = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate arrow names: {', '.join(dup)}")
         declared = set(vs)
@@ -287,17 +304,17 @@ class Quiver:
         vertices.append(arrows[-1].target)
         return Path(tuple(vertices), names)
 
-    @cached_property
-    def arrow_steps(self) -> frozenset[tuple[str, str, str]]:
-        """Every arrow as its step ``(name, source, target)``."""
-        return frozenset((a.name, a.source, a.target) for a in self.arrows)
-
     def contains_path(self, p: Path) -> bool:
         """Whether ``p`` is a genuine path of this quiver (names and itinerary)."""
         vertices = p.vertices
-        return p.source in self.arrows_from and self.arrow_steps.issuperset(
-            zip(p.arrows, vertices, vertices[1:])
-        )
+        if not p.arrows:
+            return vertices[0] in self.arrows_from
+        arrow_map = self.arrow_map
+        for i, name in enumerate(p.arrows):
+            a = arrow_map.get(name)
+            if a is None or a.source != vertices[i] or a.target != vertices[i + 1]:
+                return False
+        return True
 
     def is_connected(self) -> bool:
         """Connectivity as an undirected graph; the empty quiver is not connected."""
@@ -319,39 +336,56 @@ class Quiver:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A quiver with relations; every relation path must live in the quiver."""
+    """A quiver with relations; every relation path must live in the quiver.
+
+    The constructor reads the relations once.  It checks every relation
+    path against the quiver, each step against the source and the target of
+    its arrow (:meth:`Quiver.contains_path`), and the error names the first
+    path that is not a path of the quiver.  The same pass sorts the
+    relations into these attributes:
+
+    * ``monomials``: the zero relation paths, in order;
+    * ``binomials``: the commutativity relations, in order;
+    * ``quadratic_monomials``: the length-two zero relations, as a frozenset
+      of pairs of arrow names;
+    * ``long_monomials``: the zero relations of length three or more.
+    """
 
     quiver: Quiver
     relations: tuple[Relation, ...]
 
     def __init__(self, quiver: Quiver, relations: Iterable[Relation] = ()):
         rels = tuple(relations)
+        monomials: list[Path] = []
+        binomials: list[Binomial] = []
+        quadratic: list[tuple[str, ...]] = []
+        longer: list[Path] = []
+        paths: list[Path] = []  # every relation path, in order
         for r in rels:
-            for p in r.paths():
-                if not quiver.contains_path(p):
-                    raise ValueError(f"relation path {p!r} is not a path of the quiver")
+            if isinstance(r, Monomial):
+                p = r.path
+                monomials.append(p)
+                paths.append(p)
+                if len(p.arrows) == 2:
+                    quadratic.append(p.arrows)
+                else:
+                    longer.append(p)
+            else:
+                if isinstance(r, Binomial):
+                    binomials.append(r)
+                paths += r.paths()
+        contains = quiver.contains_path
+        for p in paths:
+            if not contains(p):
+                raise ValueError(f"relation path {p!r} is not a path of the quiver")
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "relations", rels)
-
-    @cached_property
-    def monomials(self) -> tuple[Path, ...]:
-        return tuple(r.path for r in self.relations if isinstance(r, Monomial))
-
-    @cached_property
-    def binomials(self) -> tuple[Binomial, ...]:
-        return tuple(r for r in self.relations if isinstance(r, Binomial))
-
-    @cached_property
-    def quadratic_monomials(self) -> frozenset[tuple[str, str]]:
-        """The length-two zero relations, as pairs of arrow names."""
-        return frozenset(
-            (p.arrows[0], p.arrows[1]) for p in self.monomials if len(p) == 2
+        self.__dict__.update(
+            monomials=tuple(monomials),
+            binomials=tuple(binomials),
+            quadratic_monomials=frozenset(quadratic),
+            long_monomials=tuple(longer),
         )
-
-    @cached_property
-    def long_monomials(self) -> tuple[Path, ...]:
-        """The zero relations of length three or more."""
-        return tuple(p for p in self.monomials if len(p) > 2)
 
     def path_is_nonzero_monomially(self, p: Path) -> bool:
         """Whether ``p`` avoids every monomial relation as a subpath.
@@ -366,7 +400,11 @@ class Presentation:
         if not self.quadratic_monomials.isdisjoint(zip(arrows, arrows[1:])):
             return False
         longer = self.long_monomials
-        return not longer or not any(is_subpath(m, p) for m in longer if len(m) <= len(arrows))
+        return not longer or not any(
+            is_subpath(m, p)
+            for m in longer
+            if len(m.arrows) <= len(arrows) and m.arrows[0] in arrows
+        )
 
 
 # ---------------------------------------------------------------------------

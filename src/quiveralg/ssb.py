@@ -38,7 +38,8 @@ from .quiver import (
     rotate,
     trivial_path,
 )
-from .gentle import validate_special_biserial
+from .gentle import _is_special_biserial, validate_special_biserial
+
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,13 +50,19 @@ class SimpleCycleDecomp:
     exponent: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProjectiveDescriptor:
     """The two maximal cyclic paths through a vertex; ``second`` may be trivial."""
 
     vertex: str
     first: Path
     second: Path
+
+    def __init__(self, vertex: str, first: Path, second: Path):
+        _set = object.__setattr__
+        _set(self, "vertex", vertex)
+        _set(self, "first", first)
+        _set(self, "second", second)
 
     def paths(self) -> tuple[Path, ...]:
         return (self.first, self.second)
@@ -92,15 +99,38 @@ class SSBPresentation:
         return tuple(discovery_code(*links, x.name) for x in self.quiver.arrows)
 
 
+def _least_period(word: tuple[str, ...]) -> int:
+    """The least ``d`` with ``word == word[:d] * (len(word) // d)``.
+
+    Every such ``d`` short of the length is a recurrence of the first
+    letter, so the first recurrence is tried first; only when it is not a
+    period does the scan go on past it.
+    """
+    n, first = len(word), word[0]
+    d = 0
+    for _ in range(word.count(first) - 1):
+        d = word.index(first, d + 1)
+        if n % d == 0 and word == word[:d] * (n // d):
+            return d
+    return n
+
+
+def _least_rotation(word: tuple[str, ...]) -> int:
+    """Where the lexicographically least rotation of ``word`` starts: at its
+    least letter when that occurs once, otherwise found by comparing every
+    rotation (the first of equal ones)."""
+    least = min(word)
+    if word.count(least) == 1:
+        return word.index(least)
+    return min(range(len(word)), key=lambda k: word[k:] + word[:k])
+
+
 def simple_cycle_decomposition(p: Path) -> SimpleCycleDecomp:
     """Smallest-period decomposition ``p = p0^m`` of a nontrivial cycle."""
     if p.is_trivial() or not p.is_cyclic():
         raise RotationError(f"{p!r} is not a nontrivial cycle")
-    n = len(p.arrows)
-    for d in range(1, n + 1):
-        if n % d == 0 and p.arrows == p.arrows[:d] * (n // d):
-            return SimpleCycleDecomp(p.prefix(d), n // d)
-    raise AssertionError("unreachable: every word has a period")
+    d = _least_period(p.arrows)
+    return SimpleCycleDecomp(Path(p.vertices[: d + 1], p.arrows[:d]), len(p.arrows) // d)
 
 
 def p_cycle(p: Path) -> tuple[str, ...]:
@@ -119,8 +149,7 @@ def rotation_class(p: Path) -> Path:
         return p
     if not p.is_cyclic():
         raise RotationError(f"{p!r} is not a cycle")
-    arrows = p.arrows
-    return rotate(p, min(range(len(arrows)), key=lambda k: arrows[k:] + arrows[:k]))
+    return rotate(p, _least_rotation(p.arrows))
 
 
 def _looks_like_dual_numbers(pres: Presentation) -> bool:
@@ -141,13 +170,40 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
     of the graph relies on (one relation based at each vertex, each arrow on
     exactly one vertex cycle, zero relations exactly at the out-of-cycle
     compositions) is checked and reported rather than assumed.
-    """
-    problems: list[Problem] = []
-    quiver = pres.quiver
 
-    if not quiver.vertices:
+    Every check is made once, in the same order as always, on arrow words.
+    Where a check has a test that decides it exactly without saying what
+    fails, that test comes first, and only when it fails is the check run
+    again in the form that words its problems.  So a presentation in normal
+    form passes no worded loop, and any other gets the same problems, in
+    the same order, as the worded checks alone would give:
+
+    * the special-biserial conditions, from the degrees and the zero pairs
+      (:func:`~quiveralg.gentle._is_special_biserial`);
+    * the sides of the binomials, cycles free of zero relations, in one
+      pass that also orders each binomial's sides into its descriptor;
+    * one socle relation per vertex, from the number of vertices the
+      relations are based at;
+    * the first and last arrows of the maximal paths: every such path at a
+      vertex starts and ends there, so they account for the arrows at every
+      vertex exactly when the first arrows, and the last arrows, are the
+      quiver's arrows, each once;
+    * the vertex cycles: a path that spells a known power read from its
+      first arrow has that cycle and exponent, and only the others are
+      decomposed, the least period and the least rotation read from the
+      first and the least letter where they can be; each arrow is on
+      exactly one cycle when the cycles have as many letters, all told, as
+      the quiver has arrows, and that many arrows lie on them;
+    * the zero pairs: with at most one allowed successor per arrow (the
+      special-biserial conditions), they sit exactly at the out-of-cycle
+      compositions when no step of a cycle is one.
+    """
+    quiver = pres.quiver
+    vertices, arrows = quiver.vertices, quiver.arrows
+
+    if not vertices:
         return Validation((Problem("degenerate", "empty quiver"),), None)
-    if len(quiver.vertices) == 1 and not quiver.arrows:
+    if len(vertices) == 1 and not arrows:
         return Validation(
             (Problem("degenerate", "one vertex and no arrows (the ground field)"),),
             None,
@@ -163,13 +219,15 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
             ),
             None,
         )
+    problems: list[Problem] = []
     if not quiver.is_connected():
         problems.append(Problem("connected", "quiver is not connected"))
-    problems.extend(validate_special_biserial(pres))
+    if not _is_special_biserial(pres):
+        problems.extend(validate_special_biserial(pres))
 
+    zero, longer, binomials = pres.quadratic_monomials, pres.long_monomials, pres.binomials
     socle_steps: list[Path] = []  # monomials C^e * first(C)
-    binomials = pres.binomials
-    for w in pres.long_monomials:
+    for w in longer:
         if w.vertices[-2] == w.vertices[0] and w.arrows[-1] == w.arrows[0]:
             socle_steps.append(w)
         else:
@@ -180,8 +238,125 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
                     "followed by its first arrow",
                 )
             )
+    # One pass over the binomials: their sides are cycles free of zero
+    # relations, and each is based at its own vertex, with its smaller side
+    # (in path_sort_key order) first; the first and the last arrows of the
+    # maximal paths are collected on the way.
+    regular = True
+    based: dict[str, ProjectiveDescriptor] = {}
+    firsts: set[str] = set()
+    lasts: set[str] = set()
     for r in binomials:
-        for side in r.paths():
+        first, second = r.left, r.right
+        a, b = first.arrows, second.arrows
+        at, bt = first.vertices, second.vertices
+        if (
+            at[0] != at[-1]
+            or bt[0] != bt[-1]
+            or not zero.isdisjoint(zip(a, a[1:]))
+            or not zero.isdisjoint(zip(b, b[1:]))
+        ):
+            regular = False
+        if len(b) < len(a) or len(b) == len(a) and (b, bt) < (a, at):
+            first, second, a, b = second, first, b, a
+        based.setdefault(at[0], ProjectiveDescriptor(at[0], first, second))
+        firsts.add(a[0])
+        firsts.add(b[0])
+        lasts.add(a[-1])
+        lasts.add(b[-1])
+    if longer and regular:
+        regular = all(
+            pres.path_is_nonzero_monomially(side) for r in binomials for side in (r.left, r.right)
+        )
+    if not regular:
+        problems.extend(_irregular_sides(pres))
+    if problems:
+        return Validation(tuple(problems), None)
+
+    # exactly one socle-defining relation based at every vertex
+    for w in socle_steps:
+        v, word = w.vertices[0], w.arrows
+        power = Path(w.vertices[:-1], word[:-1])
+        based.setdefault(v, ProjectiveDescriptor(v, power, trivial_path(v)))
+        firsts.add(word[0])
+        lasts.add(word[-2])
+    if not len(based) == len(binomials) + len(socle_steps) == len(vertices):
+        return Validation(_unbased_vertices(pres, socle_steps), None)
+    descriptors = [based[v] for v in vertices]
+
+    # every maximal path at a vertex starts and ends there, and there are
+    # as many of them as arrows, so they account for the arrows at every
+    # vertex when no two share a first or a last arrow
+    n_arrows = len(arrows)
+    if not 2 * len(binomials) + len(socle_steps) == len(firsts) == len(lasts) == n_arrows:
+        problems.extend(_unaccounted_arrows(quiver, descriptors))
+
+    # Each vertex cycle is decomposed once, from the first path that spells
+    # one of its powers; a further path that spells the known power from
+    # its first arrow has that cycle and exponent.
+    families: dict[tuple[str, ...], int] = {}  # least rotation -> exponent
+    cycles: dict[tuple[str, ...], Path] = {}  # least rotation -> its path
+    power_from: dict[str, tuple[str, ...]] = {}  # arrow -> a known power read from it
+    zero_step = False  # whether a step of some cycle is a zero relation
+    for d in descriptors:
+        for w in (d.first, d.second):
+            word = w.arrows
+            if not word or power_from.get(word[0]) == word:
+                continue
+            n, period = len(word), _least_period(word)
+            primitive = word[:period]
+            k = _least_rotation(primitive)
+            rep = primitive[k:] + primitive[:k]
+            exponent = families.setdefault(rep, n // period)
+            if exponent != n // period:
+                problems.append(
+                    Problem(
+                        "cycles",
+                        f"cycle {' '.join(rep)!r} appears with two different exponents",
+                    )
+                )
+            elif rep not in cycles:  # a new cycle: is one of its steps zero?
+                cycles[rep] = (
+                    w  # the path is its own least rotation
+                    if period == n and k == 0
+                    else Path(w.vertices[k : period + 1] + w.vertices[1 : k + 1], rep)
+                )
+                zero_step = zero_step or not zero.isdisjoint(zip(rep, rep[1:] + rep[:1]))
+            powers, length = rep * (exponent + 1), period * exponent
+            for i, name in enumerate(rep):
+                power_from[name] = powers[i : i + length]
+    # power_from has an entry for each arrow on a cycle
+    if sum(map(len, families)) != n_arrows or len(power_from) != n_arrows:
+        arrow_uses: dict[str, int] = {a.name: 0 for a in arrows}
+        for rep in families:
+            for name in rep:
+                arrow_uses[name] += 1
+        bad = sorted(n for n, c in arrow_uses.items() if c != 1)
+        problems.append(
+            Problem(
+                "cycles",
+                f"arrows not on exactly one vertex cycle: {', '.join(bad)}",
+            )
+        )
+    if problems:
+        return Validation(tuple(problems), None)
+
+    # zero relations must sit exactly at the out-of-cycle compositions; every
+    # arrow now lies once on one cycle, so its cycle successor is unique
+    if zero_step:
+        return Validation(_misplaced_zeros(pres, families), None)
+
+    ranked = sorted([(len(rep), rep) for rep in families])  # path_sort_key of the cycles
+    cycle_families = tuple([(cycles[rep], families[rep]) for _, rep in ranked])
+    return Validation((), SSBPresentation(pres, tuple(descriptors), cycle_families))
+
+
+def _irregular_sides(pres: Presentation) -> list[Problem]:
+    """The worded check that every side of a binomial is a cycle and
+    contains no zero relation."""
+    problems = []
+    for r in pres.binomials:
+        for side in (r.left, r.right):
             if not side.is_cyclic():
                 problems.append(
                     Problem("normal-form", f"binomial side {side.label()!r} is not a cycle")
@@ -193,34 +368,32 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
                         f"binomial side {side.label()!r} contains a zero relation",
                     )
                 )
+    return problems
 
-    if problems:
-        return Validation(tuple(problems), None)
 
-    # exactly one socle-defining relation based at every vertex
-    based: dict[str, list[ProjectiveDescriptor]] = {v: [] for v in quiver.vertices}
-    for r in binomials:
-        v = r.left.source
-        first, second = sorted((r.left, r.right), key=path_sort_key)
-        based[v].append(ProjectiveDescriptor(v, first, second))
+def _unbased_vertices(pres: Presentation, socle_steps: list[Path]) -> tuple[Problem, ...]:
+    """The worded check that every vertex is the base of exactly one socle
+    relation: a binomial or one of the ``socle_steps``."""
+    count = dict.fromkeys(pres.quiver.vertices, 0)
+    for r in pres.binomials:
+        count[r.left.vertices[0]] += 1
     for w in socle_steps:
-        v = w.source
-        based[v].append(ProjectiveDescriptor(v, w.prefix(len(w) - 1), trivial_path(v)))
-    descriptors: list[ProjectiveDescriptor] = []
-    for v in quiver.vertices:
-        if len(based[v]) != 1:
-            problems.append(
-                Problem(
-                    "projectives",
-                    f"vertex {v!r} is the base of {len(based[v])} socle relations "
-                    "instead of exactly one",
-                )
-            )
-        else:
-            descriptors.append(based[v][0])
-    if problems:
-        return Validation(tuple(problems), None)
+        count[w.vertices[0]] += 1
+    return tuple(
+        Problem(
+            "projectives",
+            f"vertex {v!r} is the base of {n} socle relations instead of exactly one",
+        )
+        for v, n in count.items()
+        if n != 1
+    )
 
+
+def _unaccounted_arrows(quiver, descriptors: list[ProjectiveDescriptor]) -> list[Problem]:
+    """The worded check that the maximal paths at every vertex start with
+    distinct arrows and end with distinct arrows, and start with all the
+    arrows out of the vertex and end with all the arrows into it."""
+    problems = []
     outs, ins = quiver.arrows_from, quiver.arrows_into
     for d in descriptors:
         words = [w.arrows for w in d.paths() if w.arrows]
@@ -240,52 +413,18 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
                     f"cycles at {d.vertex!r} do not account for all arrows there",
                 )
             )
+    return problems
 
-    # Each vertex cycle is decomposed once; a further path that spells a
-    # known cycle's power from one of its arrows has that cycle and exponent,
-    # and any other path goes through the full decomposition.
-    families: dict[Path, int] = {}
-    power_from: dict[str, tuple[str, ...]] = {}  # arrow -> its cycle's power read from it
-    for d in descriptors:
-        for w in d.paths():
-            if w.is_trivial() or power_from.get(w.arrows[0]) == w.arrows:
-                continue
-            dec = simple_cycle_decomposition(w)
-            rep = rotation_class(dec.primitive)
-            if families.setdefault(rep, dec.exponent) != dec.exponent:
-                problems.append(
-                    Problem(
-                        "cycles",
-                        f"cycle {rep.label()!r} appears with two different exponents",
-                    )
-                )
-            word = rep.arrows
-            for i, name in enumerate(word):
-                power_from.setdefault(name, (word[i:] + word[:i]) * families[rep])
-    arrow_uses: dict[str, int] = {a.name: 0 for a in quiver.arrows}
-    for rep in families:
-        for name in rep.arrows:
-            if name in arrow_uses:
-                arrow_uses[name] += 1
-    bad = sorted(n for n, c in arrow_uses.items() if c != 1)
-    if bad:
-        problems.append(
-            Problem(
-                "cycles",
-                f"arrows not on exactly one vertex cycle: {', '.join(bad)}",
-            )
-        )
-    if problems:
-        return Validation(tuple(problems), None)
 
-    # zero relations must sit exactly at the out-of-cycle compositions; every
-    # arrow now lies once on one cycle, so its cycle successor is unique
+def _misplaced_zeros(pres: Presentation, families) -> tuple[Problem, ...]:
+    """The worded check of the zero pairs against the cycle successors of
+    the arrows, each arrow on exactly one of the cycle words ``families``."""
     successor = {}
     for rep in families:
-        for x, y in zip(rep.arrows, rep.arrows[1:] + rep.arrows[:1]):
-            successor[x] = y
-    quadratic = pres.quadratic_monomials
-    for a in quiver.arrows:
+        successor.update(zip(rep, rep[1:] + rep[:1]))
+    quadratic, outs = pres.quadratic_monomials, pres.quiver.arrows_from
+    problems = []
+    for a in pres.quiver.arrows:
         for b in outs[a.target]:
             on_cycle = successor[a.name] == b.name
             if on_cycle == ((a.name, b.name) in quadratic):
@@ -295,11 +434,7 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
                     else "is off-cycle but has no zero relation"
                 )
                 problems.append(Problem("normal-form", f"composition {a.name} {b.name} {where}"))
-
-    if problems:
-        return Validation(tuple(problems), None)
-    cycle_families = tuple(sorted(families.items(), key=lambda it: path_sort_key(it[0])))
-    return Validation((), SSBPresentation(pres, tuple(descriptors), cycle_families))
+    return tuple(problems)
 
 
 def ssb_presentation(pres: Presentation) -> SSBPresentation:

@@ -76,18 +76,27 @@ from quiveralg.census import (
     canonical_presentation_key,
     rooted_maps,
 )
-from quiveralg.gentle import GentleAlgebra, _has_relation_free_cycle, validate_gentle
+from quiveralg.gentle import (
+    GentleAlgebra,
+    _has_relation_free_cycle,
+    validate_gentle,
+    validate_special_biserial,
+)
 from quiveralg.quiver import (
     Binomial,
     Monomial,
     Path,
     Presentation,
+    Problem,
     Quiver,
+    Validation,
     compose,
+    is_subpath,
     path_sort_key,
+    rotate,
     trivial_path,
 )
-from quiveralg.ssb import SSBPresentation
+from quiveralg.ssb import ProjectiveDescriptor, SSBPresentation
 
 
 class _UnionFind:
@@ -857,3 +866,169 @@ def ssb_isomorphisms(a: SSBPresentation, b: SSBPresentation):
             }
             if _carries_sets(sets_a, sets_b, vmap, amap):
                 yield vmap, amap
+
+
+def reference_validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
+    """The symmetric special biserial validator as it was before its checks
+    were merged into one pass over arrow words: every check by its worded
+    loop, the relations sorted by kind here from ``pres.relations``, cycles
+    decomposed by scanning every period and every rotation, and the
+    special-biserial conditions by the library's worded
+    ``validate_special_biserial``."""
+    problems: list[Problem] = []
+    quiver = pres.quiver
+    monomials = [r.path for r in pres.relations if isinstance(r, Monomial)]
+    binomials = [r for r in pres.relations if isinstance(r, Binomial)]
+    quadratic = {p.arrows for p in monomials if len(p) == 2}
+    long_monomials = [p for p in monomials if len(p) > 2]
+
+    def nonzero(p: Path) -> bool:
+        return quadratic.isdisjoint(zip(p.arrows, p.arrows[1:])) and not any(
+            is_subpath(m, p) for m in long_monomials if len(m) <= len(p)
+        )
+
+    def least_rotation(p: Path) -> Path:
+        arrows = p.arrows
+        return rotate(p, min(range(len(arrows)), key=lambda k: arrows[k:] + arrows[:k]))
+
+    if not quiver.vertices:
+        return Validation((Problem("degenerate", "empty quiver"),), None)
+    if len(quiver.vertices) == 1 and not quiver.arrows:
+        return Validation(
+            (Problem("degenerate", "one vertex and no arrows (the ground field)"),), None
+        )
+    if (
+        len(quiver.vertices) == 1
+        and len(quiver.arrows) == 1
+        and quiver.arrows[0].is_loop()
+        and len(pres.relations) == 1
+        and len(monomials) == 1
+        and len(monomials[0]) == 2
+    ):
+        return Validation(
+            (
+                Problem(
+                    "degenerate",
+                    "one loop with a quadratic zero relation (dual numbers); "
+                    "excluded from the Brauer graph correspondence",
+                ),
+            ),
+            None,
+        )
+    if not quiver.is_connected():
+        problems.append(Problem("connected", "quiver is not connected"))
+    problems.extend(validate_special_biserial(pres))
+
+    socle_steps: list[Path] = []
+    for w in long_monomials:
+        if w.vertices[-2] == w.vertices[0] and w.arrows[-1] == w.arrows[0]:
+            socle_steps.append(w)
+        else:
+            problems.append(
+                Problem(
+                    "normal-form",
+                    f"monomial {w.label()!r} is neither quadratic nor a cycle power "
+                    "followed by its first arrow",
+                )
+            )
+    for r in binomials:
+        for side in r.paths():
+            if not side.is_cyclic():
+                problems.append(
+                    Problem("normal-form", f"binomial side {side.label()!r} is not a cycle")
+                )
+            if not nonzero(side):
+                problems.append(
+                    Problem(
+                        "normal-form", f"binomial side {side.label()!r} contains a zero relation"
+                    )
+                )
+    if problems:
+        return Validation(tuple(problems), None)
+
+    based: dict[str, list[ProjectiveDescriptor]] = {v: [] for v in quiver.vertices}
+    for r in binomials:
+        v = r.left.source
+        first, second = sorted((r.left, r.right), key=path_sort_key)
+        based[v].append(ProjectiveDescriptor(v, first, second))
+    for w in socle_steps:
+        v = w.source
+        based[v].append(ProjectiveDescriptor(v, w.prefix(len(w) - 1), trivial_path(v)))
+    descriptors: list[ProjectiveDescriptor] = []
+    for v in quiver.vertices:
+        if len(based[v]) != 1:
+            problems.append(
+                Problem(
+                    "projectives",
+                    f"vertex {v!r} is the base of {len(based[v])} socle relations "
+                    "instead of exactly one",
+                )
+            )
+        else:
+            descriptors.append(based[v][0])
+    if problems:
+        return Validation(tuple(problems), None)
+
+    outs, ins = quiver.arrows_from, quiver.arrows_into
+    for d in descriptors:
+        words = [w.arrows for w in d.paths() if w.arrows]
+        firsts, lasts = {w[0] for w in words}, {w[-1] for w in words}
+        if len(words) == 2 and (len(firsts) != 2 or len(lasts) != 2):
+            problems.append(
+                Problem(
+                    "projectives", f"the two cycles at {d.vertex!r} share a first or last arrow"
+                )
+            )
+        here = {a.name for a in outs[d.vertex]}, {a.name for a in ins[d.vertex]}
+        if (firsts, lasts) != here:
+            problems.append(
+                Problem(
+                    "projectives", f"cycles at {d.vertex!r} do not account for all arrows there"
+                )
+            )
+
+    families: dict[Path, int] = {}
+    for d in descriptors:
+        for w in d.paths():
+            if w.is_trivial():
+                continue
+            n = len(w)
+            period = next(
+                p for p in range(1, n + 1) if n % p == 0 and w.arrows == w.arrows[:p] * (n // p)
+            )
+            rep = least_rotation(w.prefix(period))
+            if families.setdefault(rep, n // period) != n // period:
+                problems.append(
+                    Problem(
+                        "cycles", f"cycle {rep.label()!r} appears with two different exponents"
+                    )
+                )
+    arrow_uses = {a.name: 0 for a in quiver.arrows}
+    for rep in families:
+        for name in rep.arrows:
+            arrow_uses[name] += 1
+    bad = sorted(n for n, c in arrow_uses.items() if c != 1)
+    if bad:
+        problems.append(
+            Problem("cycles", f"arrows not on exactly one vertex cycle: {', '.join(bad)}")
+        )
+    if problems:
+        return Validation(tuple(problems), None)
+
+    successor = {}
+    for rep in families:
+        successor.update(zip(rep.arrows, rep.arrows[1:] + rep.arrows[:1]))
+    for a in quiver.arrows:
+        for b in outs[a.target]:
+            on_cycle = successor[a.name] == b.name
+            if on_cycle == ((a.name, b.name) in quadratic):
+                where = (
+                    "lies on a vertex cycle but is declared zero"
+                    if on_cycle
+                    else "is off-cycle but has no zero relation"
+                )
+                problems.append(Problem("normal-form", f"composition {a.name} {b.name} {where}"))
+    if problems:
+        return Validation(tuple(problems), None)
+    cycle_families = tuple(sorted(families.items(), key=lambda it: path_sort_key(it[0])))
+    return Validation((), SSBPresentation(pres, tuple(descriptors), cycle_families))

@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product, zip_longest
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +46,7 @@ from quiveralg.brauer import (
 )
 from quiveralg.census import (
     _cycles_of,
+    _map_groups,
     canonical_presentation_key,
     connected_brauer_graphs,
     gentle_algebras,
@@ -209,6 +210,17 @@ def test_gentle_census_satisfies_the_orbit_counting_identity():
             checked += valid
     assert not on_quiver
     assert checked > GENTLE_COUNTS[(4, 6)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_top_arrow_count_has_the_odd_double_factorial_classes(n):
+    """The connected gentle algebras with n vertices and 2n - 1 arrows, the
+    most there can be, number (2n - 1)!! = 1, 3, 15, 105, 945, 10395: they
+    are the cuts of the one-vertex maps with n edges, one per rooting of
+    such a map up to isomorphism, and the rooted one-vertex maps are the
+    pairings of 2n points on a line.  Counted from the census groups of
+    those maps, without building an algebra."""
+    assert sum(count for count, _ in _map_groups(n, range(1, 2))) == prod(range(1, 2 * n, 2))
 
 
 # Six vertices and eleven arrows, named a0 to a10 as the quiver layer names

@@ -265,6 +265,12 @@ class TestCuts:
         assert (code, out) == (2, "")
         assert err == "vertex cycle (a b(a)) is uncut\n"
 
+    @pytest.mark.parametrize("names", ["a,", ",a", ",", "a,,b(a)"])
+    def test_empty_arrow_name_exit_two(self, capsys, files, names):
+        code, out, err = run(capsys, "cuts", "--cut", names, str(files["ta2"]))
+        assert (code, out) == (2, "")
+        assert err == f"empty arrow name in --cut {names!r}\n"
+
     def test_multiplicity_refused(self, capsys, files, tmp_path):
         e21_alg = tmp_path / "e21.alg"
         run(capsys, "convert", "--mode", "bg-to-alg", "--out", str(e21_alg), str(files["e21"]))

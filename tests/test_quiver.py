@@ -136,6 +136,27 @@ class TestRelationInvariants:
         # the same shapes with the right steps, and a declared vertex, pass
         Presentation(chain3, [Monomial(chain3.path(["a", "b"])), Bare(trivial_path("1"))])
 
+    def test_presentation_names_the_first_bad_path(self, chain3):
+        first = Path(("2", "2", "3"), ("a", "b"))  # wrong source
+        second = Path(("1", "1", "2"), ("a", "a"))  # wrong target
+        relations = [Monomial(chain3.path(["a", "b"])), Monomial(first), Monomial(second)]
+        with pytest.raises(ValueError) as raised:
+            Presentation(chain3, relations)
+        assert str(raised.value) == "relation path Path<a b> is not a path of the quiver"
+        with pytest.raises(ValueError) as raised:
+            Presentation(chain3, relations[:1] + relations[:0:-1])
+        assert str(raised.value) == "relation path Path<a a> is not a path of the quiver"
+
+    def test_relations_are_sorted_in_one_pass(self):
+        q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+        square, cube = Monomial(q.path(["x", "x"])), Monomial(q.path(["y", "y", "y"]))
+        swap = Binomial(q.path(["x", "y"]), q.path(["y", "x"]))
+        pres = Presentation(q, [cube, swap, square])
+        assert pres.monomials == (cube.path, square.path)
+        assert pres.binomials == (swap,)
+        assert pres.quadratic_monomials == frozenset({("x", "x")})
+        assert pres.long_monomials == (cube.path,)
+
 
 class TestTextFormat:
     def test_smallest_quiver(self):

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,14 +8,26 @@ from hypothesis import given, strategies as st
 from oracles import (
     brute_force_ssb_isomorphism,
     carries_bases,
+    reference_validate_ssb,
     relabel_presentation,
     ssb_isomorphisms,
 )
-from quiveralg.brauer import algebra_of, is_isomorphic
+from quiveralg.brauer import algebra_of, is_isomorphic, presentation_of
 from quiveralg.census import connected_brauer_graphs
 from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.errors import RotationError, ValidationError
-from quiveralg.quiver import Path, Quiver, parse_presentation
+from quiveralg.gentle import _is_special_biserial, validate_special_biserial
+from quiveralg.quiver import (
+    Binomial,
+    Monomial,
+    Path,
+    Presentation,
+    Quiver,
+    compose,
+    parse_presentation,
+    rotate,
+    serialize_presentation,
+)
 from quiveralg.ssb import (
     find_ssb_isomorphism,
     graph_of_ssb,
@@ -449,3 +462,116 @@ class TestIsomorphismCensus:
         for a, b in same_size:
             assert find_ssb_isomorphism(a, b) is None
             assert brute_force_ssb_isomorphism(a, b) is None
+
+
+def _mutations(g):
+    """The presentation of ``g``, and copies of it that break it in one
+    place each: one relation deleted (a quadratic zero relation among
+    them), one relation given twice, a zero relation added on a cycle
+    step, a quadratic zero relation moved to the other arrow after its
+    first, a socle relation with a power raised to the square, a zero
+    relation along three cycle steps, an arrow added beside another with a
+    commutativity relation between the two, and a vertex added apart."""
+    pres = presentation_of(g)
+    quiver, relations = pres.quiver, list(pres.relations)
+    yield pres
+    for i in range(len(relations)):
+        yield Presentation(quiver, relations[:i] + relations[i + 1 :])
+        yield Presentation(quiver, relations[: i + 1] + relations[i:])
+    cycle_step = {h: g.successor(h) for h in g.half_edges if not g.is_silent_leaf(h)}
+    for a, b in cycle_step.items():
+        yield Presentation(quiver, relations + [Monomial(quiver.path([a, b]))])
+        c = cycle_step.get(b)
+        if c is not None:
+            yield Presentation(quiver, relations + [Monomial(quiver.path([a, b, c]))])
+    for i, r in enumerate(relations):
+        if isinstance(r, Monomial) and len(r.path) == 2:
+            a, b = r.path.arrows
+            for other in quiver.arrows_from[quiver.arrow(a).target]:
+                if other.name != b:
+                    moved = Monomial(quiver.path([a, other.name]))
+                    yield Presentation(quiver, relations[:i] + [moved] + relations[i + 1 :])
+        squared = None
+        if isinstance(r, Binomial):
+            try:
+                squared = Binomial(compose(r.left, r.left), r.right)
+            except ValueError:
+                pass
+        elif len(r.path) > 2:
+            power = r.path.prefix(len(r.path) - 1)
+            squared = Monomial(compose(power, r.path))
+        if squared is not None:
+            yield Presentation(quiver, relations[:i] + [squared] + relations[i + 1 :])
+    for a in quiver.arrows:
+        beside = Quiver(quiver.vertices, [*quiver.arrows, ("x", a.source, a.target)])
+        twin = Binomial(beside.path(["x"]), beside.path([a.name]))
+        yield Presentation(beside, relations + [twin])
+    yield Presentation(Quiver([*quiver.vertices, "apart"], quiver.arrows), relations)
+
+
+def _findings(report):
+    return [(p.code, p.message) for p in report.problems]
+
+
+def test_validator_agrees_with_the_reference_validator():
+    """On the graphs with at most three edges and multiplicity three, their
+    presentations and every one-place break of them (see ``_mutations``),
+    and the presentations of the problem table, the validator gives the
+    problems of the reference validator, the worded checks alone, in the
+    same order; and the same algebra when it finds none."""
+    graphs = list(connected_brauer_graphs(3, 3))
+    assert len(graphs) == 312
+    corpus = [pres for g in graphs for pres in _mutations(g)]
+    corpus += [parse_presentation(text) for text, _ in PROBLEM_TABLE.values()]
+    codes_seen = Counter()
+    for pres in corpus:
+        report, reference = validate_ssb(pres), reference_validate_ssb(pres)
+        assert _findings(report) == _findings(reference), serialize_presentation(pres)
+        if report.ok:
+            assert report.algebra.projectives == reference.algebra.projectives
+            assert report.algebra.cycle_families == reference.algebra.cycle_families
+        codes_seen.update({p.code for p in report.problems} or {"accepted"})
+    # every check has failed somewhere, and most presentations are broken
+    assert set(codes_seen) == {
+        "accepted", "degenerate", "connected", "S1", "S2", "normal-form", "projectives", "cycles"
+    }
+    assert codes_seen["accepted"] < len(corpus) / 2
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_period_and_rotation_match_the_full_scans(length):
+    """Over every word of the given length on three loops, the least
+    period and the least rotation, read from the first letter and the
+    least letter where they can be, agree with the scans over every
+    divisor and every rotation."""
+    bouquet = Quiver(["v"], [("x", "v", "v"), ("y", "v", "v"), ("z", "v", "v")])
+    for word in product("xyz", repeat=length):
+        p = bouquet.path(word)
+        period = min(
+            d for d in range(1, length + 1) if length % d == 0 and word == word[:d] * (length // d)
+        )
+        dec = simple_cycle_decomposition(p)
+        assert (dec.primitive, dec.exponent) == (p.prefix(period), length // period)
+        least = min(range(length), key=lambda k: word[k:] + word[:k])
+        assert rotation_class(p) == rotate(p, least)
+
+
+def test_special_biserial_count_test_matches_the_worded_check():
+    """The count test that the validator runs first agrees with the worded
+    special-biserial check on every quiver with two vertices and at most
+    three arrows, under every set of length-two zero relations."""
+    ends = [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
+    checked = Counter()
+    for n_arrows in range(4):
+        for endpoints in combinations_with_replacement(ends, n_arrows):
+            quiver = Quiver(["1", "2"], [(f"a{i}", s, t) for i, (s, t) in enumerate(endpoints)])
+            pairs = [
+                (a.name, b.name) for a in quiver.arrows for b in quiver.arrows_from[a.target]
+            ]
+            for chosen in product((False, True), repeat=len(pairs)):
+                zero = [Monomial(quiver.path(pair)) for pair, on in zip(pairs, chosen) if on]
+                pres = Presentation(quiver, zero)
+                verdict = _is_special_biserial(pres)
+                assert verdict == (validate_special_biserial(pres) == [])
+                checked[verdict] += 1
+    assert checked[True] and checked[False]
