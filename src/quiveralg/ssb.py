@@ -34,6 +34,7 @@ from .quiver import (
     Problem,
     Validation,
     cached_property,
+    is_subpath,
     path_sort_key,
     rotate,
     trivial_path,
@@ -259,14 +260,18 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
             regular = False
         if len(b) < len(a) or len(b) == len(a) and (b, bt) < (a, at):
             first, second, a, b = second, first, b, a
-        based.setdefault(at[0], ProjectiveDescriptor(at[0], first, second))
+        based[at[0]] = ProjectiveDescriptor(at[0], first, second)
         firsts.add(a[0])
         firsts.add(b[0])
         lasts.add(a[-1])
         lasts.add(b[-1])
-    if longer and regular:
-        regular = all(
-            pres.path_is_nonzero_monomially(side) for r in binomials for side in (r.left, r.right)
+    if longer and regular:  # the sides avoid the long zero relations too
+        regular = not any(
+            is_subpath(m, side)
+            for r in binomials
+            for side in (r.left, r.right)
+            for m in longer
+            if len(m.arrows) <= len(side.arrows) and m.arrows[0] in side.arrows
         )
     if not regular:
         problems.extend(_irregular_sides(pres))
@@ -277,7 +282,7 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
     for w in socle_steps:
         v, word = w.vertices[0], w.arrows
         power = Path(w.vertices[:-1], word[:-1])
-        based.setdefault(v, ProjectiveDescriptor(v, power, trivial_path(v)))
+        based[v] = ProjectiveDescriptor(v, power, trivial_path(v))
         firsts.add(word[0])
         lasts.add(word[-2])
     if not len(based) == len(binomials) + len(socle_steps) == len(vertices):

@@ -292,6 +292,18 @@ PROBLEM_TABLE = {
         _line3(*_LINE3, "mono h4 h3"),
         [("normal-form", "composition h4 h3 lies on a vertex cycle but is declared zero")],
     ),
+    # both socle relations spell the one cycle a0 a3 a1 a3, which has as many
+    # letters as the quiver has arrows but misses a2 and passes a3 twice
+    "uncovered-arrows": (
+        "vertex 1\nvertex 2\narrow a0 2 1\narrow a1 2 1\narrow a2 1 2\narrow a3 1 2\n"
+        "rel mono a3 a0 a3 a1 a3\nrel mono a1 a3 a0 a3 a1\n"
+        + "".join(f"rel mono {p}\n" for p in ("a0 a2", "a1 a2", "a1 a3", "a2 a1", "a3 a0", "a3 a1")),
+        [
+            ("projectives", "cycles at '1' do not account for all arrows there"),
+            ("projectives", "cycles at '2' do not account for all arrows there"),
+            ("cycles", "arrows not on exactly one vertex cycle: a2, a3"),
+        ],
+    ),
     "off-cycle-nonzero": (
         _line3(*_LINE3[:3], "mono h1 h2", "mono h4 h3"),
         [
