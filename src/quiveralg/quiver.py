@@ -67,9 +67,9 @@ class Validation(Generic[_Algebra]):
         return not self.problems
 
 
-# The value classes below are frozen; their constructors are written out
-# and set the fields with ``object.__setattr__`` directly, which the
-# generated ``__init__`` and ``__post_init__`` would do with a second call.
+# The frozen value classes below write out their constructors: each checks
+# its arguments and sets its fields with ``object.__setattr__`` in one call,
+# where a generated ``__init__`` would call ``__post_init__`` as a second.
 _set = object.__setattr__
 
 
@@ -86,9 +86,6 @@ class Arrow:
 
     def is_loop(self) -> bool:
         return self.source == self.target
-
-
-_name = attrgetter("name")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -228,6 +225,8 @@ class Binomial:
 
 
 Relation = Union[Monomial, Binomial]
+
+_name = attrgetter("name")
 
 
 @dataclass(frozen=True)

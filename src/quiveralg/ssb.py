@@ -308,9 +308,15 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
             word = w.arrows
             if not word or power_from.get(word[0]) == word:
                 continue
-            n, period = len(word), _least_period(word)
+            # most words are primitive, with a least letter that occurs once
+            n = len(word)
+            period = n if word.count(word[0]) == 1 else _least_period(word)
             primitive = word[:period]
-            k = _least_rotation(primitive)
+            least = min(primitive)
+            if primitive.count(least) == 1:
+                k = primitive.index(least)
+            else:
+                k = _least_rotation(primitive)
             rep = primitive[k:] + primitive[:k]
             exponent = families.setdefault(rep, n // period)
             if exponent != n // period:
