@@ -56,6 +56,12 @@ place of the library's comparison of maximal words, and replaces its
 search; the Brauer census oracle shares the library's rooted-map codes and
 ``canonical_form`` and replaces only its orderly filter.
 
+The reference symmetric special biserial validator is the library's
+validator as it was before each of its checks was first decided by an
+exact test on arrow words: every check by its worded loop, cycles
+decomposed by scanning every period and every rotation, and the relations
+sorted by kind from the raw relation list.
+
 The remaining helpers serve the tests and check nothing by themselves: the
 census shapes one per class, presentation isomorphism by the library's key,
 and the renaming of a presentation.
