@@ -289,9 +289,9 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
         return Validation(_unbased_vertices(pres, socle_steps), None)
     descriptors = [based[v] for v in vertices]
 
-    # every maximal path at a vertex starts and ends there, and there are
-    # as many of them as arrows, so they account for the arrows at every
-    # vertex when no two share a first or a last arrow
+    # every maximal path at a vertex starts and ends there, so the paths
+    # account for the arrows at every vertex when there are as many of them
+    # as arrows and no two share a first or a last arrow
     n_arrows = len(arrows)
     if not 2 * len(binomials) + len(socle_steps) == len(firsts) == len(lasts) == n_arrows:
         problems.extend(_unaccounted_arrows(quiver, descriptors))
