@@ -173,31 +173,21 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
     compositions) is checked and reported rather than assumed.
 
     Every check is made once, in the same order as always, on arrow words.
-    Where a check has a test that decides it exactly without saying what
-    fails, that test comes first, and only when it fails is the check run
-    again in the form that words its problems.  So a presentation in normal
-    form passes no worded loop, and any other gets the same problems, in
-    the same order, as the worded checks alone would give:
-
-    * the special-biserial conditions, from the degrees and the zero pairs
-      (:func:`~quiveralg.gentle._is_special_biserial`);
-    * the sides of the binomials, cycles free of zero relations, in one
-      pass that also orders each binomial's sides into its descriptor;
-    * one socle relation per vertex, from the number of vertices the
-      relations are based at;
-    * the first and last arrows of the maximal paths: every such path at a
-      vertex starts and ends there, so they account for the arrows at every
-      vertex exactly when the first arrows, and the last arrows, are the
-      quiver's arrows, each once;
-    * the vertex cycles: a path that spells a known power read from its
-      first arrow has that cycle and exponent, and only the others are
-      decomposed, the least period and the least rotation read from the
-      first and the least letter where they can be; each arrow is on
-      exactly one cycle when the cycles have as many letters, all told, as
-      the quiver has arrows, and that many arrows lie on them;
-    * the zero pairs: with at most one allowed successor per arrow (the
-      special-biserial conditions), they sit exactly at the out-of-cycle
-      compositions when no step of a cycle is one.
+    Where a check has a test that decides it exactly without naming what
+    fails, that test comes first, and the worded form of the check runs
+    only when the test fails; so a presentation in normal form passes no
+    worded loop, and any other gets the problems, in the order, that the
+    worded checks alone would give.  The tests: the special-biserial
+    conditions from the degrees and the zero pairs
+    (:func:`~quiveralg.gentle._is_special_biserial`); the binomial sides as
+    cycles free of zero pairs; one socle relation per vertex from the
+    number of base vertices; the first and the last arrows
+    of the maximal paths, which start and end at their vertex, as many as
+    the arrows and all distinct; each arrow on exactly one cycle from the
+    cycles' letter count and the arrows they pass; and, with at most one
+    allowed successor per arrow, the zero pairs from the cycle steps.  A
+    cycle is decomposed once: a later path that spells its known power
+    from the path's first arrow has its cycle and exponent.
     """
     quiver = pres.quiver
     vertices, arrows = quiver.vertices, quiver.arrows
