@@ -286,8 +286,6 @@ def presentation_of(g: BrauerGraph) -> Presentation:
 
 def algebra_of(g: BrauerGraph):
     """The Brauer graph algebra packaged as a normalized biserial presentation."""
-    from .ssb import ssb_presentation
-
     return ssb_presentation(presentation_of(g))
 
 
@@ -500,3 +498,10 @@ def brauer_graph_dot(g: BrauerGraph) -> str:
         lines.append(f'  "{vertex_of[h]}" -- "{vertex_of[k]}" [label="{e}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ssb imports BrauerGraph and discovery_code from this module, so this
+# import comes last, once they are defined.  The package imports this
+# module before ssb, so a first import of either module ends here, with
+# ssb loaded in full before this module finishes.
+from .ssb import ssb_presentation  # noqa: E402

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import CuttingSetError, MultiplicityError
 from .gentle import GentleAlgebra, gentle_algebra
-from .quiver import Monomial, Path, Presentation, Quiver
+from .quiver import Presentation, Quiver
 from .ssb import SSBPresentation, is_isomorphic_ssb
 from .trivext import trivial_extension
 
@@ -57,14 +57,21 @@ def enumerate_cutting_sets(ssb: SSBPresentation) -> list[CuttingSet]:
     )
 
 
-def _check_cutting_set(ssb: SSBPresentation, cut: CuttingSet) -> None:
-    cycles = vertex_cycles(ssb)
+def _check_cutting_set(cycles: list[tuple[str, ...]], removed: set[str]) -> None:
+    """Raise unless ``removed`` takes exactly one arrow from every cycle.
+
+    The cycles partition the arrows, so this holds exactly when there are
+    as many arrows as cycles and no cycle misses them all; the worded
+    checks run only when that test fails, and name the first fault.
+    """
+    if len(removed) == len(cycles) and not any(removed.isdisjoint(c) for c in cycles):
+        return
     on_cycles = {a for cycle in cycles for a in cycle}
-    stray = sorted(set(cut.arrows) - on_cycles)
+    stray = sorted(removed - on_cycles)
     if stray:
         raise CuttingSetError(f"arrows not on any vertex cycle: {', '.join(stray)}")
     for cycle in cycles:
-        hits = [a for a in cycle if a in cut]
+        hits = [a for a in cycle if a in removed]
         if len(hits) != 1:
             word = " ".join(cycle)
             verb = "uncut" if not hits else f"cut {len(hits)} times"
@@ -72,22 +79,29 @@ def _check_cutting_set(ssb: SSBPresentation, cut: CuttingSet) -> None:
 
 
 def admissible_cut(ssb: SSBPresentation, cut: CuttingSet) -> GentleAlgebra:
-    """Delete the cutting set; the survivors present a gentle algebra."""
-    exponents = [exp for _, exp in ssb.cycle_families]
-    if any(e != 1 for e in exponents):
+    """Delete the cutting set; the survivors present a gentle algebra.
+
+    The cutting set is checked against the vertex cycles, the surviving
+    quiver and the surviving quadratic zero relations (the algebra's own,
+    in arrow-word order: :attr:`SSBPresentation.quadratic_relations`) are
+    built through their checking constructors, and the cut is validated as
+    gentle, on every call: the statement that every cut is gentle rests on
+    that validation, which decides it by counts
+    (:func:`~quiveralg.gentle.validate_gentle`).
+    """
+    if any(e != 1 for _, e in ssb.cycle_families):
         raise MultiplicityError("cutting requires multiplicity one at every graph vertex")
-    _check_cutting_set(ssb, cut)
-    quiver = ssb.quiver
     removed = set(cut.arrows)
+    _check_cutting_set(vertex_cycles(ssb), removed)
+    quiver = ssb.quiver
     remaining = Quiver(
         quiver.vertices,
         [a for a in quiver.arrows if a.name not in removed],
     )
-    arrow = quiver.arrow_map  # Presentation checks each relation path
-    relations = [
-        Monomial(Path((arrow[a].source, arrow[a].target, arrow[b].target), (a, b)))
-        for a, b in sorted(ssb.presentation.quadratic_monomials)
-        if a not in removed and b not in removed
+    relations = [  # Presentation checks each relation path
+        r
+        for r in ssb.quadratic_relations
+        if r.path.arrows[0] not in removed and r.path.arrows[1] not in removed
     ]
     return gentle_algebra(Presentation(remaining, relations))
 

@@ -3,7 +3,12 @@
 Gentle algebras are presented by a quiver with only quadratic monomial
 relations, subject to the local conditions: at most two arrows in and out of
 every vertex, at most one allowed continuation and one forbidden
-continuation on either side of every arrow.  On a validated presentation
+continuation on either side of every arrow.  The validator decides these
+conditions by counts: the degrees, the zero pairs that start and end with
+each arrow, one walk along the allowed successors that both rules out
+relation-free cycles and yields the maximal paths, and the number of
+maximal-path slots at each vertex; the worded checks run only on a
+presentation that fails, to name its problems.  On a validated presentation
 this module computes the maximal paths, the extended maximal-path set used
 by the trivial-extension construction, the nonzero paths (enumerated once
 per algebra, by extending each path with the allowed successors of its last
@@ -17,7 +22,6 @@ their equality with the socle is a checkable fact rather than a definition.
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -27,7 +31,6 @@ from .quiver import (
     Path,
     Presentation,
     Problem,
-    Quiver,
     Validation,
     cached_property,
     path_sort_key,
@@ -82,9 +85,11 @@ class GentleAlgebra:
 
     @cached_property
     def return_arrow_names(self) -> dict[Path, str]:
-        """Names for the return arrows of the trivial extension, one per
-        nontrivial maximal path, computed once per algebra; see
-        :func:`~quiveralg.trivext.return_arrow_names`.  Not to be modified."""
+        """Deterministic names for the return arrows of the trivial
+        extension, one per nontrivial maximal path, computed once per
+        algebra: each is derived from its path's arrow word, and prefixed
+        defensively in the unlikely event that it collides with an arrow
+        name.  The dict is shared, so callers must not modify it."""
         taken = {a.name for a in self.quiver.arrows}
         names: dict[Path, str] = {}
         for m in sorted(self.maximal_paths, key=path_sort_key):
@@ -169,33 +174,6 @@ def _special_biserial(
     return problems, after, before
 
 
-def _has_relation_free_cycle(quiver: Quiver, zero: Collection[tuple[str, str]]) -> bool:
-    """Detect an oriented cycle of arrows all of whose steps avoid ``zero``,
-    the length-two zero relations as pairs of arrow names.
-
-    Such a cycle supports arbitrarily long nonzero paths, i.e. an
-    infinite-dimensional algebra.  DFS over the allowed-successor graph on
-    arrows (three-color marking).  Takes the raw pairs so that the census
-    can drop a relation choice before building its presentation.
-    """
-    color: dict[str, int] = {}
-
-    def dfs(arrow: Arrow) -> bool:
-        color[arrow.name] = 1
-        for nxt in quiver.arrows_from[arrow.target]:
-            if (arrow.name, nxt.name) in zero:
-                continue
-            c = color.get(nxt.name, 0)
-            if c == 1:
-                return True
-            if c == 0 and dfs(nxt):
-                return True
-        color[arrow.name] = 2
-        return False
-
-    return any(color.get(a.name, 0) == 0 and dfs(a) for a in quiver.arrows)
-
-
 def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     """Full gentle validation; on success the returned report carries the algebra.
 
@@ -204,7 +182,92 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     (infinite-dimensional algebras), disconnected quivers, and the two
     degenerate algebras: the empty quiver and the one-vertex, zero-arrow
     quiver.
+
+    Every check is decided first by counts (:func:`_gentle_by_counts`):
+    only quadratic monomials; at most one forbidden successor and
+    predecessor per arrow, from the zero pairs; at most one allowed one,
+    from the degrees; degrees at most two; one walk along the allowed
+    successors, which covers every arrow exactly when no cycle avoids the
+    relations, and gives the maximal paths; two maximal-path slots at every
+    vertex, counted; and connectivity.  Only when that test fails do the
+    worded checks run, and they give the problems, in the order and with
+    the messages they always have.
     """
+    algebra = _gentle_by_counts(pres)
+    if algebra is not None:
+        return Validation((), algebra)
+    return _worded_validation(pres)
+
+
+def _gentle_by_counts(pres: Presentation) -> GentleAlgebra | None:
+    """The algebra when every check of :func:`validate_gentle` passes, and
+    None otherwise, decided without naming what fails.
+
+    Every relation path is a path of the quiver, so a zero pair ``(a, b)``
+    has ``b`` among the arrows out of the target of ``a``: the forbidden
+    successors of ``a`` are the zero pairs that start with it, and its
+    allowed ones the other arrows out of its target; likewise for
+    predecessors.  With at most one allowed successor and one allowed
+    predecessor per arrow, the chains that start at the arrows with no
+    allowed predecessor are disjoint and cover every arrow exactly when no
+    cycle avoids the relations; they are the maximal paths.  A vertex then
+    lies on as many maximal-path slots as there are chains starting at it
+    and arrows ending at it, plus one if its trivial path is maximal.
+    """
+    quiver = pres.quiver
+    vertices, arrows = quiver.vertices, quiver.arrows
+    if len(vertices) < 2 and not arrows:  # empty, or the ground field
+        return None
+    if pres.long_monomials or len(pres.monomials) != len(pres.relations):
+        return None  # a binomial or a monomial of length other than two
+    zero = pres.quadratic_monomials
+    banned_after = dict(zero)
+    banned_before = {b: a for a, b in zero}
+    if not len(banned_after) == len(banned_before) == len(zero):
+        return None  # an arrow with two forbidden successors or predecessors
+    outs, ins = quiver.arrows_from, quiver.arrows_into
+    successor: dict[str, Arrow] = {}  # the allowed successor, by arrow name
+    starts: list[Arrow] = []  # the arrows with no allowed predecessor
+    for a in arrows:
+        name, after = a.name, outs[a.target]
+        if len(after) == 2:
+            banned = banned_after.get(name)
+            if banned is None:
+                return None  # two allowed successors
+            successor[name] = after[1] if after[0].name == banned else after[0]
+        elif after and after[0].name != banned_after.get(name):
+            successor[name] = after[0]
+        before = len(ins[a.source]) - (name in banned_before)
+        if not before:
+            starts.append(a)
+        elif before > 1:
+            return None
+    maximal = _maximal_path_chains(starts, successor, len(arrows))
+    if maximal is None:
+        return None
+    starts_at = dict.fromkeys(vertices, 0)
+    for a in starts:
+        starts_at[a.source] += 1
+    trivial = []
+    for v in vertices:
+        into, out = ins[v], outs[v]
+        if len(into) > 2 or len(out) > 2:
+            return None
+        gets = len(into) + len(out) == 1 or (
+            len(into) == len(out) == 1 and (into[0].name, out[0].name) not in zero
+        )
+        if len(into) + starts_at[v] + gets != 2:
+            return None
+        if gets:
+            trivial.append(trivial_path(v))
+    if not quiver.is_connected():
+        return None
+    return GentleAlgebra(pres, maximal, maximal + tuple(trivial))
+
+
+def _worded_validation(pres: Presentation) -> Validation[GentleAlgebra]:
+    """Every check of :func:`validate_gentle` by its worded loop, with the
+    problems in their order."""
     problems: list[Problem] = []
     quiver = pres.quiver
     if not quiver.vertices:
@@ -239,19 +302,21 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
             problems.append(
                 Problem("S4", f"arrow {a.name!r} has several forbidden predecessors")
             )
+    if problems:
+        return Validation(tuple(problems), None)
 
-    if not problems and _has_relation_free_cycle(quiver, pres.quadratic_monomials):
+    successor = {name: succ[0] for name, succ in after.items() if succ}
+    starts = [a for a in quiver.arrows if not before[a.name]]
+    maximal = _maximal_path_chains(starts, successor, len(quiver.arrows))
+    if maximal is None:
         problems.append(
             Problem(
                 "finite",
                 "an oriented cycle avoids all relations; the algebra is infinite-dimensional",
             )
         )
-
-    if problems:
         return Validation(tuple(problems), None)
 
-    maximal = _maximal_path_chains(quiver, after, before)
     extended = maximal + tuple(
         trivial_path(v) for v in quiver.vertices if _gets_trivial_maximal(pres, v)
     )
@@ -278,31 +343,33 @@ def gentle_algebra(pres: Presentation) -> GentleAlgebra:
 
 
 def _maximal_path_chains(
-    quiver: Quiver, after: dict[str, list[Arrow]], before: dict[str, list[Arrow]]
-) -> tuple[Path, ...]:
+    starts: list[Arrow], successor: dict[str, Arrow], n_arrows: int
+) -> tuple[Path, ...] | None:
     """Maximal paths as the chains of the allowed-successor map on arrows,
-    given each arrow's allowed successors and predecessors by name.
+    in :func:`path_sort_key` order, from the arrows with no allowed
+    predecessor; None when the chains miss one of the ``n_arrows`` arrows,
+    which then lies on an oriented cycle that avoids the relations.
 
-    After gentle validation each arrow has at most one allowed successor and
-    predecessor and the successor graph is acyclic, so the arrows decompose
-    into disjoint chains; each chain, read in order, is one maximal path.
+    With at most one allowed successor and predecessor per arrow, the
+    chains are disjoint; each, read in order, is one maximal path.  Each
+    step is taken from ``successor`` once, and removed, so that the walk
+    ends on any map.
     """
-    starts = [a for a in quiver.arrows if not before[a.name]]
-    chains: list[Path] = []
-    used: set[str] = set()
-    for start in starts:
-        chain = [start]
-        while after[chain[-1].name]:
-            chain.append(after[chain[-1].name][0])
-        names = tuple(a.name for a in chain)
-        used.update(names)
-        chains.append(Path((start.source, *(a.target for a in chain)), names))
-    leftover = [a.name for a in quiver.arrows if a.name not in used]
-    if leftover:  # pragma: no cover - excluded by the relation-free cycle check
-        raise ValidationError(
-            [Problem("finite", f"arrows {leftover} lie on a relation-free cycle")]
-        )
-    return tuple(sorted(chains, key=path_sort_key))
+    chains = []
+    covered = 0
+    for a in starts:
+        names, itinerary = [a.name], [a.source, a.target]
+        b = successor.pop(a.name, None)
+        while b is not None:
+            names.append(b.name)
+            itinerary.append(b.target)
+            b = successor.pop(b.name, None)
+        covered += len(names)
+        chains.append((len(names), tuple(names), tuple(itinerary)))
+    if covered != n_arrows:
+        return None
+    chains.sort()  # path_sort_key order
+    return tuple([Path(itinerary, names) for _, names, itinerary in chains])
 
 
 def _gets_trivial_maximal(pres: Presentation, v: str) -> bool:

@@ -35,7 +35,6 @@ from .quiver import (
     Validation,
     cached_property,
     is_subpath,
-    path_sort_key,
     rotate,
     trivial_path,
 )
@@ -92,6 +91,18 @@ class SSBPresentation:
         return sum(projective_dimension(self, v) for v in self.quiver.vertices)
 
     @cached_property
+    def quadratic_relations(self) -> tuple[Monomial, ...]:
+        """The length-two zero relations, once each, in the order of their
+        arrow words; every admissible cut of the algebra keeps those on its
+        surviving arrows, so an algebra cut many times sorts them once."""
+        by_word = {
+            r.path.arrows: r
+            for r in self.presentation.relations
+            if isinstance(r, Monomial) and len(r.path.arrows) == 2
+        }
+        return tuple([by_word[word] for word in sorted(by_word)])
+
+    @cached_property
     def arrow_codes(self) -> tuple[tuple[tuple, list[str]], ...]:
         """Per arrow in name order, its discovery code and order (see
         :func:`find_ssb_isomorphism`); an algebra compared with many others
@@ -132,16 +143,6 @@ def simple_cycle_decomposition(p: Path) -> SimpleCycleDecomp:
         raise RotationError(f"{p!r} is not a nontrivial cycle")
     d = _least_period(p.arrows)
     return SimpleCycleDecomp(Path(p.vertices[: d + 1], p.arrows[:d]), len(p.arrows) // d)
-
-
-def p_cycle(p: Path) -> tuple[str, ...]:
-    """Source vertices of the arrows of the simple cycle underlying ``p``.
-
-    Trivial maximal paths are allowed and give the one-entry sequence.
-    """
-    if p.is_trivial():
-        return (p.source,)
-    return simple_cycle_decomposition(p).primitive.vertices[:-1]
 
 
 def rotation_class(p: Path) -> Path:
@@ -446,19 +447,31 @@ def ssb_presentation(pres: Presentation) -> SSBPresentation:
 
 
 def projective_basis(ssb: SSBPresentation, vertex: str) -> tuple[Path, ...]:
-    """Explicit basis of the projective at ``vertex``.
+    """Explicit basis of the projective at ``vertex``, in
+    :func:`~quiveralg.quiver.path_sort_key` order.
 
     The trivial path, the proper prefixes of both cycles, and one canonical
     representative of the socle (the two full cycles are identified in the
     algebra, so only the smaller one is listed); the length of the result is
-    the dimension of the projective.
+    the dimension of the projective.  The basis is written out by length,
+    one ``Path`` per element and no sort: the two cycles start with distinct
+    arrows, so at every length the prefix of the cycle with the smaller
+    first arrow comes first, and on a tie in length that cycle is the socle.
     """
     d = ssb.projective_at[vertex]
-    basis = [trivial_path(vertex)]  # the two cycles start with distinct arrows
-    for w in d.paths():
-        basis.extend(w.prefix(k) for k in range(1, len(w)))
-    basis.append(min(d.paths(), key=path_sort_key) if not d.is_uniserial() else d.first)
-    return tuple(sorted(basis, key=path_sort_key))
+    a, b = d.first, d.second
+    if b.arrows and b.arrows[0] < a.arrows[0]:
+        a, b = b, a
+    a_is_socle = not b.arrows or len(a.arrows) <= len(b.arrows)
+    last_a = len(a.arrows) - (not a_is_socle)  # the longest element from each
+    last_b = len(b.arrows) - a_is_socle
+    basis = [trivial_path(vertex)]
+    for k in range(1, max(last_a, last_b) + 1):
+        if k <= last_a:
+            basis.append(Path(a.vertices[: k + 1], a.arrows[:k]))
+        if k <= last_b:
+            basis.append(Path(b.vertices[: k + 1], b.arrows[:k]))
+    return tuple(basis)
 
 
 def projective_dimension(ssb: SSBPresentation, vertex: str) -> int:

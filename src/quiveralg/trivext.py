@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from .brauer import BrauerGraph, algebra_of
 from .errors import InconsistencyError
-from .gentle import GentleAlgebra, _gets_trivial_maximal, vertex_occurrences
-from .quiver import Path, Quiver, path_sort_key, trivial_path
+from .gentle import GentleAlgebra, _gets_trivial_maximal
+from .quiver import Path, Quiver
 from .ssb import SSBPresentation
 
 
@@ -46,17 +46,6 @@ def _station_name(m: Path) -> str:
     return f"m({'.'.join(m.arrows)})"
 
 
-def return_arrow_names(algebra: GentleAlgebra) -> dict[Path, str]:
-    """Deterministic names for the new arrows, one per nontrivial maximal path.
-
-    Derived from the path's arrow word; suffixed defensively in the unlikely
-    event a user-chosen arrow name collides.  Computed once per algebra
-    (:attr:`GentleAlgebra.return_arrow_names`); the dict is shared, so
-    callers must not modify it.
-    """
-    return algebra.return_arrow_names
-
-
 def _leaf_germ_names(algebra: GentleAlgebra, taken: set[str]) -> dict[str, str]:
     names = {}
     for m in algebra.extended_maximal_paths:
@@ -76,39 +65,42 @@ def graph_of_gentle(algebra: GentleAlgebra) -> GentleGraph:
     induce: slot ``k`` on a nontrivial maximal path is the path's ``k``-th
     arrow, the last slot is the return arrow, and the single germ of a
     trivial maximal path is silent.  One maximal path visiting a quiver
-    vertex twice yields a loop.
+    vertex twice yields a loop.  The germs of every path are written out
+    once; read with the paths in :func:`~quiveralg.quiver.path_sort_key`
+    order, they give each edge its two germs in order.
     """
-    betas = return_arrow_names(algebra)
+    betas = algebra.return_arrow_names
     taken = {a.name for a in algebra.quiver.arrows} | set(betas.values())
     leaf_names = _leaf_germ_names(algebra, taken)
-
-    def germ(m: Path, slot: int) -> str:
-        if m.is_trivial():
-            return leaf_names[m.source]
-        if slot < len(m.arrows):
-            return m.arrows[slot]
-        return betas[m]
-
-    multiplicities = {_station_name(m): 1 for m in algebra.extended_maximal_paths}
-    rotations = {
-        _station_name(m): tuple(germ(m, k) for k in range(len(m.arrows) + 1))
-        for m in algebra.extended_maximal_paths
-    }
-    edges: dict[str, tuple[str, str]] = {}
-    for v, occ in vertex_occurrences(algebra).items():
-        (m1, k1), (m2, k2) = sorted(occ, key=lambda it: (path_sort_key(it[0]), it[1]))
-        edges[v] = (germ(m1, k1), germ(m2, k2))
-    graph = BrauerGraph(multiplicities, edges, rotations)
+    rotations: dict[str, tuple[str, ...]] = {}
+    labels: list[tuple[str, Path]] = []
+    slots = []  # path_sort_key of each maximal path, with its germs
+    for m in algebra.extended_maximal_paths:
+        station = _station_name(m)
+        if m.arrows:
+            germs = m.arrows + (betas[m],)
+        else:
+            germs = (leaf_names[m.source],)
+        rotations[station] = germs
+        labels.append((station, m))
+        slots.append((len(m.arrows), m.arrows, m.vertices, germs))
+    slots.sort()
+    at: dict[str, list[str]] = {v: [] for v in algebra.quiver.vertices}
+    for _, _, itinerary, germs in slots:
+        for v, germ in zip(itinerary, germs):
+            at[v].append(germ)
+    edges = {v: (g1, g2) for v, (g1, g2) in at.items()}
+    graph = BrauerGraph(dict.fromkeys(rotations, 1), edges, rotations)
     return GentleGraph(
         graph,
-        tuple(sorted((_station_name(m), m) for m in algebra.extended_maximal_paths)),
+        tuple(sorted(labels)),
         tuple((v, v) for v in algebra.quiver.vertices),
     )
 
 
 def extended_quiver(algebra: GentleAlgebra) -> Quiver:
     """The original quiver plus one return arrow per nontrivial maximal path."""
-    return _with_return_arrows(algebra, return_arrow_names(algebra))
+    return _with_return_arrows(algebra, algebra.return_arrow_names)
 
 
 def _with_return_arrows(algebra: GentleAlgebra, betas: dict[Path, str]) -> Quiver:
@@ -148,34 +140,36 @@ def projectives_oracle(algebra: GentleAlgebra, vertex: str) -> tuple[Path, ...]:
     trivial paths count as maximal rather than reusing the cached extended
     set), the glued cycle is ``r * return(m) * q``; the basis consists of
     the trivial path, the proper prefixes of the one or two glued cycles,
-    and the socle.  Must agree with
-    :func:`~quiveralg.ssb.projective_basis` on
+    and the socle.  Each basis element is first a key ``(length, arrow
+    word, itinerary)``, which is :func:`~quiveralg.quiver.path_sort_key` of
+    its path.  The keys are distinct, since the glued cycles start with
+    distinct arrows (the maximal paths partition the arrows, and each has
+    its own return arrow); they are sorted once, and one ``Path`` is built
+    per key.  Must agree with :func:`~quiveralg.ssb.projective_basis` on
     :func:`trivial_extension` at every vertex.
     """
-    occurrences: list[tuple[Path, int] | None] = []
+    betas = algebra.return_arrow_names
+    keys = [(0, (), (vertex,))]
+    socle = None  # the key of the smallest glued cycle
+    count = _gets_trivial_maximal(algebra.presentation, vertex)
     for m in algebra.maximal_paths:
-        for slot, v in enumerate(m.vertices):
-            if v == vertex:
-                occurrences.append((m, slot))
-    if _gets_trivial_maximal(algebra.presentation, vertex):
-        occurrences.append(None)
-    if len(occurrences) != 2:
-        raise InconsistencyError(
-            f"vertex {vertex!r} lies on {len(occurrences)} maximal-path slots"
-        )
-
-    betas = return_arrow_names(algebra)
-
-    def glued(m: Path, slot: int) -> Path:
-        vertices = m.vertices[slot:] + m.vertices[: slot + 1]
-        arrows = m.arrows[slot:] + (betas[m],) + m.arrows[:slot]
-        return Path(vertices, arrows)
-
-    cycles = [glued(*occ) for occ in occurrences if occ is not None]
-    basis: set[Path] = {trivial_path(vertex)}
-    for w in cycles:
-        for k in range(1, len(w.arrows)):
-            basis.add(w.prefix(k))
-    basis.add(min(cycles, key=path_sort_key))
-    return tuple(sorted(basis, key=path_sort_key))
-
+        vertices = m.vertices
+        if vertex not in vertices:
+            continue
+        arrows = m.arrows
+        for slot, v in enumerate(vertices):
+            if v != vertex:
+                continue
+            count += 1
+            itinerary = vertices[slot:] + vertices[: slot + 1]
+            word = arrows[slot:] + (betas[m],) + arrows[:slot]
+            for k in range(1, len(word)):
+                keys.append((k, word[:k], itinerary[: k + 1]))
+            key = (len(word), word, itinerary)
+            if socle is None or key < socle:
+                socle = key
+    if count != 2:
+        raise InconsistencyError(f"vertex {vertex!r} lies on {count} maximal-path slots")
+    keys.append(socle)
+    keys.sort()
+    return tuple([Path(itinerary, word) for _, word, itinerary in keys])

@@ -60,11 +60,18 @@ The reference symmetric special biserial validator is the library's
 validator as it was before each of its checks was first decided by an
 exact test on arrow words: every check by its worded loop, cycles
 decomposed by scanning every period and every rotation, and the relations
-sorted by kind from the raw relation list.
+sorted by kind from the raw relation list.  Likewise the reference gentle
+validator is the library's validator as it was before it decided
+gentleness by counts, with its DFS for relation-free cycles, and the two
+reference projective bases are the library's builds as they were before
+their keys, one ``Path`` per prefix sorted by ``path_sort_key``; they read
+the library's maximal paths, return-arrow names and projective
+descriptors, and are compared with the builds that replaced them.
 
 The remaining helpers serve the tests and check nothing by themselves: the
 census shapes one per class, presentation isomorphism by the library's key,
-and the renaming of a presentation.
+the renaming of a presentation, and the source vertices of a cycle's
+simple cycle (``p_cycle``).
 """
 
 from __future__ import annotations
@@ -84,9 +91,10 @@ from quiveralg.census import (
 )
 from quiveralg.gentle import (
     GentleAlgebra,
-    _has_relation_free_cycle,
+    _gets_trivial_maximal,
     validate_gentle,
     validate_special_biserial,
+    vertex_occurrences,
 )
 from quiveralg.quiver import (
     Binomial,
@@ -102,7 +110,7 @@ from quiveralg.quiver import (
     rotate,
     trivial_path,
 )
-from quiveralg.ssb import ProjectiveDescriptor, SSBPresentation
+from quiveralg.ssb import ProjectiveDescriptor, SSBPresentation, simple_cycle_decomposition
 
 
 class _UnionFind:
@@ -676,6 +684,29 @@ def gentle_quivers(
             yield quiver, perms
 
 
+def _has_relation_free_cycle(quiver: Quiver, zero) -> bool:
+    """Whether an oriented cycle of arrows avoids ``zero``, the length-two
+    zero relations as pairs of arrow names: DFS over the allowed-successor
+    graph on arrows (three-color marking), on the raw pairs, so that a
+    relation choice is dropped before its presentation is built."""
+    color: dict[str, int] = {}
+
+    def dfs(arrow) -> bool:
+        color[arrow.name] = 1
+        for nxt in quiver.arrows_from[arrow.target]:
+            if (arrow.name, nxt.name) in zero:
+                continue
+            c = color.get(nxt.name, 0)
+            if c == 1:
+                return True
+            if c == 0 and dfs(nxt):
+                return True
+        color[arrow.name] = 2
+        return False
+
+    return any(color.get(a.name, 0) == 0 and dfs(a) for a in quiver.arrows)
+
+
 def reference_gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebra]:
     """All gentle algebras within the bounds, one per isomorphism class, by
     the quiver layer and an orderly relation layer.
@@ -1038,3 +1069,120 @@ def reference_validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
         return Validation(tuple(problems), None)
     cycle_families = tuple(sorted(families.items(), key=lambda it: path_sort_key(it[0])))
     return Validation((), SSBPresentation(pres, tuple(descriptors), cycle_families))
+
+
+def reference_validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
+    """The gentle validator as it was before it decided gentleness by
+    counts: every check by its worded loop, the relation-free cycles by a
+    DFS over the allowed successors, the maximal paths as the chains of
+    the allowed-successor map, and the maximal-path slots of every vertex
+    counted on the built algebra."""
+    problems: list[Problem] = []
+    quiver = pres.quiver
+    if not quiver.vertices:
+        problems.append(Problem("degenerate", "empty quiver"))
+    elif len(quiver.vertices) == 1 and not quiver.arrows:
+        problems.append(Problem("degenerate", "one vertex and no arrows (the ground field)"))
+    if quiver.vertices and not quiver.is_connected():
+        problems.append(Problem("connected", "quiver is not connected"))
+    for r in pres.relations:
+        if isinstance(r, Monomial):
+            if len(r.path) != 2:
+                problems.append(
+                    Problem("S3", f"monomial relation {r.path.label()!r} has length != 2")
+                )
+        else:
+            problems.append(
+                Problem("S3", f"binomial relation {r!r} is not allowed in a gentle presentation")
+            )
+    problems.extend(validate_special_biserial(pres))
+    monomials = [r.path for r in pres.relations if isinstance(r, Monomial)]
+    zero = {p.arrows for p in monomials if len(p) == 2}
+    arrows, outs, ins = quiver.arrows, quiver.arrows_from, quiver.arrows_into
+    after = {a.name: [b for b in outs[a.target] if (a.name, b.name) not in zero] for a in arrows}
+    before = {a.name: [b for b in ins[a.source] if (b.name, a.name) not in zero] for a in arrows}
+    for a in quiver.arrows:
+        if len(outs[a.target]) - len(after[a.name]) > 1:
+            problems.append(Problem("S4", f"arrow {a.name!r} has several forbidden successors"))
+        if len(ins[a.source]) - len(before[a.name]) > 1:
+            problems.append(Problem("S4", f"arrow {a.name!r} has several forbidden predecessors"))
+    if not problems and _has_relation_free_cycle(quiver, zero):
+        problems.append(
+            Problem(
+                "finite",
+                "an oriented cycle avoids all relations; the algebra is infinite-dimensional",
+            )
+        )
+    if problems:
+        return Validation(tuple(problems), None)
+
+    chains = []
+    for start in (a for a in quiver.arrows if not before[a.name]):
+        chain = [start]
+        while after[chain[-1].name]:
+            chain.append(after[chain[-1].name][0])
+        names = tuple(a.name for a in chain)
+        chains.append(Path((start.source, *(a.target for a in chain)), names))
+    maximal = tuple(sorted(chains, key=path_sort_key))
+    extended = maximal + tuple(
+        trivial_path(v) for v in quiver.vertices if _gets_trivial_maximal(pres, v)
+    )
+    algebra = GentleAlgebra(pres, maximal, extended)
+    for v, occ in vertex_occurrences(algebra).items():
+        if len(occ) != 2:
+            problems.append(
+                Problem(
+                    "occurrences",
+                    f"vertex {v!r} lies on {len(occ)} maximal-path slots instead of 2",
+                )
+            )
+    if problems:
+        return Validation(tuple(problems), None)
+    return Validation((), algebra)
+
+
+def reference_projectives_oracle(algebra: GentleAlgebra, vertex: str) -> tuple[Path, ...]:
+    """The glued projective basis at ``vertex`` as it was built before its
+    keys: a ``Path`` per prefix of each glued cycle, in a set, sorted by
+    ``path_sort_key``."""
+    occurrences = []
+    for m in algebra.maximal_paths:
+        for slot, v in enumerate(m.vertices):
+            if v == vertex:
+                occurrences.append((m, slot))
+    if _gets_trivial_maximal(algebra.presentation, vertex):
+        occurrences.append(None)
+    assert len(occurrences) == 2
+    betas = algebra.return_arrow_names
+
+    def glued(m: Path, slot: int) -> Path:
+        vertices = m.vertices[slot:] + m.vertices[: slot + 1]
+        arrows = m.arrows[slot:] + (betas[m],) + m.arrows[:slot]
+        return Path(vertices, arrows)
+
+    cycles = [glued(*occ) for occ in occurrences if occ is not None]
+    basis: set[Path] = {trivial_path(vertex)}
+    for w in cycles:
+        for k in range(1, len(w.arrows)):
+            basis.add(w.prefix(k))
+    basis.add(min(cycles, key=path_sort_key))
+    return tuple(sorted(basis, key=path_sort_key))
+
+
+def reference_projective_basis(ssb: SSBPresentation, vertex: str) -> tuple[Path, ...]:
+    """The projective basis at ``vertex`` as it was built before its keys:
+    a ``Path`` per prefix of each maximal path, sorted by ``path_sort_key``."""
+    d = ssb.projective_at[vertex]
+    basis = [trivial_path(vertex)]
+    for w in d.paths():
+        basis.extend(w.prefix(k) for k in range(1, len(w)))
+    basis.append(min(d.paths(), key=path_sort_key) if not d.is_uniserial() else d.first)
+    return tuple(sorted(basis, key=path_sort_key))
+
+
+def p_cycle(p: Path) -> tuple[str, ...]:
+    """Source vertices of the arrows of the simple cycle underlying ``p``;
+    a trivial path gives its one vertex."""
+    if p.is_trivial():
+        return (p.source,)
+    return simple_cycle_decomposition(p).primitive.vertices[:-1]

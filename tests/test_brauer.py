@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from oracles import canonical_form_oracle, isomorphism_oracle, quotient_dimension
 from quiveralg.brauer import (
@@ -234,3 +238,24 @@ def test_distinct_vertices_have_disjoint_cycles(line3, star3):
         for i, c1 in enumerate(cycles):
             for c2 in cycles[i + 1 :]:
                 assert not (c1 & c2)
+
+
+def test_each_module_of_the_import_cycle_imports_first():
+    """``brauer`` binds ``ssb_presentation`` at its end, and ``ssb`` imports
+    from ``brauer``: a fresh interpreter imports either module first, and
+    ``algebra_of`` then builds an algebra."""
+    src = str(Path(algebra_of.__code__.co_filename).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for module in ("quiveralg.ssb", "quiveralg.brauer"):
+        code = (
+            f"import {module}\n"
+            "from quiveralg.brauer import BrauerGraph, algebra_of\n"
+            "g = BrauerGraph({'u': 2, 'v': 1}, {'e': ('p', 'q')}, {'u': ('p',), 'v': ('q',)})\n"
+            "print(algebra_of(g).dimension)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.strip().isdigit()

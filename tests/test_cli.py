@@ -362,6 +362,8 @@ class TestCheck:
             ),
             (("thm-1-1", "--max-edges", "6", "--max-mult", "1"), ("connected_brauer_graphs", 6, 1)),
             (("thm-1-3", "--max-edges", "5"), ("connected_brauer_graphs", 5, 1)),
+            (("thm-1-3", "--max-edges", "6"), ("connected_brauer_graphs", 6, 1)),
+            (("thm-1-3", "--max-edges", "6", "--max-mult", "1"), ("connected_brauer_graphs", 6, 1)),
             (("thm-1-2", "--max-vertices", "5", "--max-arrows", "10"), ("_cuts_by_map", 5, 10)),
             (("lemma-2-1", "--max-vertices", "5", "--max-arrows", "10"), ("_cuts_by_map", 5, 10)),
         ],
@@ -389,8 +391,8 @@ class TestCheck:
         [
             ("thm-1-1", "--max-edges", "6", "--max-mult", "2"),
             ("thm-1-1", "--max-edges", "7", "--max-mult", "1"),
-            ("thm-1-3", "--max-edges", "6", "--max-mult", "1"),
-            ("thm-1-3", "--max-edges", "6"),
+            ("thm-1-3", "--max-edges", "7"),
+            ("thm-1-3", "--max-edges", "6", "--max-mult", "5"),
             ("thm-1-2", "--max-edges", "6", "--max-mult", "1"),
             ("lemma-2-1", "--max-edges", "6", "--max-mult", "1"),
             ("thm-1-1", "--max-edges", "6", "--max-mult", "1", "--max-vertices", "6"),
@@ -408,9 +410,10 @@ class TestCheck:
         monkeypatch.setattr(suites, "_cuts_by_map", census)
         code, out, err = run(capsys, "check", "--suite", *argv)
         assert (code, out) == (2, "")
+        edges = 6 if argv[0] == "thm-1-3" else 5  # the box that the suite may run
         assert err == (
             "bounds too large for exhaustive enumeration; stay within "
-            "5 edges, multiplicity 4, 5 vertices, 10 arrows\n"
+            f"{edges} edges, multiplicity 4, 5 vertices, 10 arrows\n"
         )
 
     @pytest.mark.parametrize(

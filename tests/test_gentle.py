@@ -1,14 +1,23 @@
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
-from oracles import nonzero_paths_by_compose, socle_by_all_arrows
+from oracles import (
+    gentle_quivers,
+    nonzero_paths_by_compose,
+    reference_validate_gentle,
+    relation_products,
+    socle_by_all_arrows,
+)
 from quiveralg import suites
 from quiveralg.brauer import algebra_of
 from quiveralg.census import connected_brauer_graphs, gentle_algebras
 from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.errors import ValidationError
 from quiveralg.gentle import (
+    _gentle_by_counts,
     gentle_algebra,
     nonzero_paths,
     socle_basis,
@@ -16,7 +25,7 @@ from quiveralg.gentle import (
     validate_special_biserial,
     vertex_occurrences,
 )
-from quiveralg.quiver import Presentation, Quiver
+from quiveralg.quiver import Binomial, Monomial, Presentation, Quiver
 
 
 def codes(problems):
@@ -193,3 +202,67 @@ def test_nonzero_basis_and_socle_match_their_oracles(census):
         assert algebra.dimension == len(expected)
         assert socle_basis(algebra) == socle_by_all_arrows(algebra)
     assert count > 0
+
+
+def _one_place_breaks(pres):
+    """``pres`` with one thing changed: each relation deleted, each allowed
+    composition made zero, a zero relation of length three, a commutativity
+    relation, an arrow that takes a degree to three, and a vertex apart."""
+    quiver, relations = pres.quiver, list(pres.relations)
+    outs, ins = quiver.arrows_from, quiver.arrows_into
+    for i in range(len(relations)):
+        yield Presentation(quiver, relations[:i] + relations[i + 1 :])
+    steps = [(a, b) for a in quiver.arrows for b in outs[a.target]]
+    for a, b in steps:
+        if (a.name, b.name) not in pres.quadratic_monomials:
+            yield Presentation(quiver, relations + [Monomial(quiver.path([a.name, b.name]))])
+    long = next(((a, b, c) for a, b in steps for c in outs[b.target]), None)
+    if long is not None:
+        path = quiver.path([x.name for x in long])
+        yield Presentation(quiver, relations + [Monomial(path)])
+    paths = [quiver.path([a.name]) for a in quiver.arrows]
+    paths += [quiver.path([a.name, b.name]) for a, b in steps]
+    sides = next(
+        (
+            (p, q)
+            for p, q in combinations(paths, 2)
+            if (p.source, p.target) == (q.source, q.target) and p.arrows[0] != q.arrows[0]
+        ),
+        None,
+    )
+    if sides is not None:
+        yield Presentation(quiver, relations + [Binomial(*sides)])
+    for v in quiver.vertices:
+        if len(outs[v]) == 2 or len(ins[v]) == 2:
+            ends = (v, quiver.vertices[0]) if len(outs[v]) == 2 else (quiver.vertices[0], v)
+            extra = Quiver(quiver.vertices, [*quiver.arrows, ("x", *ends)])
+            yield Presentation(extra, relations)
+            break
+    yield Presentation(Quiver([*quiver.vertices, "z"], quiver.arrows), relations)
+
+
+def test_validator_agrees_with_the_reference_validator():
+    """The count test and its worded fallback against the validator they
+    replaced: equal problems, codes and messages in order, on every
+    presentation of the relation products of the gentle-degree quivers
+    with at most four vertices (valid or not), each broken in one place,
+    and the degenerate quivers; equal maximal paths when there are none.
+    The count test alone accepts every presentation that has no problems."""
+    corpus = [Presentation(Quiver([], []), []), Presentation(Quiver(["1"], []), [])]
+    for n in range(1, 5):
+        for quiver, _ in gentle_quivers(n, 2 * n - 1):
+            for pres in relation_products(quiver):
+                corpus.append(pres)
+                corpus.extend(_one_place_breaks(pres))
+    seen = Counter()
+    for pres in corpus:
+        report, expected = validate_gentle(pres), reference_validate_gentle(pres)
+        found = [(p.code, p.message) for p in report.problems]
+        assert found == [(p.code, p.message) for p in expected.problems], pres
+        assert (_gentle_by_counts(pres) is None) == bool(found)  # no worded pass on success
+        seen.update(code for code, _ in found)
+        if not found:
+            seen["gentle"] += 1
+            assert report.algebra.maximal_paths == expected.algebra.maximal_paths
+            assert report.algebra.extended_maximal_paths == expected.algebra.extended_maximal_paths
+    assert set(seen) == {"gentle", "degenerate", "connected", "S1", "S2", "S3", "S4", "finite"}

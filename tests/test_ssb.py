@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from oracles import (
     brute_force_ssb_isomorphism,
     carries_bases,
+    p_cycle,
     reference_validate_ssb,
     relabel_presentation,
     ssb_isomorphisms,
@@ -34,7 +35,6 @@ from quiveralg.ssb import (
     is_isomorphic_ssb,
     projective_basis,
     projective_dimension,
-    p_cycle,
     rotation_class,
     simple_cycle_decomposition,
     ssb_presentation,

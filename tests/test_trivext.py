@@ -1,14 +1,15 @@
 import pytest
 
-from oracles import quotient_dimension
-from quiveralg.brauer import is_isomorphic, validate_brauer_graph
-from quiveralg.quiver import Binomial, Monomial
+from oracles import quotient_dimension, reference_projective_basis, reference_projectives_oracle
+from quiveralg.brauer import algebra_of, is_isomorphic, validate_brauer_graph
+from quiveralg.census import connected_brauer_graphs, gentle_algebras
+from quiveralg.gentle import vertex_occurrences
+from quiveralg.quiver import Binomial, Monomial, path_sort_key
 from quiveralg.ssb import graph_of_ssb, projective_basis
 from quiveralg.trivext import (
     extended_quiver,
     graph_of_gentle,
     projectives_oracle,
-    return_arrow_names,
     trivial_extension,
 )
 
@@ -48,6 +49,20 @@ class TestGentleGraph:
                 expected = len(m.arrows) + 1 if not m.is_trivial() else 1
                 assert gg.graph.valency(station) == expected
 
+    def test_edges_join_the_slots_in_path_order(self):
+        """Each edge of the gentle graph is the germs at its quiver vertex's two
+        maximal-path slots, ordered by the path's ``path_sort_key``, then by
+        slot; the graph vertices come in the order of the extended maximal
+        paths."""
+        for algebra in gentle_algebras(4, 6):
+            gg = graph_of_gentle(algebra)
+            station = {m: name for name, m in gg.vertex_labels}
+            rotations = gg.graph.rotations
+            assert list(rotations) == [station[m] for m in algebra.extended_maximal_paths]
+            for v, occurrences in vertex_occurrences(algebra).items():
+                ordered = sorted(occurrences, key=lambda it: (path_sort_key(it[0]), it[1]))
+                assert gg.graph.edges[v] == tuple(rotations[station[m]][k] for m, k in ordered)
+
 
 class TestExtendedQuiver:
     def test_single_arrow(self, a2):
@@ -60,7 +75,7 @@ class TestExtendedQuiver:
         assert len(extended_quiver(fig1_algebra).arrows) == 5
 
     def test_return_names_avoid_collisions(self, a2):
-        names = return_arrow_names(a2)
+        names = a2.return_arrow_names
         assert set(names.values()).isdisjoint({a.name for a in a2.quiver.arrows})
 
 
@@ -133,3 +148,23 @@ class TestGraphForm:
             assert is_isomorphic(
                 graph_of_ssb(trivial_extension(algebra)), graph_of_gentle(algebra).graph
             )
+
+
+def test_bases_agree_with_the_reference_bases():
+    """Both keyed bases against the ``Path``-per-prefix builds they
+    replaced, tuple for tuple: at every vertex of the (4, 6) census and of
+    its trivial extensions, and at every vertex of the Brauer graph
+    algebras with at most three edges and multiplicity three, whose cycles
+    include powers, loops and uniserial projectives."""
+    count = 0
+    for algebra in gentle_algebras(4, 6):
+        ext = trivial_extension(algebra)
+        for v in algebra.quiver.vertices:
+            count += 1
+            assert projectives_oracle(algebra, v) == reference_projectives_oracle(algebra, v)
+            assert projective_basis(ext, v) == reference_projective_basis(ext, v)
+    for g in connected_brauer_graphs(3, 3):
+        ssb = algebra_of(g)
+        for v in ssb.quiver.vertices:
+            assert projective_basis(ssb, v) == reference_projective_basis(ssb, v)
+    assert count > 0
