@@ -309,13 +309,8 @@ def _worded_validation(pres: Presentation) -> Validation[GentleAlgebra]:
     starts = [a for a in quiver.arrows if not before[a.name]]
     maximal = _maximal_path_chains(starts, successor, len(quiver.arrows))
     if maximal is None:
-        problems.append(
-            Problem(
-                "finite",
-                "an oriented cycle avoids all relations; the algebra is infinite-dimensional",
-            )
-        )
-        return Validation(tuple(problems), None)
+        message = "an oriented cycle avoids all relations; the algebra is infinite-dimensional"
+        return Validation((Problem("finite", message),), None)
 
     extended = maximal + tuple(
         trivial_path(v) for v in quiver.vertices if _gets_trivial_maximal(pres, v)
