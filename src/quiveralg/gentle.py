@@ -3,12 +3,12 @@
 Gentle algebras are presented by a quiver with only quadratic monomial
 relations, subject to the local conditions: at most two arrows in and out of
 every vertex, at most one allowed continuation and one forbidden
-continuation on either side of every arrow.  The validator decides these
-conditions by counts: the degrees, the zero pairs that start and end with
-each arrow, one walk along the allowed successors that both rules out
-relation-free cycles and yields the maximal paths, and the number of
-maximal-path slots at each vertex; the worded checks run only on a
-presentation that fails, to name its problems.  On a validated presentation
+continuation on either side of every arrow.  The validator makes each check
+once, in one pass: a count decides it (the degrees, the zero pairs that
+start and end with each arrow, one walk along the allowed successors that
+both rules out relation-free cycles and yields the maximal paths, and the
+number of maximal-path slots at each vertex), and the check words its
+problems only when that count fails.  On a validated presentation
 this module computes the maximal paths, the extended maximal-path set used
 by the trivial-extension construction, the nonzero paths (enumerated once
 per algebra, by extending each path with the allowed successors of its last
@@ -110,7 +110,24 @@ def validate_special_biserial(pres: Presentation) -> list[Problem]:
     longer relations never reduce a length-two path to zero (monomial
     ideals, and the normalized symmetric special biserial form).
     """
-    return _special_biserial(pres)[0]
+    problems = []
+    quiver = pres.quiver
+    outs, ins, zero = quiver.arrows_from, quiver.arrows_into, pres.quadratic_monomials
+    for v in quiver.vertices:
+        if len(outs[v]) > 2:
+            problems.append(Problem("S1", f"vertex {v!r} is the source of more than two arrows"))
+        if len(ins[v]) > 2:
+            problems.append(Problem("S1", f"vertex {v!r} is the target of more than two arrows"))
+    for a in quiver.arrows:
+        succ = [b.name for b in outs[a.target] if (a.name, b.name) not in zero]
+        if len(succ) > 1:
+            message = f"arrow {a.name!r} has several allowed successors: {', '.join(succ)}"
+            problems.append(Problem("S2", message))
+        pred = [b.name for b in ins[a.source] if (b.name, a.name) not in zero]
+        if len(pred) > 1:
+            message = f"arrow {a.name!r} has several allowed predecessors: {', '.join(pred)}"
+            problems.append(Problem("S2", message))
+    return problems
 
 
 def _is_special_biserial(pres: Presentation) -> bool:
@@ -143,37 +160,6 @@ def _is_special_biserial(pres: Presentation) -> bool:
     return True
 
 
-def _special_biserial(
-    pres: Presentation,
-) -> tuple[list[Problem], dict[str, list[Arrow]], dict[str, list[Arrow]]]:
-    """:func:`validate_special_biserial`, with each arrow's allowed
-    successors and allowed predecessors by arrow name."""
-    problems = []
-    quiver = pres.quiver
-    outs, ins, zero = quiver.arrows_from, quiver.arrows_into, pres.quadratic_monomials
-    for v in quiver.vertices:
-        if len(outs[v]) > 2:
-            problems.append(Problem("S1", f"vertex {v!r} is the source of more than two arrows"))
-        if len(ins[v]) > 2:
-            problems.append(Problem("S1", f"vertex {v!r} is the target of more than two arrows"))
-    after: dict[str, list[Arrow]] = {}
-    before: dict[str, list[Arrow]] = {}
-    for a in quiver.arrows:
-        succ = after[a.name] = [b for b in outs[a.target] if (a.name, b.name) not in zero]
-        if len(succ) > 1:
-            names = ", ".join(b.name for b in succ)
-            problems.append(
-                Problem("S2", f"arrow {a.name!r} has several allowed successors: {names}")
-            )
-        pred = before[a.name] = [b for b in ins[a.source] if (b.name, a.name) not in zero]
-        if len(pred) > 1:
-            names = ", ".join(b.name for b in pred)
-            problems.append(
-                Problem("S2", f"arrow {a.name!r} has several allowed predecessors: {names}")
-            )
-    return problems, after, before
-
-
 def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     """Full gentle validation; on success the returned report carries the algebra.
 
@@ -183,148 +169,102 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     degenerate algebras: the empty quiver and the one-vertex, zero-arrow
     quiver.
 
-    Every check is decided first by counts (:func:`_gentle_by_counts`):
-    only quadratic monomials; at most one forbidden successor and
-    predecessor per arrow, from the zero pairs; at most one allowed one,
-    from the degrees; degrees at most two; one walk along the allowed
-    successors, which covers every arrow exactly when no cycle avoids the
-    relations, and gives the maximal paths; two maximal-path slots at every
-    vertex, counted; and connectivity.  Only when that test fails do the
-    worded checks run, and they give the problems, in the order and with
-    the messages they always have.
-    """
-    algebra = _gentle_by_counts(pres)
-    if algebra is not None:
-        return Validation((), algebra)
-    return _worded_validation(pres)
-
-
-def _gentle_by_counts(pres: Presentation) -> GentleAlgebra | None:
-    """The algebra when every check of :func:`validate_gentle` passes, and
-    None otherwise, decided without naming what fails.
-
-    Every relation path is a path of the quiver, so a zero pair ``(a, b)``
-    has ``b`` among the arrows out of the target of ``a``: the forbidden
-    successors of ``a`` are the zero pairs that start with it, and its
-    allowed ones the other arrows out of its target; likewise for
-    predecessors.  With at most one allowed successor and one allowed
-    predecessor per arrow, the chains that start at the arrows with no
-    allowed predecessor are disjoint and cover every arrow exactly when no
-    cycle avoids the relations; they are the maximal paths.  A vertex then
-    lies on as many maximal-path slots as there are chains starting at it
-    and arrows ending at it, plus one if its trivial path is maximal.
+    Every check is made once, in this order: degenerate, connected, S3, the
+    special-biserial conditions S1 and S2 with S4, finite, occurrences.
+    Each first runs a test that decides it exactly without naming what
+    fails, and its worded loop runs only when that test fails; so a gentle
+    presentation passes no worded loop, and any other gets the problems, in
+    the order and with the messages, that the worded loops alone would give.
+    The tests: S3 from the number of quadratic monomials; S1, S2 and S4
+    together from the degrees, the zero pairs that start and end with each
+    arrow (at most one forbidden successor and predecessor) and the arrows
+    on either side less the forbidden one (at most one allowed); finite by
+    one walk along the allowed successors, which covers every arrow exactly
+    when no cycle avoids the relations, and gives the maximal paths; and
+    occurrences by counting the maximal-path slots at every vertex.
     """
     quiver = pres.quiver
     vertices, arrows = quiver.vertices, quiver.arrows
-    if len(vertices) < 2 and not arrows:  # empty, or the ground field
-        return None
+    problems: list[Problem] = []
+    if not vertices:
+        problems.append(Problem("degenerate", "empty quiver"))
+    elif len(vertices) == 1 and not arrows:
+        problems.append(Problem("degenerate", "one vertex and no arrows (the ground field)"))
+    if vertices and not quiver.is_connected():
+        problems.append(Problem("connected", "quiver is not connected"))
+
     if pres.long_monomials or len(pres.monomials) != len(pres.relations):
-        return None  # a binomial or a monomial of length other than two
+        for r in pres.relations:
+            if not isinstance(r, Monomial):
+                message = f"binomial relation {r!r} is not allowed in a gentle presentation"
+                problems.append(Problem("S3", message))
+            elif len(r.path) != 2:
+                message = f"monomial relation {r.path.label()!r} has length != 2"
+                problems.append(Problem("S3", message))
+
+    # Every relation path is a path of the quiver, so the forbidden
+    # successors of an arrow are the zero pairs that start with it, and its
+    # allowed ones the other arrows out of its target; likewise for
+    # predecessors.  Each allowed successor is recorded on the way, and the
+    # arrows with no allowed predecessor start the maximal paths.
     zero = pres.quadratic_monomials
     banned_after = dict(zero)
     banned_before = {b: a for a, b in zero}
-    if not len(banned_after) == len(banned_before) == len(zero):
-        return None  # an arrow with two forbidden successors or predecessors
     outs, ins = quiver.arrows_from, quiver.arrows_into
+    biserial = len(banned_after) == len(banned_before) == len(zero)
     successor: dict[str, Arrow] = {}  # the allowed successor, by arrow name
-    starts: list[Arrow] = []  # the arrows with no allowed predecessor
+    starts: list[Arrow] = []
     for a in arrows:
         name, after = a.name, outs[a.target]
-        if len(after) == 2:
-            banned = banned_after.get(name)
-            if banned is None:
-                return None  # two allowed successors
+        banned = banned_after.get(name)
+        allowed = len(after) - (banned is not None)
+        if allowed == 1:
             successor[name] = after[1] if after[0].name == banned else after[0]
-        elif after and after[0].name != banned_after.get(name):
-            successor[name] = after[0]
         before = len(ins[a.source]) - (name in banned_before)
-        if not before:
+        if allowed > 1 or before > 1:
+            biserial = False
+        elif not before:
             starts.append(a)
-        elif before > 1:
-            return None
-    maximal = _maximal_path_chains(starts, successor, len(arrows))
-    if maximal is None:
-        return None
+    # A vertex lies on as many maximal-path slots as there are maximal
+    # paths starting at it and arrows ending at it, plus one if its trivial
+    # path is maximal.
     starts_at = dict.fromkeys(vertices, 0)
     for a in starts:
         starts_at[a.source] += 1
-    trivial = []
+    trivial, slots = [], True
     for v in vertices:
         into, out = ins[v], outs[v]
         if len(into) > 2 or len(out) > 2:
-            return None
+            biserial = False
         gets = len(into) + len(out) == 1 or (
             len(into) == len(out) == 1 and (into[0].name, out[0].name) not in zero
         )
-        if len(into) + starts_at[v] + gets != 2:
-            return None
         if gets:
             trivial.append(trivial_path(v))
-    if not quiver.is_connected():
-        return None
-    return GentleAlgebra(pres, maximal, maximal + tuple(trivial))
-
-
-def _worded_validation(pres: Presentation) -> Validation[GentleAlgebra]:
-    """Every check of :func:`validate_gentle` by its worded loop, with the
-    problems in their order."""
-    problems: list[Problem] = []
-    quiver = pres.quiver
-    if not quiver.vertices:
-        problems.append(Problem("degenerate", "empty quiver"))
-    elif len(quiver.vertices) == 1 and not quiver.arrows:
-        problems.append(
-            Problem("degenerate", "one vertex and no arrows (the ground field)")
-        )
-    if quiver.vertices and not quiver.is_connected():
-        problems.append(Problem("connected", "quiver is not connected"))
-
-    for r in pres.relations:
-        if isinstance(r, Monomial):
-            if len(r.path) != 2:
-                problems.append(
-                    Problem("S3", f"monomial relation {r.path.label()!r} has length != 2")
-                )
-        else:
-            problems.append(
-                Problem("S3", f"binomial relation {r!r} is not allowed in a gentle presentation")
-            )
-    biserial, after, before = _special_biserial(pres)
-    problems.extend(biserial)
-
-    outs, ins = quiver.arrows_from, quiver.arrows_into
-    for a in quiver.arrows:
-        if len(outs[a.target]) - len(after[a.name]) > 1:
-            problems.append(
-                Problem("S4", f"arrow {a.name!r} has several forbidden successors")
-            )
-        if len(ins[a.source]) - len(before[a.name]) > 1:
-            problems.append(
-                Problem("S4", f"arrow {a.name!r} has several forbidden predecessors")
-            )
+        if len(into) + starts_at[v] + gets != 2:
+            slots = False
+    if not biserial:
+        problems.extend(validate_special_biserial(pres))
+        for a in arrows:
+            if sum((a.name, b.name) in zero for b in outs[a.target]) > 1:
+                message = f"arrow {a.name!r} has several forbidden successors"
+                problems.append(Problem("S4", message))
+            if sum((b.name, a.name) in zero for b in ins[a.source]) > 1:
+                message = f"arrow {a.name!r} has several forbidden predecessors"
+                problems.append(Problem("S4", message))
     if problems:
         return Validation(tuple(problems), None)
 
-    successor = {name: succ[0] for name, succ in after.items() if succ}
-    starts = [a for a in quiver.arrows if not before[a.name]]
-    maximal = _maximal_path_chains(starts, successor, len(quiver.arrows))
+    maximal = _maximal_path_chains(starts, successor, len(arrows))
     if maximal is None:
         message = "an oriented cycle avoids all relations; the algebra is infinite-dimensional"
         return Validation((Problem("finite", message),), None)
-
-    extended = maximal + tuple(
-        trivial_path(v) for v in quiver.vertices if _gets_trivial_maximal(pres, v)
-    )
-    algebra = GentleAlgebra(pres, maximal, extended)
-    for v, occ in vertex_occurrences(algebra).items():
-        if len(occ) != 2:
-            problems.append(
-                Problem(
-                    "occurrences",
-                    f"vertex {v!r} lies on {len(occ)} maximal-path slots instead of 2",
-                )
-            )
-    if problems:  # pragma: no cover - unreachable for inputs passing the checks above
+    algebra = GentleAlgebra(pres, maximal, maximal + tuple(trivial))
+    if not slots:  # pragma: no cover - unreachable for inputs passing the checks above
+        for v, occ in vertex_occurrences(algebra).items():
+            if len(occ) != 2:
+                message = f"vertex {v!r} lies on {len(occ)} maximal-path slots instead of 2"
+                problems.append(Problem("occurrences", message))
         return Validation(tuple(problems), None)
     return Validation((), algebra)
 

@@ -316,20 +316,24 @@ class Quiver:
         return True
 
     def is_connected(self) -> bool:
-        """Connectivity as an undirected graph; the empty quiver is not connected."""
+        """Connectivity as an undirected graph, walked along the cached
+        :attr:`arrows_from` and :attr:`arrows_into`; the empty quiver is not
+        connected."""
         if not self.vertices:
             return False
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
+        outs, ins = self.arrows_from, self.arrows_into
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            v = stack.pop()
+            for a in outs[v]:
+                if a.target not in seen:
+                    seen.add(a.target)
+                    stack.append(a.target)
+            for a in ins[v]:
+                if a.source not in seen:
+                    seen.add(a.source)
+                    stack.append(a.source)
         return len(seen) == len(self.vertices)
 
 

@@ -100,10 +100,7 @@ def graph_of_gentle(algebra: GentleAlgebra) -> GentleGraph:
 
 def extended_quiver(algebra: GentleAlgebra) -> Quiver:
     """The original quiver plus one return arrow per nontrivial maximal path."""
-    return _with_return_arrows(algebra, algebra.return_arrow_names)
-
-
-def _with_return_arrows(algebra: GentleAlgebra, betas: dict[Path, str]) -> Quiver:
+    betas = algebra.return_arrow_names
     extra = [(betas[m], m.target, m.source) for m in algebra.maximal_paths]
     return Quiver(algebra.quiver.vertices, [*algebra.quiver.arrows, *extra])
 
@@ -113,8 +110,8 @@ def trivial_extension(algebra: GentleAlgebra) -> SSBPresentation:
 
     The germ naming in :func:`graph_of_gentle` makes the resulting quiver
     literally equal to :func:`extended_quiver`; this is asserted rather than
-    trusted, with each return arrow named by the last germ at its maximal
-    path's graph vertex, so that the names are computed once.
+    trusted.  Both read the algebra's cached return arrow names, so the
+    names are computed once.
     """
     return extension_of_graph(algebra, graph_of_gentle(algebra))
 
@@ -123,9 +120,7 @@ def extension_of_graph(algebra: GentleAlgebra, gg: GentleGraph) -> SSBPresentati
     """:func:`trivial_extension` from the already built graph ``gg`` of
     ``algebra``, for callers that need the graph too."""
     ssb = algebra_of(gg.graph)
-    rotations = gg.graph.rotations
-    betas = {m: rotations[station][-1] for station, m in gg.vertex_labels}
-    if ssb.quiver != _with_return_arrows(algebra, betas):
+    if ssb.quiver != extended_quiver(algebra):
         raise InconsistencyError(
             "trivial extension quiver does not match the extended quiver"
         )

@@ -94,6 +94,17 @@ class TestQuiverConstruction:
         assert chain3.is_connected()
         assert not Quiver(["1", "2"], []).is_connected()
         assert not Quiver([], []).is_connected()
+        # 1 -> 2 <- 3: vertex 3 is reached only against the direction of b
+        into = [("a", "1", "2"), ("b", "3", "2")]
+        assert Quiver(["1", "2", "3"], into).is_connected()
+        assert Quiver(["2", "1", "3"], into).is_connected()
+        assert not Quiver(["1", "2", "3", "4"], into).is_connected()
+        # a loop and two parallel arrows
+        loop = [("l", "1", "1"), ("a", "1", "2"), ("b", "1", "2")]
+        assert Quiver(["1", "2"], loop).is_connected()
+        assert Quiver(["2", "1"], loop).is_connected()
+        assert not Quiver(["1", "2", "3"], loop).is_connected()
+        assert not Quiver(["1", "2"], loop[:1]).is_connected()
 
 
 class TestRelationInvariants:

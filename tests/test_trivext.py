@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import pytest
 
 from oracles import quotient_dimension, reference_projective_basis, reference_projectives_oracle
-from quiveralg.brauer import algebra_of, is_isomorphic, validate_brauer_graph
+from quiveralg.brauer import BrauerGraph, algebra_of, is_isomorphic, validate_brauer_graph
 from quiveralg.census import connected_brauer_graphs, gentle_algebras
+from quiveralg.errors import InconsistencyError
 from quiveralg.gentle import vertex_occurrences
 from quiveralg.quiver import Binomial, Monomial, path_sort_key
 from quiveralg.ssb import graph_of_ssb, projective_basis
 from quiveralg.trivext import (
     extended_quiver,
+    extension_of_graph,
     graph_of_gentle,
     projectives_oracle,
     trivial_extension,
@@ -112,6 +116,21 @@ class TestTrivialExtension:
             ("v", "b(p)"),
             ("b(u.v)", "p"),
         }
+
+    def test_renamed_return_germ_is_refused(self, fig1_algebra):
+        """The return arrows are named by the algebra, not read off the graph:
+        a gentle graph whose last germ at one station is renamed still builds
+        a Brauer graph algebra, but its quiver is not the extended quiver."""
+        gg = graph_of_gentle(fig1_algebra)
+        g = gg.graph
+        station, germs = next((s, r) for s, r in g.rotations.items() if len(r) > 1)
+        old, new = germs[-1], "renamed"
+        rotations = {**g.rotations, station: germs[:-1] + (new,)}
+        edges = {e: tuple(new if h == old else h for h in pair) for e, pair in g.edges.items()}
+        renamed = replace(gg, graph=BrauerGraph(g.multiplicities, edges, rotations))
+        assert validate_brauer_graph(renamed.graph) == []
+        with pytest.raises(InconsistencyError, match="extended quiver"):
+            extension_of_graph(fig1_algebra, renamed)
 
     def test_dimension_doubles(self, a2, a3r, loopx, fig1_algebra):
         for algebra in (a2, a3r, loopx, fig1_algebra):
