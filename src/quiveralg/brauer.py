@@ -41,6 +41,7 @@ from .quiver import (
     Problem,
     Quiver,
     Relation,
+    _declare,
     cached_property,
 )
 
@@ -440,7 +441,7 @@ def parse_brauer_graph(text: str) -> BrauerGraph:
             if len(tokens) != 3 or not tokens[2].startswith("mult="):
                 raise ParseError(lineno, "expected: bvertex <id> mult=<int>")
             try:
-                mult[tokens[1]] = int(tokens[2][5:])
+                _declare(mult, tokens[1], int(tokens[2][5:]), lineno, "vertex")
             except ValueError:
                 raise ParseError(lineno, f"bad multiplicity {tokens[2][5:]!r}") from None
         elif tokens[0] == "bedge":
@@ -455,14 +456,15 @@ def parse_brauer_graph(text: str) -> BrauerGraph:
                     raise ParseError(lineno, f"undeclared vertex {v!r}")
                 pair.append(h)
                 at[h] = v
-            edges[tokens[1]] = (pair[0], pair[1])
+            _declare(edges, tokens[1], (pair[0], pair[1]), lineno, "edge")
         elif tokens[0] == "order":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise ParseError(lineno, "expected: order <vertex> = <half>,<half>,...")
             v = tokens[1]
             if v not in mult:
                 raise ParseError(lineno, f"undeclared vertex {v!r}")
-            orders[v] = tuple(h for h in " ".join(tokens[3:]).replace(",", " ").split())
+            order = tuple(" ".join(tokens[3:]).replace(",", " ").split())
+            _declare(orders, v, order, lineno, "order at vertex")
         else:
             raise ParseError(lineno, f"unknown directive {tokens[0]!r}")
     for v in mult:

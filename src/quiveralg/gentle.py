@@ -3,21 +3,21 @@
 Gentle algebras are presented by a quiver with only quadratic monomial
 relations, subject to the local conditions: at most two arrows in and out of
 every vertex, at most one allowed continuation and one forbidden
-continuation on either side of every arrow.  The validator makes each check
-once, in one pass: a count decides it (the degrees, the zero pairs that
-start and end with each arrow, one walk along the allowed successors that
-both rules out relation-free cycles and yields the maximal paths, and the
-number of maximal-path slots at each vertex), and the check words its
-problems only when that count fails.  On a validated presentation
-this module computes the maximal paths, the extended maximal-path set used
-by the trivial-extension construction, the nonzero paths (enumerated once
-per algebra, by extending each path with the allowed successors of its last
-arrow) and the socle basis.  The socle comes from the annihilation
-definition: a nonzero path is in it when every arrow multiplies it to zero
-on both sides.  Only the arrows into its source and out of its target can
-compose with it, so only those are tested, each with the generic zero test
-of the presentation; the maximal-path chains are never consulted, so that
-their equality with the socle is a checkable fact rather than a definition.
+continuation on either side of every arrow.  One walk, :func:`_allowed_walk`,
+reads these conditions for both this validator and the symmetric special
+biserial one, and gives the allowed successors along which the maximal
+paths are chained.  The validator makes each check once, in one pass: a
+count decides it, and the check words its problems only when that count
+fails.  On a validated presentation this module computes the maximal paths,
+the extended maximal-path set used by the trivial-extension construction,
+the nonzero paths (enumerated once per algebra, by extending each path with
+the allowed successors of its last arrow) and the socle basis.  The socle
+comes from the annihilation definition: a nonzero path is in it when every
+arrow multiplies it to zero on both sides.  Only the arrows into its source
+and out of its target can compose with it, so only those are tested, each
+with the generic zero test of the presentation; the maximal-path chains are
+never consulted, so that their equality with the socle is a checkable fact
+rather than a definition.
 """
 
 from __future__ import annotations
@@ -130,34 +130,41 @@ def validate_special_biserial(pres: Presentation) -> list[Problem]:
     return problems
 
 
-def _is_special_biserial(pres: Presentation) -> bool:
-    """Whether :func:`validate_special_biserial` finds nothing, decided
-    without naming what fails.
+def _allowed_walk(pres: Presentation) -> tuple[dict[str, Arrow], list[Arrow]] | None:
+    """The allowed successor of each arrow that has one, by arrow name, and
+    the arrows with no allowed predecessor, which start the maximal paths;
+    None exactly when S1, S2 or S4 fails.
 
-    Every relation path is a path of the quiver, so a zero pair ``(a, b)``
-    has ``b`` among the arrows out of the target of ``a``.  With at most two
-    arrows out of every vertex, arrow ``a`` then has at most one allowed
-    successor exactly when its target has one arrow out, or some zero pair
-    starts with ``a``; and likewise for predecessors.
+    Every relation path is a path of the quiver, so the forbidden successors
+    of an arrow are the zero pairs that start with it, and its allowed ones
+    the other arrows out of its target; likewise for predecessors.  The
+    conditions then read: no vertex has more than two arrows in or out,
+    ``dict(zero)`` and its inverse are as long as ``zero`` (at most one
+    forbidden neighbour on either side), and each arrow has at most one
+    allowed neighbour on either side (its degree less its forbidden one).
     """
-    quiver = pres.quiver
-    if not quiver.vertices:
-        return True
-    out_degree = dict.fromkeys(quiver.vertices, 0)
-    in_degree = out_degree.copy()
+    quiver, zero = pres.quiver, pres.quadratic_monomials
+    outs, ins = quiver.arrows_from, quiver.arrows_into
+    banned_after = dict(zero)
+    banned_before = {b: a for a, b in zero}
+    if not len(banned_after) == len(banned_before) == len(zero):
+        return None
+    if max(map(len, outs.values()), default=0) > 2 or max(map(len, ins.values()), default=0) > 2:
+        return None
+    successor: dict[str, Arrow] = {}
+    starts: list[Arrow] = []
     for a in quiver.arrows:
-        out_degree[a.source] += 1
-        in_degree[a.target] += 1
-    if max(out_degree.values()) > 2 or max(in_degree.values()) > 2:
-        return False
-    zero = pres.quadratic_monomials
-    starts, ends = {a for a, _ in zero}, {b for _, b in zero}
-    for a in quiver.arrows:
-        if out_degree[a.target] == 2 and a.name not in starts:
-            return False
-        if in_degree[a.source] == 2 and a.name not in ends:
-            return False
-    return True
+        name, after = a.name, outs[a.target]
+        banned = banned_after.get(name)
+        allowed = len(after) - (banned is not None)
+        before = len(ins[a.source]) - (name in banned_before)
+        if allowed > 1 or before > 1:
+            return None
+        if allowed:
+            successor[name] = after[1] if after[0].name == banned else after[0]
+        if not before:
+            starts.append(a)
+    return successor, starts
 
 
 def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
@@ -176,12 +183,13 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     presentation passes no worded loop, and any other gets the problems, in
     the order and with the messages, that the worded loops alone would give.
     The tests: S3 from the number of quadratic monomials; S1, S2 and S4
-    together from the degrees, the zero pairs that start and end with each
-    arrow (at most one forbidden successor and predecessor) and the arrows
-    on either side less the forbidden one (at most one allowed); finite by
-    one walk along the allowed successors, which covers every arrow exactly
-    when no cycle avoids the relations, and gives the maximal paths; and
-    occurrences by counting the maximal-path slots at every vertex.
+    together by :func:`_allowed_walk`, the one reading of the local rules,
+    shared with :func:`~quiveralg.ssb.validate_ssb`; finite by following its
+    allowed successors from the arrows it gives as starts, which covers
+    every arrow exactly when no cycle avoids the relations, and gives the
+    maximal paths; and occurrences by counting the maximal-path slots at
+    every vertex, with the trivial maximal paths from
+    :func:`_gets_trivial_maximal`.
     """
     quiver = pres.quiver
     vertices, arrows = quiver.vertices, quiver.arrows
@@ -202,48 +210,9 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
                 message = f"monomial relation {r.path.label()!r} has length != 2"
                 problems.append(Problem("S3", message))
 
-    # Every relation path is a path of the quiver, so the forbidden
-    # successors of an arrow are the zero pairs that start with it, and its
-    # allowed ones the other arrows out of its target; likewise for
-    # predecessors.  Each allowed successor is recorded on the way, and the
-    # arrows with no allowed predecessor start the maximal paths.
-    zero = pres.quadratic_monomials
-    banned_after = dict(zero)
-    banned_before = {b: a for a, b in zero}
-    outs, ins = quiver.arrows_from, quiver.arrows_into
-    biserial = len(banned_after) == len(banned_before) == len(zero)
-    successor: dict[str, Arrow] = {}  # the allowed successor, by arrow name
-    starts: list[Arrow] = []
-    for a in arrows:
-        name, after = a.name, outs[a.target]
-        banned = banned_after.get(name)
-        allowed = len(after) - (banned is not None)
-        if allowed == 1:
-            successor[name] = after[1] if after[0].name == banned else after[0]
-        before = len(ins[a.source]) - (name in banned_before)
-        if allowed > 1 or before > 1:
-            biserial = False
-        elif not before:
-            starts.append(a)
-    # A vertex lies on as many maximal-path slots as there are maximal
-    # paths starting at it and arrows ending at it, plus one if its trivial
-    # path is maximal.
-    starts_at = dict.fromkeys(vertices, 0)
-    for a in starts:
-        starts_at[a.source] += 1
-    trivial, slots = [], True
-    for v in vertices:
-        into, out = ins[v], outs[v]
-        if len(into) > 2 or len(out) > 2:
-            biserial = False
-        gets = len(into) + len(out) == 1 or (
-            len(into) == len(out) == 1 and (into[0].name, out[0].name) not in zero
-        )
-        if gets:
-            trivial.append(trivial_path(v))
-        if len(into) + starts_at[v] + gets != 2:
-            slots = False
-    if not biserial:
+    walk = _allowed_walk(pres)
+    if walk is None:
+        zero, outs, ins = pres.quadratic_monomials, quiver.arrows_from, quiver.arrows_into
         problems.extend(validate_special_biserial(pres))
         for a in arrows:
             if sum((a.name, b.name) in zero for b in outs[a.target]) > 1:
@@ -255,12 +224,25 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     if problems:
         return Validation(tuple(problems), None)
 
+    successor, starts = walk
     maximal = _maximal_path_chains(starts, successor, len(arrows))
     if maximal is None:
         message = "an oriented cycle avoids all relations; the algebra is infinite-dimensional"
         return Validation((Problem("finite", message),), None)
+    # A vertex lies on as many maximal-path slots as there are maximal
+    # paths starting at it and arrows ending at it, plus one if its trivial
+    # path is maximal; no input that passes the checks above fails this.
+    starts_at = dict.fromkeys(vertices, 0)
+    for a in starts:
+        starts_at[a.source] += 1
+    ins, trivial, slots = quiver.arrows_into, [], True
+    for v in vertices:
+        gets = _gets_trivial_maximal(pres, v)
+        if gets:
+            trivial.append(trivial_path(v))
+        slots = slots and len(ins[v]) + starts_at[v] + gets == 2
     algebra = GentleAlgebra(pres, maximal, maximal + tuple(trivial))
-    if not slots:  # pragma: no cover - unreachable for inputs passing the checks above
+    if not slots:  # pragma: no cover
         for v, occ in vertex_occurrences(algebra).items():
             if len(occ) != 2:
                 message = f"vertex {v!r} lies on {len(occ)} maximal-path slots instead of 2"
@@ -314,15 +296,10 @@ def _gets_trivial_maximal(pres: Presentation, v: str) -> bool:
     source with a single outgoing arrow, and a vertex with exactly one
     incoming and one outgoing arrow whose composition avoids the ideal.
     """
-    ins = pres.quiver.arrows_into[v]
-    outs = pres.quiver.arrows_from[v]
-    if len(ins) == 1 and not outs:
-        return True
-    if len(outs) == 1 and not ins:
-        return True
-    if len(ins) == 1 and len(outs) == 1:
+    ins, outs = pres.quiver.arrows_into[v], pres.quiver.arrows_from[v]
+    if len(ins) == len(outs) == 1:
         return (ins[0].name, outs[0].name) not in pres.quadratic_monomials
-    return False
+    return len(ins) + len(outs) == 1
 
 
 def vertex_occurrences(algebra: GentleAlgebra) -> dict[str, list[tuple[Path, int]]]:

@@ -425,6 +425,13 @@ class Presentation:
 # ---------------------------------------------------------------------------
 
 
+def _declare(table: dict, key: str, value, lineno: int, kind: str) -> None:
+    """``table[key] = value``, unless ``key`` was declared on an earlier line."""
+    if key in table:
+        raise ParseError(lineno, f"{kind} {key!r} declared twice")
+    table[key] = value
+
+
 def _strip(line: str) -> str:
     if "#" in line:
         line = line[: line.index("#")]

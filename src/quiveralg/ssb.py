@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brauer import BrauerGraph, discovery_code
-from .errors import InconsistencyError, RotationError, ValidationError
+from .errors import InconsistencyError, ValidationError
 from .quiver import (
     Monomial,
     Path,
@@ -35,19 +35,9 @@ from .quiver import (
     Validation,
     cached_property,
     is_subpath,
-    rotate,
     trivial_path,
 )
-from .gentle import _is_special_biserial, validate_special_biserial
-
-
-
-@dataclass(frozen=True, slots=True)
-class SimpleCycleDecomp:
-    """A cyclic path written as the smallest repeating cycle and its exponent."""
-
-    primitive: Path
-    exponent: int
+from .gentle import _allowed_walk, validate_special_biserial
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -137,23 +127,6 @@ def _least_rotation(word: tuple[str, ...]) -> int:
     return min(range(len(word)), key=lambda k: word[k:] + word[:k])
 
 
-def simple_cycle_decomposition(p: Path) -> SimpleCycleDecomp:
-    """Smallest-period decomposition ``p = p0^m`` of a nontrivial cycle."""
-    if p.is_trivial() or not p.is_cyclic():
-        raise RotationError(f"{p!r} is not a nontrivial cycle")
-    d = _least_period(p.arrows)
-    return SimpleCycleDecomp(Path(p.vertices[: d + 1], p.arrows[:d]), len(p.arrows) // d)
-
-
-def rotation_class(p: Path) -> Path:
-    """Canonical representative: the lexicographically least rotation."""
-    if p.is_trivial():
-        return p
-    if not p.is_cyclic():
-        raise RotationError(f"{p!r} is not a cycle")
-    return rotate(p, _least_rotation(p.arrows))
-
-
 def _looks_like_dual_numbers(pres: Presentation) -> bool:
     q = pres.quiver
     return (
@@ -179,16 +152,18 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
     only when the test fails; so a presentation in normal form passes no
     worded loop, and any other gets the problems, in the order, that the
     worded checks alone would give.  The tests: the special-biserial
-    conditions from the degrees and the zero pairs
-    (:func:`~quiveralg.gentle._is_special_biserial`); the binomial sides as
-    cycles free of zero pairs; one socle relation per vertex from the
-    number of base vertices; the first and the last arrows
-    of the maximal paths, which start and end at their vertex, as many as
-    the arrows and all distinct; each arrow on exactly one cycle from the
-    cycles' letter count and the arrows they pass; and, with at most one
-    allowed successor per arrow, the zero pairs from the cycle steps.  A
-    cycle is decomposed once: a later path that spells its known power
-    from the path's first arrow has its cycle and exponent.
+    conditions by the walk along the allowed successors that the gentle
+    validator runs too (:func:`~quiveralg.gentle._allowed_walk`), which also
+    fails on S4, where the worded check finds nothing (a normalized
+    presentation passes S4, each arrow's one allowed successor being its
+    cycle successor); the binomial sides as cycles free of zero pairs; one
+    socle relation per vertex from the number of base vertices; the first
+    and the last arrows of the maximal paths, which start and end at their
+    vertex, as many as the arrows and all distinct; each arrow on exactly
+    one cycle from the cycles' letter count and the arrows they pass; and,
+    with at most one allowed successor per arrow, the zero pairs from the
+    cycle steps.  A cycle is decomposed once: a later path that spells its
+    known power from the path's first arrow has its cycle and exponent.
     """
     quiver = pres.quiver
     vertices, arrows = quiver.vertices, quiver.arrows
@@ -214,7 +189,7 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
     problems: list[Problem] = []
     if not quiver.is_connected():
         problems.append(Problem("connected", "quiver is not connected"))
-    if not _is_special_biserial(pres):
+    if _allowed_walk(pres) is None:
         problems.extend(validate_special_biserial(pres))
 
     zero, longer, binomials = pres.quadratic_monomials, pres.long_monomials, pres.binomials
@@ -299,15 +274,9 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
             word = w.arrows
             if not word or power_from.get(word[0]) == word:
                 continue
-            # most words are primitive, with a least letter that occurs once
-            n = len(word)
-            period = n if word.count(word[0]) == 1 else _least_period(word)
+            n, period = len(word), _least_period(word)
             primitive = word[:period]
-            least = min(primitive)
-            if primitive.count(least) == 1:
-                k = primitive.index(least)
-            else:
-                k = _least_rotation(primitive)
+            k = _least_rotation(primitive)
             rep = primitive[k:] + primitive[:k]
             exponent = families.setdefault(rep, n // period)
             if exponent != n // period:

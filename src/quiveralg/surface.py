@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from .brauer import BrauerGraph
 from .errors import InconsistencyError, ParseError, ValidationError
 from .gentle import GentleAlgebra, gentle_algebra
-from .quiver import Monomial, Presentation, Problem, Quiver, cached_property
+from .quiver import Monomial, Presentation, Problem, Quiver, _declare, cached_property
 
 
 class Triangulation:
@@ -174,6 +174,9 @@ def validate_triangulation(t: Triangulation) -> list[Problem]:
             if s not in t.arcs and s not in t.boundary_segments:
                 problems.append(Problem("sides", f"triangle {tri!r} uses unknown side {s!r}"))
             count[s] = count.get(s, 0) + 1
+        for a in sorted({s for s in sides if sides.count(s) > 1 and s in t.arcs}):
+            message = f"triangle {tri!r} has arc {a!r} on two sides, which needs a puncture"
+            problems.append(Problem("self-folded", message))
     for a in sorted(t.arcs):
         if count.get(a, 0) != 2:
             problems.append(
@@ -369,14 +372,14 @@ def parse_triangulation(text: str) -> Triangulation:
         if tokens[0] == "point" and len(tokens) == 2:
             points.append(tokens[1])
         elif tokens[0] == "bseg" and len(tokens) == 4:
-            bsegs[tokens[1]] = (tokens[2], tokens[3])
+            _declare(bsegs, tokens[1], (tokens[2], tokens[3]), lineno, "boundary segment")
         elif tokens[0] == "arc" and len(tokens) == 4:
-            arcs[tokens[1]] = (tokens[2], tokens[3])
+            _declare(arcs, tokens[1], (tokens[2], tokens[3]), lineno, "arc")
         elif tokens[0] == "triangle" and len(tokens) >= 4 and tokens[2] == "=":
             sides = tuple(" ".join(tokens[3:]).replace(",", " ").split())
             if len(sides) != 3:
                 raise ParseError(lineno, "a triangle needs exactly three sides")
-            triangles[tokens[1]] = sides  # type: ignore[assignment]
+            _declare(triangles, tokens[1], sides, lineno, "triangle")
         else:
             raise ParseError(lineno, f"cannot parse {line!r}")
     return Triangulation(points, bsegs, arcs, triangles)

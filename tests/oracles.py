@@ -69,8 +69,9 @@ the library's maximal paths, return-arrow names and projective
 descriptors, and are compared with the builds that replaced them.
 
 The remaining helpers serve the tests and check nothing by themselves: the
-census shapes one per class, presentation isomorphism by the library's key,
-the renaming of a presentation, and the source vertices of a cycle's
+census shapes one per class, the presentations broken in one place that
+the validators are compared on, presentation isomorphism by the library's
+key, the renaming of a presentation, and the source vertices of a cycle's
 simple cycle (``p_cycle``).
 """
 
@@ -110,7 +111,7 @@ from quiveralg.quiver import (
     rotate,
     trivial_path,
 )
-from quiveralg.ssb import ProjectiveDescriptor, SSBPresentation, simple_cycle_decomposition
+from quiveralg.ssb import ProjectiveDescriptor, SSBPresentation, _least_period
 
 
 class _UnionFind:
@@ -768,6 +769,46 @@ def relation_products(quiver: Quiver) -> Iterator[Presentation]:
         yield Presentation(quiver, [Monomial(quiver.path(p)) for choice in combo for p in choice])
 
 
+def one_place_breaks(pres: Presentation) -> Iterator[Presentation]:
+    """``pres`` with one thing changed: each relation deleted, each allowed
+    composition made zero, a zero relation of length three, a commutativity
+    relation, an arrow that takes a degree to three, and a vertex apart."""
+    quiver, relations = pres.quiver, list(pres.relations)
+    outs, ins = quiver.arrows_from, quiver.arrows_into
+    for i in range(len(relations)):
+        yield Presentation(quiver, relations[:i] + relations[i + 1 :])
+    steps = [(a, b) for a in quiver.arrows for b in outs[a.target]]
+    for a, b in steps:
+        if (a.name, b.name) not in pres.quadratic_monomials:
+            yield Presentation(quiver, relations + [Monomial(quiver.path([a.name, b.name]))])
+    long = next(((a, b, c) for a, b in steps for c in outs[b.target]), None)
+    if long is not None:
+        path = quiver.path([x.name for x in long])
+        yield Presentation(quiver, relations + [Monomial(path)])
+    paths = [quiver.path([a.name]) for a in quiver.arrows]
+    paths += [quiver.path([a.name, b.name]) for a, b in steps]
+    sides = next(
+        (
+            (p, q)
+            for p, q in combinations(paths, 2)
+            if (p.source, p.target) == (q.source, q.target) and p.arrows[0] != q.arrows[0]
+        ),
+        None,
+    )
+    if sides is not None:
+        yield Presentation(quiver, relations + [Binomial(*sides)])
+    for v in quiver.vertices:
+        if len(outs[v]) == 2 or len(ins[v]) == 2:
+            ends = (v, quiver.vertices[0]) if len(outs[v]) == 2 else (quiver.vertices[0], v)
+            name = "x"
+            while name in quiver.arrow_map:  # a presentation broken before
+                name += "'"
+            extra = Quiver(quiver.vertices, [*quiver.arrows, (name, *ends)])
+            yield Presentation(extra, relations)
+            break
+    yield Presentation(Quiver([*quiver.vertices, "z"], quiver.arrows), relations)
+
+
 def dedup_gentle_algebras(max_vertices: int, max_arrows: int) -> list[GentleAlgebra]:
     """The gentle census by presentation-key dedup: on every quiver class,
     every product of the per-vertex relation choices is validated, and a
@@ -1185,4 +1226,4 @@ def p_cycle(p: Path) -> tuple[str, ...]:
     a trivial path gives its one vertex."""
     if p.is_trivial():
         return (p.source,)
-    return simple_cycle_decomposition(p).primitive.vertices[:-1]
+    return p.vertices[: _least_period(p.arrows)]

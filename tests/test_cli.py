@@ -566,6 +566,27 @@ def test_dot_refuses_invalid_triangulation(capsys, tmp_path):
     assert "no arcs" in err
 
 
+@pytest.mark.parametrize(
+    "key, repeat, mode, message",
+    [
+        ("e21", "bvertex u mult=1", "bg-to-alg", "vertex 'u' declared twice"),
+        ("e21", "bedge E1 h3@u h4@w", "bg-to-alg", "edge 'E1' declared twice"),
+        ("e21", "order u = h1", "bg-to-alg", "order at vertex 'u' declared twice"),
+        ("tri", "bseg s1 a b", "tri-to-bg", "boundary segment 's1' declared twice"),
+        ("tri", "arc 1 a c", "tri-to-bg", "arc '1' declared twice"),
+        ("tri", "triangle t1 = 1,2,s3", "tri-to-bg", "triangle 't1' declared twice"),
+    ],
+)
+def test_a_repeated_id_is_refused_at_its_line(capsys, files, key, repeat, mode, message):
+    """A second declaration of an id no longer overwrites the first: it is a
+    parse error that names its own line, the last of the file."""
+    text = files[key].read_text() + repeat + "\n"
+    files[key].write_text(text)
+    code, out, err = run(capsys, "convert", "--mode", mode, str(files[key]))
+    assert (code, out) == (2, "")
+    assert err == f"line {text.count(chr(10))}: {message}\n"
+
+
 def test_dot_command_kinds(capsys, files):
     for kind, key, marker in [("alg", "a2", "digraph"), ("bg", "e21", "mult=2"), ("tri", "tri", "style=dashed")]:
         code, out, _ = run(capsys, "dot", "--kind", kind, str(files[key]))

@@ -1,12 +1,12 @@
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
 
 import pytest
 
 from oracles import (
     gentle_quivers,
     nonzero_paths_by_compose,
+    one_place_breaks,
     reference_validate_gentle,
     relation_products,
     socle_by_all_arrows,
@@ -24,7 +24,7 @@ from quiveralg.gentle import (
     validate_special_biserial,
     vertex_occurrences,
 )
-from quiveralg.quiver import Binomial, Monomial, Presentation, Quiver
+from quiveralg.quiver import Presentation, Quiver
 
 
 def codes(problems):
@@ -203,46 +203,6 @@ def test_nonzero_basis_and_socle_match_their_oracles(census):
     assert count > 0
 
 
-def _one_place_breaks(pres):
-    """``pres`` with one thing changed: each relation deleted, each allowed
-    composition made zero, a zero relation of length three, a commutativity
-    relation, an arrow that takes a degree to three, and a vertex apart."""
-    quiver, relations = pres.quiver, list(pres.relations)
-    outs, ins = quiver.arrows_from, quiver.arrows_into
-    for i in range(len(relations)):
-        yield Presentation(quiver, relations[:i] + relations[i + 1 :])
-    steps = [(a, b) for a in quiver.arrows for b in outs[a.target]]
-    for a, b in steps:
-        if (a.name, b.name) not in pres.quadratic_monomials:
-            yield Presentation(quiver, relations + [Monomial(quiver.path([a.name, b.name]))])
-    long = next(((a, b, c) for a, b in steps for c in outs[b.target]), None)
-    if long is not None:
-        path = quiver.path([x.name for x in long])
-        yield Presentation(quiver, relations + [Monomial(path)])
-    paths = [quiver.path([a.name]) for a in quiver.arrows]
-    paths += [quiver.path([a.name, b.name]) for a, b in steps]
-    sides = next(
-        (
-            (p, q)
-            for p, q in combinations(paths, 2)
-            if (p.source, p.target) == (q.source, q.target) and p.arrows[0] != q.arrows[0]
-        ),
-        None,
-    )
-    if sides is not None:
-        yield Presentation(quiver, relations + [Binomial(*sides)])
-    for v in quiver.vertices:
-        if len(outs[v]) == 2 or len(ins[v]) == 2:
-            ends = (v, quiver.vertices[0]) if len(outs[v]) == 2 else (quiver.vertices[0], v)
-            name = "x"
-            while name in quiver.arrow_map:  # a presentation broken before
-                name += "'"
-            extra = Quiver(quiver.vertices, [*quiver.arrows, (name, *ends)])
-            yield Presentation(extra, relations)
-            break
-    yield Presentation(Quiver([*quiver.vertices, "z"], quiver.arrows), relations)
-
-
 def test_validator_agrees_with_the_reference_validator():
     """The one-pass validator against the worded validator it replaced:
     equal problems, codes and messages in order, on every presentation of
@@ -256,10 +216,10 @@ def test_validator_agrees_with_the_reference_validator():
         for quiver, _ in gentle_quivers(n, 2 * n - 1):
             for pres in relation_products(quiver):
                 corpus.append(pres)
-                for broken in _one_place_breaks(pres):
+                for broken in one_place_breaks(pres):
                     corpus.append(broken)
                     if n <= 3:
-                        corpus.extend(_one_place_breaks(broken))
+                        corpus.extend(one_place_breaks(broken))
     seen, mixes = Counter(), set()
     for pres in corpus:
         report, expected = validate_gentle(pres), reference_validate_gentle(pres)

@@ -16,8 +16,8 @@ from oracles import (
 from quiveralg.brauer import algebra_of, is_isomorphic, presentation_of
 from quiveralg.census import connected_brauer_graphs
 from quiveralg.cut import admissible_cut, enumerate_cutting_sets
-from quiveralg.errors import RotationError, ValidationError
-from quiveralg.gentle import _is_special_biserial, validate_special_biserial
+from quiveralg.errors import ValidationError
+from quiveralg.gentle import _allowed_walk, validate_special_biserial
 from quiveralg.quiver import (
     Binomial,
     Monomial,
@@ -30,13 +30,13 @@ from quiveralg.quiver import (
     serialize_presentation,
 )
 from quiveralg.ssb import (
+    _least_period,
+    _least_rotation,
     find_ssb_isomorphism,
     graph_of_ssb,
     is_isomorphic_ssb,
     projective_basis,
     projective_dimension,
-    rotation_class,
-    simple_cycle_decomposition,
     ssb_presentation,
     validate_ssb,
 )
@@ -52,33 +52,27 @@ def bouquet():
     return Quiver(["v"], [("x", "v", "v"), ("y", "v", "v"), ("z", "v", "v")])
 
 
+def least_rotation(p: Path) -> Path:
+    return rotate(p, _least_rotation(p.arrows))
+
+
 class TestSimpleCycles:
-    def test_square_of_loop(self, bouquet):
-        dec = simple_cycle_decomposition(bouquet.path(["x", "x"]))
-        assert dec.primitive.arrows == ("x",)
-        assert dec.exponent == 2
+    def test_square_of_loop(self):
+        assert _least_period(("x", "x")) == 1
 
-    def test_square_of_two_cycle(self, bouquet):
-        dec = simple_cycle_decomposition(bouquet.path(["x", "y", "x", "y"]))
-        assert dec.primitive.arrows == ("x", "y")
-        assert dec.exponent == 2
+    def test_square_of_two_cycle(self):
+        assert _least_period(("x", "y", "x", "y")) == 2
 
-    def test_primitive_three_cycle(self, bouquet):
-        dec = simple_cycle_decomposition(bouquet.path(["x", "y", "z"]))
-        assert dec.exponent == 1
-
-    def test_non_cycle_rejected(self):
-        q = Quiver(["1", "2"], [("a", "1", "2")])
-        with pytest.raises(RotationError):
-            simple_cycle_decomposition(q.path(["a"]))
+    def test_primitive_three_cycle(self):
+        assert _least_period(("x", "y", "z")) == 3
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
     def test_exponent_times_primitive_length(self, reps, base):
-        q = Quiver(["v"], [(f"x{i}", "v", "v") for i in range(base)])
-        word = [f"x{i}" for i in range(base)] * reps
-        dec = simple_cycle_decomposition(q.path(word))
-        assert len(dec.primitive.arrows) * dec.exponent == len(word)
-        assert dec.exponent % reps == 0  # base word may itself repeat
+        word = tuple(f"x{i}" for i in range(base)) * reps
+        period = _least_period(word)
+        assert len(word) % period == 0
+        assert word == word[:period] * (len(word) // period)
+        assert (len(word) // period) % reps == 0  # base word may itself repeat
 
 
 class TestPCycle:
@@ -103,36 +97,30 @@ class TestPCycle:
 
 class TestRotationClass:
     def test_lexicographic_least(self, bouquet):
-        assert rotation_class(bouquet.path(["y", "x"])).arrows == ("x", "y")
+        assert least_rotation(bouquet.path(["y", "x"])).arrows == ("x", "y")
 
     def test_idempotent(self, bouquet):
         p = bouquet.path(["x", "y"])
-        assert rotation_class(rotation_class(p)) == rotation_class(p)
+        assert least_rotation(least_rotation(p)) == least_rotation(p)
 
     def test_orbit_collapses(self, bouquet):
-        from quiveralg.quiver import rotate
-
         p = bouquet.path(["x", "y", "z"])
-        reps = {rotation_class(rotate(p, k)) for k in range(3)}
+        reps = {least_rotation(rotate(p, k)) for k in range(3)}
         assert len(reps) == 1
 
     def test_least_over_all_rotations(self):
-        from quiveralg.quiver import rotate
-
         for g in connected_brauer_graphs(3, 3):
             pres = algebra_of(g).presentation
             cycles = [side for r in pres.binomials for side in r.paths()]
             cycles += [m.prefix(len(m) - 1) for m in pres.long_monomials]
             for p in cycles:
                 least = min((rotate(p, k) for k in range(len(p))), key=lambda r: r.arrows)
-                assert rotation_class(p) == least
+                assert least_rotation(p) == least
 
     def test_rotation_preserves_exponent(self, bouquet):
-        from quiveralg.quiver import rotate
-
         p = bouquet.path(["x", "y", "x", "y"])
         for k in range(4):
-            assert simple_cycle_decomposition(rotate(p, k)).exponent == 2
+            assert _least_period(rotate(p, k).arrows) == 2
 
 
 class TestValidateSSB:
@@ -562,16 +550,18 @@ def test_period_and_rotation_match_the_full_scans(length):
         period = min(
             d for d in range(1, length + 1) if length % d == 0 and word == word[:d] * (length // d)
         )
-        dec = simple_cycle_decomposition(p)
-        assert (dec.primitive, dec.exponent) == (p.prefix(period), length // period)
+        assert _least_period(word) == period
         least = min(range(length), key=lambda k: word[k:] + word[:k])
-        assert rotation_class(p) == rotate(p, least)
+        assert least_rotation(p) == rotate(p, least)
 
 
 def test_special_biserial_count_test_matches_the_worded_check():
-    """The count test that the validator runs first agrees with the worded
-    special-biserial check on every quiver with two vertices and at most
-    three arrows, under every set of length-two zero relations."""
+    """The walk that both validators run first fails exactly when the worded
+    special-biserial check or S4 (at most one zero pair starting, and one
+    ending, with each arrow) fails, on every quiver with two vertices and at
+    most three arrows, under every set of length-two zero relations; where
+    S4 alone fails, the worded check finds nothing, and the validator gives
+    the problems of the reference validator."""
     ends = [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
     checked = Counter()
     for n_arrows in range(4):
@@ -581,9 +571,12 @@ def test_special_biserial_count_test_matches_the_worded_check():
                 (a.name, b.name) for a in quiver.arrows for b in quiver.arrows_from[a.target]
             ]
             for chosen in product((False, True), repeat=len(pairs)):
-                zero = [Monomial(quiver.path(pair)) for pair, on in zip(pairs, chosen) if on]
-                pres = Presentation(quiver, zero)
-                verdict = _is_special_biserial(pres)
-                assert verdict == (validate_special_biserial(pres) == [])
-                checked[verdict] += 1
-    assert checked[True] and checked[False]
+                zero = [pair for pair, on in zip(pairs, chosen) if on]
+                pres = Presentation(quiver, [Monomial(quiver.path(pair)) for pair in zero])
+                biserial = validate_special_biserial(pres) == []
+                s4 = len({a for a, _ in zero}) == len(zero) == len({b for _, b in zero})
+                assert (_allowed_walk(pres) is not None) == (biserial and s4)
+                checked[biserial, s4] += 1
+                if biserial and not s4:
+                    assert _findings(validate_ssb(pres)) == _findings(reference_validate_ssb(pres))
+    assert checked[True, True] and checked[False, True] and checked[True, False]

@@ -105,6 +105,27 @@ class TestValidation:
         )
         assert "boundary" in codes(validate_triangulation(bad))
 
+    def test_self_folded_triangle_refused(self, tmp_path, capsys):
+        """One arc on two sides of a triangle folds it around a puncture,
+        which these surfaces do not have: every command on it exits 2 with
+        that problem, where the graph used to lose a germ."""
+        text = "point a\nbseg s a a\narc 1 a a\ntriangle t = 1,1,s\n"
+        problems = validate_triangulation(parse_triangulation(text))
+        assert [(p.code, p.message) for p in problems] == [
+            ("self-folded", "triangle 't' has arc '1' on two sides, which needs a puncture")
+        ]
+        path = tmp_path / "folded.tri"
+        path.write_text(text)
+        for argv in (
+            ["validate", "--kind", "tri"],
+            ["convert", "--mode", "tri-to-bg"],
+            ["convert", "--mode", "tri-to-jacobian"],
+            ["dot", "--kind", "tri"],
+        ):
+            assert main([*argv, str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out + err == f"{problems[0]}\n"
+
     def test_arcless_rejected(self):
         bad = Triangulation(["1"], {"s": ("1", "1")}, {}, {})
         assert "arcs" in codes(validate_triangulation(bad))
