@@ -10,12 +10,13 @@ paths are chained.  The validator makes each check once, in one pass: a
 count decides it, and the check words its problems only when that count
 fails.  On a validated presentation this module computes the maximal paths,
 the extended maximal-path set used by the trivial-extension construction,
-the nonzero paths (enumerated once per algebra, by extending each path with
-the allowed successors of its last arrow) and the socle basis.  The socle
-comes from the annihilation definition: a nonzero path is in it when every
-arrow multiplies it to zero on both sides.  Only the arrows into its source
-and out of its target can compose with it, so only those are tested, each
-with the generic zero test of the presentation; the maximal-path chains are
+the nonzero paths (enumerated once per algebra, as sorted keys, by
+extending each path with the allowed successors of its last arrow) and the
+socle basis.  The socle comes from the annihilation definition: a nonzero
+path is in it when every arrow multiplies it to zero on both sides.  Only
+the arrows into its source and out of its target can compose with it, so
+only those are tested, each with the generic zero test of the presentation
+on arrow words; the maximal-path chains are
 never consulted, so that their equality with the socle is a checkable fact
 rather than a definition.
 """
@@ -58,30 +59,42 @@ class GentleAlgebra:
         return self.presentation.quiver
 
     @cached_property
-    def nonzero_basis(self) -> tuple[Path, ...]:
-        """The paths avoiding the relations, trivial paths included, in
-        :func:`path_sort_key` order: a basis of the algebra.
+    def _nonzero_keys(self) -> list[tuple]:
+        """The paths avoiding the relations, trivial paths included, as
+        sorted keys ``(length, arrow word, itinerary)``, each
+        :func:`path_sort_key` of its path: the keys of
+        :attr:`nonzero_basis`, walked once per algebra.
 
         Every single arrow is nonzero, and a longer nonzero path extends a
         shorter one by an allowed successor of its last arrow, so this
         reaches each path exactly once; finiteness is guaranteed by the
-        relation-free cycle rejection in :func:`validate_gentle`.
+        relation-free cycle rejection in :func:`validate_gentle`.  The list
+        is shared, so callers must not modify it.
         """
         outs, zero = self.quiver.arrows_from, self.presentation.quadratic_monomials
-        out = [trivial_path(v) for v in self.quiver.vertices]
-        frontier = [Path((a.source, a.target), (a.name,)) for a in self.quiver.arrows]
+        keys = [(0, (), (v,)) for v in self.quiver.vertices]
+        frontier = [((a.name,), (a.source, a.target)) for a in self.quiver.arrows]
         while frontier:
-            p = frontier.pop()
-            out.append(p)
-            last = p.arrows[-1]
-            for a in outs[p.target]:
+            word, itinerary = frontier.pop()
+            keys.append((len(word), word, itinerary))
+            last = word[-1]
+            for a in outs[itinerary[-1]]:
                 if (last, a.name) not in zero:
-                    frontier.append(Path(p.vertices + (a.target,), p.arrows + (a.name,)))
-        return tuple(sorted(out, key=path_sort_key))
+                    frontier.append((word + (a.name,), itinerary + (a.target,)))
+        keys.sort()
+        return keys
+
+    @cached_property
+    def nonzero_basis(self) -> tuple[Path, ...]:
+        """The paths avoiding the relations, trivial paths included, in
+        :func:`path_sort_key` order: a basis of the algebra, one ``Path``
+        per key of :attr:`_nonzero_keys`."""
+        return tuple([Path(itinerary, word) for _, word, itinerary in self._nonzero_keys])
 
     @cached_property
     def dimension(self) -> int:
-        return len(self.nonzero_basis)
+        """The number of :attr:`_nonzero_keys`; no ``Path`` is built."""
+        return len(self._nonzero_keys)
 
     @cached_property
     def return_arrow_names(self) -> dict[Path, str]:
@@ -149,12 +162,12 @@ def _allowed_walk(pres: Presentation) -> tuple[dict[str, Arrow], list[Arrow]] | 
     banned_before = {b: a for a, b in zero}
     if not len(banned_after) == len(banned_before) == len(zero):
         return None
-    if max(map(len, outs.values()), default=0) > 2 or max(map(len, ins.values()), default=0) > 2:
-        return None
     successor: dict[str, Arrow] = {}
     starts: list[Arrow] = []
-    for a in quiver.arrows:
+    for a in quiver.arrows:  # each degree is read at the arrows it counts
         name, after = a.name, outs[a.target]
+        if len(outs[a.source]) > 2 or len(ins[a.target]) > 2:
+            return None
         banned = banned_after.get(name)
         allowed = len(after) - (banned is not None)
         before = len(ins[a.source]) - (name in banned_before)
@@ -235,9 +248,10 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     starts_at = dict.fromkeys(vertices, 0)
     for a in starts:
         starts_at[a.source] += 1
-    ins, trivial, slots = quiver.arrows_into, [], True
+    ins, outs, zero = quiver.arrows_into, quiver.arrows_from, pres.quadratic_monomials
+    trivial, slots = [], True
     for v in vertices:
-        gets = _gets_trivial_maximal(pres, v)
+        gets = _gets_trivial_maximal(ins[v], outs[v], zero)
         if gets:
             trivial.append(trivial_path(v))
         slots = slots and len(ins[v]) + starts_at[v] + gets == 2
@@ -289,16 +303,19 @@ def _maximal_path_chains(
     return tuple([Path(itinerary, names) for _, names, itinerary in chains])
 
 
-def _gets_trivial_maximal(pres: Presentation, v: str) -> bool:
-    """Whether the trivial path at ``v`` joins the extended maximal paths.
+def _gets_trivial_maximal(
+    ins: tuple[Arrow, ...], outs: tuple[Arrow, ...], zero: frozenset[tuple[str, str]]
+) -> bool:
+    """Whether the trivial path at a vertex joins the extended maximal
+    paths, given the arrows ``ins`` into it and ``outs`` out of it and the
+    quadratic zero relations ``zero``.
 
     Three local shapes qualify: a sink with a single incoming arrow, a
     source with a single outgoing arrow, and a vertex with exactly one
     incoming and one outgoing arrow whose composition avoids the ideal.
     """
-    ins, outs = pres.quiver.arrows_into[v], pres.quiver.arrows_from[v]
     if len(ins) == len(outs) == 1:
-        return (ins[0].name, outs[0].name) not in pres.quadratic_monomials
+        return (ins[0].name, outs[0].name) not in zero
     return len(ins) + len(outs) == 1
 
 
@@ -328,25 +345,27 @@ def socle_basis(algebra: GentleAlgebra) -> list[Path]:
     An arrow that does not end at ``p.source`` (on the left) or start at
     ``p.target`` (on the right) multiplies ``p`` to zero in the quiver
     alone, so only ``arrows_into[p.source]`` and ``arrows_from[p.target]``
-    are tested, each by extending ``p`` and applying the generic zero test
-    of the presentation (relation pairs looked up, longer relations scanned
-    as subpaths).  This is the annihilation definition, not the
+    are tested, each by extending the arrow word of ``p`` and applying the
+    generic zero test of the presentation to it
+    (:meth:`~quiveralg.quiver.Presentation.word_is_nonzero_monomially`:
+    relation pairs looked up, longer relations scanned as subwords).  The
+    nonzero paths are read as keys, and a ``Path`` is built only for an
+    element of the socle.  This is the annihilation definition, not the
     maximal-path chain decomposition; agreement with
     ``GentleAlgebra.maximal_paths`` is therefore a meaningful check.
     """
     pres = algebra.presentation
     ins, outs = pres.quiver.arrows_into, pres.quiver.arrows_from
-    nonzero = pres.path_is_nonzero_monomially
+    nonzero = pres.word_is_nonzero_monomially
     basis = []
-    for p in algebra.nonzero_basis:
-        vertices, arrows = p.vertices, p.arrows
-        for a in ins[vertices[0]]:
-            if nonzero(Path((a.source,) + vertices, (a.name,) + arrows)):
+    for _, word, itinerary in algebra._nonzero_keys:
+        for a in ins[itinerary[0]]:
+            if nonzero((a.name,) + word):
                 break  # a nonzero left multiple
         else:
-            for a in outs[vertices[-1]]:
-                if nonzero(Path(vertices + (a.target,), arrows + (a.name,))):
+            for a in outs[itinerary[-1]]:
+                if nonzero(word + (a.name,)):
                     break  # a nonzero right multiple
             else:
-                basis.append(p)
+                basis.append(Path(itinerary, word))
     return basis

@@ -177,8 +177,13 @@ def is_subpath(p: Path, q: Path) -> bool:
     """
     if p.is_trivial():
         return p.source in q.vertices
-    n, m = len(p.arrows), len(q.arrows)
-    return any(q.arrows[i : i + n] == p.arrows for i in range(m - n + 1))
+    return _is_subword(p.arrows, q.arrows)
+
+
+def _is_subword(word: tuple[str, ...], arrows: tuple[str, ...]) -> bool:
+    """Whether ``word`` occurs as a contiguous block of ``arrows``."""
+    n = len(word)
+    return any(arrows[i : i + n] == word for i in range(len(arrows) - n + 1))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -391,20 +396,27 @@ class Presentation:
         )
 
     def path_is_nonzero_monomially(self, p: Path) -> bool:
-        """Whether ``p`` avoids every monomial relation as a subpath.
+        """Whether ``p`` avoids every monomial relation as a subpath: the
+        :meth:`word_is_nonzero_monomially` test of its arrow word.  For
+        presentations whose ideal is generated by monomials this is exactly
+        "p is nonzero in the algebra"."""
+        return self.word_is_nonzero_monomially(p.arrows)
+
+    def word_is_nonzero_monomially(self, arrows: tuple[str, ...]) -> bool:
+        """Whether the arrow word ``arrows`` contains no monomial relation
+        as a contiguous subword.
 
         The length-two relations are looked up as consecutive arrow pairs in
-        :attr:`quadratic_monomials`; only the longer ones are scanned with
-        :func:`is_subpath` when they are no longer than ``p``.  For
-        presentations whose ideal is generated by monomials this is exactly
-        "p is nonzero in the algebra".
+        :attr:`quadratic_monomials`; only the longer ones are scanned, when
+        they are no longer than the word and their first arrow occurs in
+        it.  Every relation has at least two arrows, so on the word of a
+        path this is the :func:`is_subpath` test of each relation path.
         """
-        arrows = p.arrows
         if not self.quadratic_monomials.isdisjoint(zip(arrows, arrows[1:])):
             return False
         longer = self.long_monomials
         return not longer or not any(
-            is_subpath(m, p)
+            _is_subword(m.arrows, arrows)
             for m in longer
             if len(m.arrows) <= len(arrows) and m.arrows[0] in arrows
         )
@@ -455,8 +467,8 @@ def _parse_side(tokens: list[str], quiver: Quiver, lineno: int) -> Path:
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the line-oriented presentation format; errors carry line numbers."""
-    vertices: list[str] = []
-    arrows: list[tuple[int, tuple[str, str, str]]] = []
+    vertices: dict[str, int] = {}  # id -> its line
+    arrows: dict[str, tuple[int, tuple[str, ...]]] = {}  # id -> its line, id, ends
     raw_relations: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -467,11 +479,11 @@ def parse_presentation(text: str) -> Presentation:
         if kind == "vertex":
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected: vertex <id>")
-            vertices.append(tokens[1])
+            _declare(vertices, tokens[1], lineno, lineno, "vertex")
         elif kind == "arrow":
             if len(tokens) != 4:
                 raise ParseError(lineno, "expected: arrow <id> <src> <tgt>")
-            arrows.append((lineno, (tokens[1], tokens[2], tokens[3])))
+            _declare(arrows, tokens[1], (lineno, tuple(tokens[1:])), lineno, "arrow")
         elif kind == "rel":
             if len(tokens) < 2 or tokens[1] not in ("mono", "comm"):
                 raise ParseError(lineno, "expected: rel mono ... or rel comm ...")
@@ -479,15 +491,11 @@ def parse_presentation(text: str) -> Presentation:
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
 
-    declared = set(vertices)
-    for lineno, (name, src, tgt) in arrows:
+    for lineno, (name, src, tgt) in arrows.values():
         for v in (src, tgt):
-            if v not in declared:
+            if v not in vertices:
                 raise ParseError(lineno, f"undeclared vertex {v!r} in arrow {name!r}")
-    try:
-        quiver = Quiver(vertices, (a for _, a in arrows))
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+    quiver = Quiver(vertices, (a for _, a in arrows.values()))
 
     relations: list[Relation] = []
     for lineno, tokens in raw_relations:

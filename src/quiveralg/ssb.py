@@ -417,15 +417,26 @@ def ssb_presentation(pres: Presentation) -> SSBPresentation:
 
 def projective_basis(ssb: SSBPresentation, vertex: str) -> tuple[Path, ...]:
     """Explicit basis of the projective at ``vertex``, in
-    :func:`~quiveralg.quiver.path_sort_key` order.
+    :func:`~quiveralg.quiver.path_sort_key` order: one ``Path`` per key of
+    :func:`_basis_keys`.
 
     The trivial path, the proper prefixes of both cycles, and one canonical
     representative of the socle (the two full cycles are identified in the
     algebra, so only the smaller one is listed); the length of the result is
-    the dimension of the projective.  The basis is written out by length,
-    one ``Path`` per element and no sort: the two cycles start with distinct
-    arrows, so at every length the prefix of the cycle with the smaller
-    first arrow comes first, and on a tie in length that cycle is the socle.
+    the dimension of the projective.
+    """
+    return tuple([Path(itinerary, word) for _, word, itinerary in _basis_keys(ssb, vertex)])
+
+
+def _basis_keys(ssb: SSBPresentation, vertex: str) -> list[tuple]:
+    """The keys ``(length, arrow word, itinerary)`` of the elements of
+    :func:`projective_basis`, each :func:`~quiveralg.quiver.path_sort_key`
+    of its path, in order.
+
+    They are written out by length with no sort: the two cycles start with
+    distinct arrows, so at every length the prefix of the cycle with the
+    smaller first arrow comes first, and on a tie in length that cycle is
+    the socle.
     """
     d = ssb.projective_at[vertex]
     a, b = d.first, d.second
@@ -434,13 +445,14 @@ def projective_basis(ssb: SSBPresentation, vertex: str) -> tuple[Path, ...]:
     a_is_socle = not b.arrows or len(a.arrows) <= len(b.arrows)
     last_a = len(a.arrows) - (not a_is_socle)  # the longest element from each
     last_b = len(b.arrows) - a_is_socle
-    basis = [trivial_path(vertex)]
+    a_word, a_itinerary, b_word, b_itinerary = a.arrows, a.vertices, b.arrows, b.vertices
+    keys = [(0, (), (vertex,))]
     for k in range(1, max(last_a, last_b) + 1):
         if k <= last_a:
-            basis.append(Path(a.vertices[: k + 1], a.arrows[:k]))
+            keys.append((k, a_word[:k], a_itinerary[: k + 1]))
         if k <= last_b:
-            basis.append(Path(b.vertices[: k + 1], b.arrows[:k]))
-    return tuple(basis)
+            keys.append((k, b_word[:k], b_itinerary[: k + 1]))
+    return keys
 
 
 def projective_dimension(ssb: SSBPresentation, vertex: str) -> int:
@@ -472,25 +484,19 @@ def graph_of_ssb(ssb: SSBPresentation) -> BrauerGraph:
     for gv, _, mu in stations:
         for idx, qv in enumerate(mu):
             occurrences.setdefault(qv, []).append((gv, idx))
-    for qv, occ in sorted(occurrences.items()):
+    rotations = {gv: [""] * len(mu) for gv, _, mu in stations}
+    edges: dict[str, tuple[str, str]] = {}
+    for qv, occ in occurrences.items():
         if len(occ) != 2:
+            qv, occ = min((q, o) for q, o in occurrences.items() if len(o) != 2)
             raise InconsistencyError(
                 f"quiver vertex {qv!r} has {len(occ)} germ occurrences instead of 2; "
                 "the presentation is not genuinely normalized"
             )
-    germ_name: dict[tuple[str, int], str] = {}
-    edges: dict[str, tuple[str, str]] = {}
-    for qv, occ in occurrences.items():
-        occ = sorted(occ)
-        for side, place in enumerate(occ):
-            germ_name[place] = f"{qv}.{side}"
-        edges[qv] = (germ_name[occ[0]], germ_name[occ[1]])
-
+        edges[qv] = germs = (f"{qv}.0", f"{qv}.1")
+        for (gv, idx), germ in zip(sorted(occ), germs):
+            rotations[gv][idx] = germ
     multiplicities = {gv: mult for gv, mult, _ in stations}
-    rotations = {
-        gv: tuple(germ_name[(gv, idx)] for idx in range(len(mu)))
-        for gv, _, mu in stations
-    }
     return BrauerGraph(multiplicities, edges, rotations)
 
 

@@ -45,8 +45,8 @@ from .cut import enumerate_cutting_sets, admissible_cut, verify_roundtrip, verte
 from .errors import QuiverAlgError, ValidationError
 from .gentle import socle_basis
 from .quiver import serialize_presentation
-from .ssb import graph_of_ssb, projective_basis
-from .trivext import extension_of_graph, graph_of_gentle, projectives_oracle
+from .ssb import _basis_keys, graph_of_ssb
+from .trivext import _oracle_keys, extension_of_graph, graph_of_gentle
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -124,15 +124,16 @@ def _check_trivial_extension(algebra, bounds: Bounds) -> list[tuple[str, str]]:
     """The three faces of the trivial-extension correspondence on gentle algebras.
 
     (a) the glued projective bases equal the Brauer-graph ones at every
-    vertex, (b) the graph of the trivial extension is the gentle graph,
-    (c) the dimension exactly doubles.
+    vertex, compared as their sorted ``path_sort_key`` keys, (b) the graph
+    of the trivial extension is the gentle graph, (c) the dimension exactly
+    doubles.
     """
     failures = []
     gg = graph_of_gentle(algebra)
     ext = extension_of_graph(algebra, gg)
     for v in algebra.quiver.vertices:
-        # both sorted by path_sort_key and free of repeats: equal as sets
-        if projectives_oracle(algebra, v) != projective_basis(ext, v):
+        # both sorted and free of repeats: equal as sets of paths
+        if _oracle_keys(algebra, v) != _basis_keys(ext, v):
             failures.append(
                 ("projective-gluing", f"basis mismatch at vertex {v!r}")
             )

@@ -360,7 +360,7 @@ def brauer_graph_of_triangulation(t: Triangulation) -> BrauerGraph:
 
 
 def parse_triangulation(text: str) -> Triangulation:
-    points: list[str] = []
+    points: dict[str, int] = {}  # id -> its line
     bsegs: dict[str, tuple[str, str]] = {}
     arcs: dict[str, tuple[str, str]] = {}
     triangles: dict[str, tuple[str, str, str]] = {}
@@ -370,7 +370,7 @@ def parse_triangulation(text: str) -> Triangulation:
             continue
         tokens = line.split()
         if tokens[0] == "point" and len(tokens) == 2:
-            points.append(tokens[1])
+            _declare(points, tokens[1], lineno, lineno, "point")
         elif tokens[0] == "bseg" and len(tokens) == 4:
             _declare(bsegs, tokens[1], (tokens[2], tokens[3]), lineno, "boundary segment")
         elif tokens[0] == "arc" and len(tokens) == 4:

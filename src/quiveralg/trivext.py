@@ -100,9 +100,18 @@ def graph_of_gentle(algebra: GentleAlgebra) -> GentleGraph:
 
 def extended_quiver(algebra: GentleAlgebra) -> Quiver:
     """The original quiver plus one return arrow per nontrivial maximal path."""
+    return Quiver(algebra.quiver.vertices, _extended_arrows(algebra))
+
+
+def _extended_arrows(algebra: GentleAlgebra) -> list[tuple[str, str, str]]:
+    """The arrows of :func:`extended_quiver` as ``(name, source, target)``
+    triples in name order: those of ``algebra``, and a return arrow from the
+    target to the source of each nontrivial maximal path."""
     betas = algebra.return_arrow_names
-    extra = [(betas[m], m.target, m.source) for m in algebra.maximal_paths]
-    return Quiver(algebra.quiver.vertices, [*algebra.quiver.arrows, *extra])
+    arrows = [(a.name, a.source, a.target) for a in algebra.quiver.arrows]
+    arrows += [(betas[m], m.target, m.source) for m in algebra.maximal_paths]
+    arrows.sort()
+    return arrows
 
 
 def trivial_extension(algebra: GentleAlgebra) -> SSBPresentation:
@@ -118,9 +127,17 @@ def trivial_extension(algebra: GentleAlgebra) -> SSBPresentation:
 
 def extension_of_graph(algebra: GentleAlgebra, gg: GentleGraph) -> SSBPresentation:
     """:func:`trivial_extension` from the already built graph ``gg`` of
-    ``algebra``, for callers that need the graph too."""
+    ``algebra``, for callers that need the graph too.
+
+    The quiver of the result is compared with :func:`extended_quiver`
+    without building it: its vertices with those of ``algebra``, and its
+    arrows with :func:`_extended_arrows`.
+    """
     ssb = algebra_of(gg.graph)
-    if ssb.quiver != extended_quiver(algebra):
+    found = ssb.quiver
+    if found.vertices != algebra.quiver.vertices or _extended_arrows(algebra) != [
+        (a.name, a.source, a.target) for a in found.arrows
+    ]:
         raise InconsistencyError(
             "trivial extension quiver does not match the extended quiver"
         )
@@ -128,25 +145,38 @@ def extension_of_graph(algebra: GentleAlgebra, gg: GentleGraph) -> SSBPresentati
 
 
 def projectives_oracle(algebra: GentleAlgebra, vertex: str) -> tuple[Path, ...]:
-    """Projective basis at ``vertex`` of the trivial extension, by string gluing.
+    """Projective basis at ``vertex`` of the trivial extension, by string
+    gluing: one ``Path`` per key of :func:`_oracle_keys`, in
+    :func:`~quiveralg.quiver.path_sort_key` order.  Must agree with
+    :func:`~quiveralg.ssb.projective_basis` on :func:`trivial_extension` at
+    every vertex."""
+    return tuple([Path(itinerary, word) for _, word, itinerary in _oracle_keys(algebra, vertex)])
+
+
+def _oracle_keys(algebra: GentleAlgebra, vertex: str) -> list[tuple]:
+    """The glued projective basis at ``vertex``, as sorted keys ``(length,
+    arrow word, itinerary)``, each :func:`~quiveralg.quiver.path_sort_key`
+    of its path.
 
     Independent of the Brauer-graph route: for each of the two maximal-path
     occurrences ``m = q . r`` through the vertex (recomputing here which
     trivial paths count as maximal rather than reusing the cached extended
     set), the glued cycle is ``r * return(m) * q``; the basis consists of
     the trivial path, the proper prefixes of the one or two glued cycles,
-    and the socle.  Each basis element is first a key ``(length, arrow
-    word, itinerary)``, which is :func:`~quiveralg.quiver.path_sort_key` of
-    its path.  The keys are distinct, since the glued cycles start with
-    distinct arrows (the maximal paths partition the arrows, and each has
-    its own return arrow); they are sorted once, and one ``Path`` is built
-    per key.  Must agree with :func:`~quiveralg.ssb.projective_basis` on
-    :func:`trivial_extension` at every vertex.
+    and the socle.  The keys are distinct, since the glued cycles start
+    with distinct arrows (the maximal paths partition the arrows, and each
+    has its own return arrow), and they are sorted once.  The suites
+    compare them with :func:`~quiveralg.ssb._basis_keys` of
+    :func:`trivial_extension`, building no ``Path``.
     """
     betas = algebra.return_arrow_names
     keys = [(0, (), (vertex,))]
     socle = None  # the key of the smallest glued cycle
-    count = _gets_trivial_maximal(algebra.presentation, vertex)
+    quiver = algebra.quiver
+    count = _gets_trivial_maximal(
+        quiver.arrows_into[vertex], quiver.arrows_from[vertex],
+        algebra.presentation.quadratic_monomials,
+    )
     for m in algebra.maximal_paths:
         vertices = m.vertices
         if vertex not in vertices:
@@ -167,4 +197,4 @@ def projectives_oracle(algebra: GentleAlgebra, vertex: str) -> tuple[Path, ...]:
         raise InconsistencyError(f"vertex {vertex!r} lies on {count} maximal-path slots")
     keys.append(socle)
     keys.sort()
-    return tuple([Path(itinerary, word) for _, word, itinerary in keys])
+    return keys

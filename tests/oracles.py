@@ -66,7 +66,12 @@ gentleness by counts, with its DFS for relation-free cycles, and the two
 reference projective bases are the library's builds as they were before
 their keys, one ``Path`` per prefix sorted by ``path_sort_key``; they read
 the library's maximal paths, return-arrow names and projective
-descriptors, and are compared with the builds that replaced them.
+descriptors, and are compared with the builds that replaced them.  The
+reference zero test is the library's monomial zero test as it was written
+on paths, with ``is_subpath``; ``key_view_mismatches`` compares it and the
+``Path``-level test with the word-level test that replaced them, and each
+key view of the trivial-extension and socle checks with its public
+``Path`` result.
 
 The remaining helpers serve the tests and check nothing by themselves: the
 census shapes one per class, the presentations broken in one place that
@@ -1166,7 +1171,9 @@ def reference_validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
         chains.append(Path((start.source, *(a.target for a in chain)), names))
     maximal = tuple(sorted(chains, key=path_sort_key))
     extended = maximal + tuple(
-        trivial_path(v) for v in quiver.vertices if _gets_trivial_maximal(pres, v)
+        trivial_path(v)
+        for v in quiver.vertices
+        if _gets_trivial_maximal(quiver.arrows_into[v], quiver.arrows_from[v], zero)
     )
     algebra = GentleAlgebra(pres, maximal, extended)
     for v, occ in vertex_occurrences(algebra).items():
@@ -1191,7 +1198,9 @@ def reference_projectives_oracle(algebra: GentleAlgebra, vertex: str) -> tuple[P
         for slot, v in enumerate(m.vertices):
             if v == vertex:
                 occurrences.append((m, slot))
-    if _gets_trivial_maximal(algebra.presentation, vertex):
+    quiver = algebra.quiver
+    zero = algebra.presentation.quadratic_monomials
+    if _gets_trivial_maximal(quiver.arrows_into[vertex], quiver.arrows_from[vertex], zero):
         occurrences.append(None)
     assert len(occurrences) == 2
     betas = algebra.return_arrow_names
@@ -1219,6 +1228,71 @@ def reference_projective_basis(ssb: SSBPresentation, vertex: str) -> tuple[Path,
         basis.extend(w.prefix(k) for k in range(1, len(w)))
     basis.append(min(d.paths(), key=path_sort_key) if not d.is_uniserial() else d.first)
     return tuple(sorted(basis, key=path_sort_key))
+
+
+def reference_path_is_nonzero(pres: Presentation, p: Path) -> bool:
+    """The monomial zero test as it was written on paths: each pair of
+    consecutive arrows looked up among the length-two relations, and every
+    longer relation path tested with ``is_subpath``."""
+    arrows = p.arrows
+    if any(pair in pres.quadratic_monomials for pair in zip(arrows, arrows[1:])):
+        return False
+    return not any(is_subpath(m, p) for m in pres.long_monomials)
+
+
+def _with_one_arrow_more(quiver: Quiver, paths) -> Iterator[Path]:
+    """Each path, then each of its extensions by one arrow on the left and
+    on the right."""
+    for p in paths:
+        yield p
+        for a in quiver.arrows_into[p.source]:
+            yield Path((a.source,) + p.vertices, (a.name,) + p.arrows)
+        for a in quiver.arrows_from[p.target]:
+            yield Path(p.vertices + (a.target,), p.arrows + (a.name,))
+
+
+def key_view_mismatches(algebra: GentleAlgebra) -> tuple[list[str], int]:
+    """Where a key view behind the trivial-extension and socle checks
+    differs from its public ``Path`` result, on ``algebra`` and its trivial
+    extension, and how many zero tests met a relation of length three or
+    more.
+
+    Compared: the glued keys with ``path_sort_key`` of ``projectives_oracle``
+    and the Brauer basis keys with that of ``projective_basis``, at every
+    vertex; the nonzero keys with that of ``nonzero_basis``; and, on every
+    nonzero path of the algebra and every basis element of its trivial
+    extension (whose socle relations are long monomials), each extended by
+    one arrow on either side, the word-level zero test with the
+    ``Path``-level one and with the reference test on paths.
+    """
+    from quiveralg.ssb import _basis_keys, projective_basis
+    from quiveralg.trivext import _oracle_keys, projectives_oracle, trivial_extension
+
+    ext = trivial_extension(algebra)
+    found = []
+    if algebra._nonzero_keys != [path_sort_key(p) for p in algebra.nonzero_basis]:
+        found.append("nonzero keys")
+    ext_basis = []
+    for v in algebra.quiver.vertices:
+        if _oracle_keys(algebra, v) != [path_sort_key(p) for p in projectives_oracle(algebra, v)]:
+            found.append(f"oracle keys at {v!r}")
+        basis = projective_basis(ext, v)
+        ext_basis.extend(basis)
+        if _basis_keys(ext, v) != [path_sort_key(p) for p in basis]:
+            found.append(f"basis keys at {v!r}")
+    long_hits = 0
+    for pres, paths in (
+        (algebra.presentation, algebra.nonzero_basis),
+        (ext.presentation, ext_basis),
+    ):
+        for p in _with_one_arrow_more(pres.quiver, paths):
+            verdict = pres.word_is_nonzero_monomially(p.arrows)
+            if not verdict == pres.path_is_nonzero_monomially(p) == reference_path_is_nonzero(
+                pres, p
+            ):
+                found.append(f"zero test on {p!r}")
+            long_hits += any(is_subpath(m, p) for m in pres.long_monomials)
+    return found, long_hits
 
 
 def p_cycle(p: Path) -> tuple[str, ...]:

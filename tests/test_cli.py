@@ -29,7 +29,7 @@ from quiveralg.cut import enumerate_cutting_sets
 from quiveralg.quiver import parse_presentation, serialize_presentation
 from quiveralg.ssb import graph_of_ssb
 from quiveralg.surface import serialize_triangulation
-from quiveralg.trivext import projectives_oracle, trivial_extension
+from quiveralg.trivext import _oracle_keys, trivial_extension
 
 E21_BG = """bvertex u mult=2
 bvertex w mult=1
@@ -470,8 +470,7 @@ def _one_heavier(groups):
 
 # (suite, name in ``suites``, its replacement, the one property that fails)
 BROKEN_PROPERTIES = [
-    ("thm-1-2", "projectives_oracle", lambda a, v: projectives_oracle(a, v)[:-1],
-     "projective-gluing"),
+    ("thm-1-2", "_oracle_keys", lambda a, v: _oracle_keys(a, v)[:-1], "projective-gluing"),
     ("thm-1-2", "is_isomorphic", lambda g1, g2: False, "graph-of-extension"),
     ("thm-1-2", "_cuts_by_map", lambda *b: _one_heavier(_cuts_by_map(*b)),
      "dimension-doubling"),
@@ -583,6 +582,27 @@ def test_a_repeated_id_is_refused_at_its_line(capsys, files, key, repeat, mode, 
     text = files[key].read_text() + repeat + "\n"
     files[key].write_text(text)
     code, out, err = run(capsys, "convert", "--mode", mode, str(files[key]))
+    assert (code, out) == (2, "")
+    assert err == f"line {text.count(chr(10))}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "key, kind, repeat, message",
+    [
+        ("a2", "alg", "vertex 1", "vertex '1' declared twice"),
+        ("a2", "gentle", "vertex 2", "vertex '2' declared twice"),
+        ("a2", "alg", "arrow a 2 1", "arrow 'a' declared twice"),
+        ("ta2", "ssb", "arrow a 2 1", "arrow 'a' declared twice"),
+        ("tri", "tri", "point a", "point 'a' declared twice"),
+    ],
+)
+def test_a_repeated_declaration_is_refused_at_its_line(capsys, files, key, kind, repeat, message):
+    """A repeated vertex, arrow or point line is a parse error naming its own
+    line, the last of the file: a vertex or point is no longer merged into
+    the first, and an arrow is no longer reported at line 1."""
+    text = files[key].read_text() + repeat + "\n"
+    files[key].write_text(text)
+    code, out, err = run(capsys, "validate", "--kind", kind, str(files[key]))
     assert (code, out) == (2, "")
     assert err == f"line {text.count(chr(10))}: {message}\n"
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -16,7 +17,7 @@ from oracles import (
 from quiveralg.brauer import algebra_of, is_isomorphic, presentation_of
 from quiveralg.census import connected_brauer_graphs
 from quiveralg.cut import admissible_cut, enumerate_cutting_sets
-from quiveralg.errors import ValidationError
+from quiveralg.errors import InconsistencyError, ValidationError
 from quiveralg.gentle import _allowed_walk, validate_special_biserial
 from quiveralg.quiver import (
     Binomial,
@@ -375,6 +376,18 @@ class TestGraphOfSSB:
                     entries.append(d.vertex)
             for v in ssb.quiver.vertices:
                 assert entries.count(v) == 2
+
+    def test_a_vertex_without_two_germs_is_refused(self, line3):
+        """Descriptors that place a quiver vertex on fewer than two germs are
+        refused, naming the least such vertex and its count."""
+        ssb = algebra_of(line3)
+        (rep, _), *rest = ssb.cycle_families
+        broken = replace(ssb, cycle_families=tuple(rest))
+        counts = Counter(p_cycle(rep))
+        least = min(v for v in ssb.quiver.vertices if counts[v] > 0)
+        message = rf"vertex '{least}' has {2 - counts[least]} germ occurrences instead of 2"
+        with pytest.raises(InconsistencyError, match=message):
+            graph_of_ssb(broken)
 
 
 class TestIsomorphismSSB:

@@ -2,13 +2,27 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import quotient_dimension, reference_projective_basis, reference_projectives_oracle
+from oracles import (
+    key_view_mismatches,
+    quotient_dimension,
+    reference_projective_basis,
+    reference_projectives_oracle,
+)
+from quiveralg import trivext
 from quiveralg.brauer import BrauerGraph, algebra_of, is_isomorphic, validate_brauer_graph
 from quiveralg.census import connected_brauer_graphs, gentle_algebras
 from quiveralg.errors import InconsistencyError
 from quiveralg.gentle import vertex_occurrences
-from quiveralg.quiver import Binomial, Monomial, path_sort_key
-from quiveralg.ssb import graph_of_ssb, projective_basis
+from quiveralg.quiver import (
+    Arrow,
+    Binomial,
+    Monomial,
+    Presentation,
+    Quiver,
+    path_sort_key,
+    serialize_presentation,
+)
+from quiveralg.ssb import SSBPresentation, graph_of_ssb, projective_basis
 from quiveralg.trivext import (
     extended_quiver,
     extension_of_graph,
@@ -132,6 +146,37 @@ class TestTrivialExtension:
         with pytest.raises(InconsistencyError, match="extended quiver"):
             extension_of_graph(fig1_algebra, renamed)
 
+    @pytest.mark.parametrize("change", ["reversed", "extra"])
+    def test_a_changed_extension_quiver_is_refused(self, monkeypatch, change):
+        """The quiver of T(A) is compared arrow by arrow with the arrows of A
+        and one return arrow per maximal path: on every algebra with at most
+        three vertices and three arrows, a T(A) with one of its arrows that
+        is not a loop reversed, or with one arrow more, first or last in name
+        order, is refused."""
+        refused = 0
+        for algebra in gentle_algebras(3, 3):
+            gg = graph_of_gentle(algebra)
+            ext = trivial_extension(algebra)
+            vertices, arrows = ext.quiver.vertices, ext.quiver.arrows
+            if change == "extra":
+                variants = [[*arrows, Arrow(name, vertices[0], vertices[-1])] for name in "az"]
+            else:
+                variants = [
+                    [Arrow(x.name, x.target, x.source) if x is a else x for x in arrows]
+                    for a in arrows
+                    if not a.is_loop()
+                ]
+            for variant in variants:
+                pres = Presentation(Quiver(vertices, variant))
+                changed = SSBPresentation(pres, ext.projectives, ext.cycle_families)
+                monkeypatch.setattr(trivext, "algebra_of", lambda g: changed)
+                with pytest.raises(InconsistencyError, match="extended quiver"):
+                    extension_of_graph(algebra, gg)
+                refused += 1
+            monkeypatch.undo()
+            extension_of_graph(algebra, gg)  # the unchanged quiver passes
+        assert refused > 20
+
     def test_dimension_doubles(self, a2, a3r, loopx, fig1_algebra):
         for algebra in (a2, a3r, loopx, fig1_algebra):
             assert trivial_extension(algebra).dimension == 2 * algebra.dimension
@@ -187,3 +232,19 @@ def test_bases_agree_with_the_reference_bases():
         for v in ssb.quiver.vertices:
             assert projective_basis(ssb, v) == reference_projective_basis(ssb, v)
     assert count > 0
+
+
+def test_key_views_agree_with_the_path_results():
+    """The keys the trivial-extension and socle checks compare and count,
+    against ``path_sort_key`` of the public ``Path`` results: the glued and
+    the Brauer projective bases at every vertex, the nonzero paths, and the
+    word-level zero test against the ``Path``-level and reference tests, on
+    every algebra of the (4, 6) census and its trivial extension, whose
+    socle relations are monomials of length three or more."""
+    count = long_hits = 0
+    for algebra in gentle_algebras(4, 6):
+        found, hits = key_view_mismatches(algebra)
+        assert found == [], serialize_presentation(algebra.presentation)
+        count += 1
+        long_hits += hits
+    assert count == 876 and long_hits > count
