@@ -10,15 +10,17 @@ paths are chained.  The validator makes each check once, in one pass: a
 count decides it, and the check words its problems only when that count
 fails.  On a validated presentation this module computes the maximal paths,
 the extended maximal-path set used by the trivial-extension construction,
-the nonzero paths (enumerated once per algebra, as sorted keys, by
-extending each path with the allowed successors of its last arrow) and the
-socle basis.  The socle comes from the annihilation definition: a nonzero
-path is in it when every arrow multiplies it to zero on both sides.  Only
-the arrows into its source and out of its target can compose with it, so
-only those are tested, each with the generic zero test of the presentation
-on arrow words; the maximal-path chains are
-never consulted, so that their equality with the socle is a checkable fact
-rather than a definition.
+the nonzero paths and the socle basis.  The nonzero paths have one view:
+their sorted keys ``(length, arrow word, itinerary)``, each the
+:func:`~quiveralg.quiver.path_sort_key` of its path, enumerated once per
+algebra by extending each path with the allowed successors of its last
+arrow; no ``Path`` is built for them.  The socle comes from the
+annihilation definition: a nonzero path is in it when every arrow
+multiplies it to zero on both sides.  Only the arrows into its source and
+out of its target can compose with it, so only those are tested, each with
+the generic zero test of the presentation on arrow words; the maximal-path
+chains are never consulted, so that their equality with the socle is a
+checkable fact rather than a definition.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class GentleAlgebra:
     def _nonzero_keys(self) -> list[tuple]:
         """The paths avoiding the relations, trivial paths included, as
         sorted keys ``(length, arrow word, itinerary)``, each
-        :func:`path_sort_key` of its path: the keys of
-        :attr:`nonzero_basis`, walked once per algebra.
+        :func:`path_sort_key` of its path: a basis of the algebra, walked
+        once per algebra.
 
         Every single arrow is nonzero, and a longer nonzero path extends a
         shorter one by an allowed successor of its last arrow, so this
@@ -83,13 +85,6 @@ class GentleAlgebra:
                     frontier.append((word + (a.name,), itinerary + (a.target,)))
         keys.sort()
         return keys
-
-    @cached_property
-    def nonzero_basis(self) -> tuple[Path, ...]:
-        """The paths avoiding the relations, trivial paths included, in
-        :func:`path_sort_key` order: a basis of the algebra, one ``Path``
-        per key of :attr:`_nonzero_keys`."""
-        return tuple([Path(itinerary, word) for _, word, itinerary in self._nonzero_keys])
 
     @cached_property
     def dimension(self) -> int:
@@ -333,10 +328,10 @@ def vertex_occurrences(algebra: GentleAlgebra) -> dict[str, list[tuple[Path, int
     return occ
 
 
-def nonzero_paths(algebra: GentleAlgebra) -> list[Path]:
-    """All paths avoiding the relations, trivial paths included: the
-    algebra's :attr:`~GentleAlgebra.nonzero_basis`, sorted."""
-    return list(algebra.nonzero_basis)
+def nonzero_paths(algebra: GentleAlgebra) -> list[tuple]:
+    """All paths avoiding the relations, trivial paths included, as the
+    sorted keys of :attr:`~GentleAlgebra._nonzero_keys`, in a new list."""
+    return list(algebra._nonzero_keys)
 
 
 def socle_basis(algebra: GentleAlgebra) -> list[Path]:

@@ -285,18 +285,9 @@ class Quiver:
         except KeyError:
             raise KeyError(f"no arrow named {name!r}") from None
 
-    def trivial(self, vertex: str) -> Path:
-        if vertex not in self.arrows_from:
-            raise KeyError(f"no vertex named {vertex!r}")
-        return trivial_path(vertex)
-
-    def path(self, arrow_names: Iterable[str], base: str | None = None) -> Path:
-        """Build a path from arrow names, checking composability."""
+    def path(self, arrow_names: Iterable[str]) -> Path:
+        """Build a path from one or more arrow names, checking composability."""
         names = tuple(arrow_names)
-        if not names:
-            if base is None:
-                raise ValueError("a trivial path needs a base vertex")
-            return self.trivial(base)
         arrows = [self.arrow(n) for n in names]
         vertices = [arrows[0].source]
         for prev, nxt in zip(arrows, arrows[1:]):
@@ -395,16 +386,10 @@ class Presentation:
             long_monomials=tuple(longer),
         )
 
-    def path_is_nonzero_monomially(self, p: Path) -> bool:
-        """Whether ``p`` avoids every monomial relation as a subpath: the
-        :meth:`word_is_nonzero_monomially` test of its arrow word.  For
-        presentations whose ideal is generated by monomials this is exactly
-        "p is nonzero in the algebra"."""
-        return self.word_is_nonzero_monomially(p.arrows)
-
     def word_is_nonzero_monomially(self, arrows: tuple[str, ...]) -> bool:
         """Whether the arrow word ``arrows`` contains no monomial relation
-        as a contiguous subword.
+        as a contiguous subword.  For presentations whose ideal is generated
+        by monomials this is exactly "the path is nonzero in the algebra".
 
         The length-two relations are looked up as consecutive arrow pairs in
         :attr:`quadratic_monomials`; only the longer ones are scanned, when
@@ -451,6 +436,8 @@ def _strip(line: str) -> str:
 
 
 def _parse_side(tokens: list[str], quiver: Quiver, lineno: int) -> Path:
+    if not tokens:
+        raise ParseError(lineno, "empty relation side")
     if len(tokens) == 1 and tokens[0].startswith("e(") and tokens[0].endswith(")"):
         v = tokens[0][2:-1]
         if v not in set(quiver.vertices):

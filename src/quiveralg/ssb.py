@@ -332,7 +332,7 @@ def _irregular_sides(pres: Presentation) -> list[Problem]:
                 problems.append(
                     Problem("normal-form", f"binomial side {side.label()!r} is not a cycle")
                 )
-            if not pres.path_is_nonzero_monomially(side):
+            if not pres.word_is_nonzero_monomially(side.arrows):
                 problems.append(
                     Problem(
                         "normal-form",
@@ -415,28 +415,18 @@ def ssb_presentation(pres: Presentation) -> SSBPresentation:
     return report.algebra
 
 
-def projective_basis(ssb: SSBPresentation, vertex: str) -> tuple[Path, ...]:
-    """Explicit basis of the projective at ``vertex``, in
-    :func:`~quiveralg.quiver.path_sort_key` order: one ``Path`` per key of
-    :func:`_basis_keys`.
+def projective_basis(ssb: SSBPresentation, vertex: str) -> list[tuple]:
+    """Explicit basis of the projective at ``vertex``, as the keys
+    ``(length, arrow word, itinerary)`` of its elements, each
+    :func:`~quiveralg.quiver.path_sort_key` of its path, in order.
 
     The trivial path, the proper prefixes of both cycles, and one canonical
     representative of the socle (the two full cycles are identified in the
     algebra, so only the smaller one is listed); the length of the result is
-    the dimension of the projective.
-    """
-    return tuple([Path(itinerary, word) for _, word, itinerary in _basis_keys(ssb, vertex)])
-
-
-def _basis_keys(ssb: SSBPresentation, vertex: str) -> list[tuple]:
-    """The keys ``(length, arrow word, itinerary)`` of the elements of
-    :func:`projective_basis`, each :func:`~quiveralg.quiver.path_sort_key`
-    of its path, in order.
-
-    They are written out by length with no sort: the two cycles start with
-    distinct arrows, so at every length the prefix of the cycle with the
-    smaller first arrow comes first, and on a tie in length that cycle is
-    the socle.
+    the dimension of the projective.  The keys are written out by length
+    with no sort: the two cycles start with distinct arrows, so at every
+    length the prefix of the cycle with the smaller first arrow comes
+    first, and on a tie in length that cycle is the socle.
     """
     d = ssb.projective_at[vertex]
     a, b = d.first, d.second

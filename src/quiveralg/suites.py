@@ -45,8 +45,8 @@ from .cut import enumerate_cutting_sets, admissible_cut, verify_roundtrip, verte
 from .errors import QuiverAlgError, ValidationError
 from .gentle import socle_basis
 from .quiver import serialize_presentation
-from .ssb import _basis_keys, graph_of_ssb
-from .trivext import _oracle_keys, extension_of_graph, graph_of_gentle
+from .ssb import graph_of_ssb, projective_basis
+from .trivext import extension_of_graph, graph_of_gentle, projectives_oracle
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -129,15 +129,15 @@ def _check_trivial_extension(algebra, bounds: Bounds) -> list[tuple[str, str]]:
     doubles.
     """
     failures = []
-    gg = graph_of_gentle(algebra)
-    ext = extension_of_graph(algebra, gg)
+    graph = graph_of_gentle(algebra)
+    ext = extension_of_graph(algebra, graph)
     for v in algebra.quiver.vertices:
         # both sorted and free of repeats: equal as sets of paths
-        if _oracle_keys(algebra, v) != _basis_keys(ext, v):
+        if projectives_oracle(algebra, v) != projective_basis(ext, v):
             failures.append(
                 ("projective-gluing", f"basis mismatch at vertex {v!r}")
             )
-    if not is_isomorphic(graph_of_ssb(ext), gg.graph):
+    if not is_isomorphic(graph_of_ssb(ext), graph):
         failures.append(("graph-of-extension", "graph of T(A) differs from the gentle graph"))
     if ext.dimension != 2 * algebra.dimension:
         failures.append(

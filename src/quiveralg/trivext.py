@@ -12,32 +12,19 @@ The module also carries a second, independent construction of the
 projective modules of the trivial extension, obtained by gluing the two
 maximal paths through a vertex around their return arrows.  The two
 constructions are developed separately precisely so that their agreement
-can be verified instance by instance.
+can be verified instance by instance.  Both give each projective basis in
+one view: its sorted keys ``(length, arrow word, itinerary)``, each the
+:func:`~quiveralg.quiver.path_sort_key` of its path, so that they are
+compared without building a ``Path``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .brauer import BrauerGraph, algebra_of
 from .errors import InconsistencyError
 from .gentle import GentleAlgebra, _gets_trivial_maximal
-from .quiver import Path, Quiver
+from .quiver import Path
 from .ssb import SSBPresentation
-
-
-@dataclass(frozen=True)
-class GentleGraph:
-    """The ribbon graph of a gentle algebra, with its labelling data.
-
-    ``vertex_labels`` maps graph vertices to the maximal paths they stand
-    for; ``edge_labels`` maps edges to quiver vertices (the identity on
-    names, kept explicit for consumers); all multiplicities are one.
-    """
-
-    graph: BrauerGraph
-    vertex_labels: tuple[tuple[str, Path], ...]
-    edge_labels: tuple[tuple[str, str], ...]
 
 
 def _station_name(m: Path) -> str:
@@ -58,13 +45,15 @@ def _leaf_germ_names(algebra: GentleAlgebra, taken: set[str]) -> dict[str, str]:
     return names
 
 
-def graph_of_gentle(algebra: GentleAlgebra) -> GentleGraph:
+def graph_of_gentle(algebra: GentleAlgebra) -> BrauerGraph:
     """Build the graph: maximal paths become vertices, quiver vertices edges.
 
-    Germs are named after the arrows of the trivial extension they will
-    induce: slot ``k`` on a nontrivial maximal path is the path's ``k``-th
-    arrow, the last slot is the return arrow, and the single germ of a
-    trivial maximal path is silent.  One maximal path visiting a quiver
+    The graph vertex of a maximal path ``m`` is named :func:`_station_name`
+    of ``m``, and each edge after its quiver vertex; all multiplicities are
+    one.  Germs are named after the arrows of the trivial extension they
+    will induce: slot ``k`` on a nontrivial maximal path is the path's
+    ``k``-th arrow, the last slot is the return arrow, and the single germ
+    of a trivial maximal path is silent.  One maximal path visiting a quiver
     vertex twice yields a loop.  The germs of every path are written out
     once; read with the paths in :func:`~quiveralg.quiver.path_sort_key`
     order, they give each edge its two germs in order.
@@ -73,7 +62,6 @@ def graph_of_gentle(algebra: GentleAlgebra) -> GentleGraph:
     taken = {a.name for a in algebra.quiver.arrows} | set(betas.values())
     leaf_names = _leaf_germ_names(algebra, taken)
     rotations: dict[str, tuple[str, ...]] = {}
-    labels: list[tuple[str, Path]] = []
     slots = []  # path_sort_key of each maximal path, with its germs
     for m in algebra.extended_maximal_paths:
         station = _station_name(m)
@@ -82,7 +70,6 @@ def graph_of_gentle(algebra: GentleAlgebra) -> GentleGraph:
         else:
             germs = (leaf_names[m.source],)
         rotations[station] = germs
-        labels.append((station, m))
         slots.append((len(m.arrows), m.arrows, m.vertices, germs))
     slots.sort()
     at: dict[str, list[str]] = {v: [] for v in algebra.quiver.vertices}
@@ -90,23 +77,14 @@ def graph_of_gentle(algebra: GentleAlgebra) -> GentleGraph:
         for v, germ in zip(itinerary, germs):
             at[v].append(germ)
     edges = {v: (g1, g2) for v, (g1, g2) in at.items()}
-    graph = BrauerGraph(dict.fromkeys(rotations, 1), edges, rotations)
-    return GentleGraph(
-        graph,
-        tuple(sorted(labels)),
-        tuple((v, v) for v in algebra.quiver.vertices),
-    )
-
-
-def extended_quiver(algebra: GentleAlgebra) -> Quiver:
-    """The original quiver plus one return arrow per nontrivial maximal path."""
-    return Quiver(algebra.quiver.vertices, _extended_arrows(algebra))
+    return BrauerGraph(dict.fromkeys(rotations, 1), edges, rotations)
 
 
 def _extended_arrows(algebra: GentleAlgebra) -> list[tuple[str, str, str]]:
-    """The arrows of :func:`extended_quiver` as ``(name, source, target)``
-    triples in name order: those of ``algebra``, and a return arrow from the
-    target to the source of each nontrivial maximal path."""
+    """The arrows of the quiver of the trivial extension, as ``(name,
+    source, target)`` triples in name order: those of ``algebra``, and a
+    return arrow from the target to the source of each nontrivial maximal
+    path."""
     betas = algebra.return_arrow_names
     arrows = [(a.name, a.source, a.target) for a in algebra.quiver.arrows]
     arrows += [(betas[m], m.target, m.source) for m in algebra.maximal_paths]
@@ -118,22 +96,23 @@ def trivial_extension(algebra: GentleAlgebra) -> SSBPresentation:
     """The trivial extension, as the Brauer graph algebra of the gentle graph.
 
     The germ naming in :func:`graph_of_gentle` makes the resulting quiver
-    literally equal to :func:`extended_quiver`; this is asserted rather than
-    trusted.  Both read the algebra's cached return arrow names, so the
-    names are computed once.
+    literally the quiver of ``algebra`` with its return arrows added
+    (:func:`_extended_arrows`); this is asserted rather than trusted.  Both
+    read the algebra's cached return arrow names, so the names are computed
+    once.
     """
     return extension_of_graph(algebra, graph_of_gentle(algebra))
 
 
-def extension_of_graph(algebra: GentleAlgebra, gg: GentleGraph) -> SSBPresentation:
-    """:func:`trivial_extension` from the already built graph ``gg`` of
-    ``algebra``, for callers that need the graph too.
+def extension_of_graph(algebra: GentleAlgebra, graph: BrauerGraph) -> SSBPresentation:
+    """:func:`trivial_extension` from the already built gentle graph
+    ``graph`` of ``algebra``, for callers that need the graph too.
 
-    The quiver of the result is compared with :func:`extended_quiver`
-    without building it: its vertices with those of ``algebra``, and its
-    arrows with :func:`_extended_arrows`.
+    The quiver of the result is compared, without building a second
+    ``Quiver``, with the extended quiver: its vertices with those of
+    ``algebra``, and its arrows with :func:`_extended_arrows`.
     """
-    ssb = algebra_of(gg.graph)
+    ssb = algebra_of(graph)
     found = ssb.quiver
     if found.vertices != algebra.quiver.vertices or _extended_arrows(algebra) != [
         (a.name, a.source, a.target) for a in found.arrows
@@ -144,19 +123,12 @@ def extension_of_graph(algebra: GentleAlgebra, gg: GentleGraph) -> SSBPresentati
     return ssb
 
 
-def projectives_oracle(algebra: GentleAlgebra, vertex: str) -> tuple[Path, ...]:
+def projectives_oracle(algebra: GentleAlgebra, vertex: str) -> list[tuple]:
     """Projective basis at ``vertex`` of the trivial extension, by string
-    gluing: one ``Path`` per key of :func:`_oracle_keys`, in
-    :func:`~quiveralg.quiver.path_sort_key` order.  Must agree with
-    :func:`~quiveralg.ssb.projective_basis` on :func:`trivial_extension` at
-    every vertex."""
-    return tuple([Path(itinerary, word) for _, word, itinerary in _oracle_keys(algebra, vertex)])
-
-
-def _oracle_keys(algebra: GentleAlgebra, vertex: str) -> list[tuple]:
-    """The glued projective basis at ``vertex``, as sorted keys ``(length,
-    arrow word, itinerary)``, each :func:`~quiveralg.quiver.path_sort_key`
-    of its path.
+    gluing, as sorted keys ``(length, arrow word, itinerary)``, each
+    :func:`~quiveralg.quiver.path_sort_key` of its path.  Must equal
+    :func:`~quiveralg.ssb.projective_basis` of :func:`trivial_extension` at
+    every vertex.
 
     Independent of the Brauer-graph route: for each of the two maximal-path
     occurrences ``m = q . r`` through the vertex (recomputing here which
@@ -165,9 +137,7 @@ def _oracle_keys(algebra: GentleAlgebra, vertex: str) -> list[tuple]:
     the trivial path, the proper prefixes of the one or two glued cycles,
     and the socle.  The keys are distinct, since the glued cycles start
     with distinct arrows (the maximal paths partition the arrows, and each
-    has its own return arrow), and they are sorted once.  The suites
-    compare them with :func:`~quiveralg.ssb._basis_keys` of
-    :func:`trivial_extension`, building no ``Path``.
+    has its own return arrow), and they are sorted once.
     """
     betas = algebra.return_arrow_names
     keys = [(0, (), (vertex,))]

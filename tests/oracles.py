@@ -66,12 +66,11 @@ gentleness by counts, with its DFS for relation-free cycles, and the two
 reference projective bases are the library's builds as they were before
 their keys, one ``Path`` per prefix sorted by ``path_sort_key``; they read
 the library's maximal paths, return-arrow names and projective
-descriptors, and are compared with the builds that replaced them.  The
+descriptors, and their ``path_sort_key`` keys are compared with the keyed
+builds that replaced them.  The
 reference zero test is the library's monomial zero test as it was written
-on paths, with ``is_subpath``; ``key_view_mismatches`` compares it and the
-``Path``-level test with the word-level test that replaced them, and each
-key view of the trivial-extension and socle checks with its public
-``Path`` result.
+on paths, with ``is_subpath``; ``zero_test_mismatches`` compares it with
+the word-level test that replaced it.
 
 The remaining helpers serve the tests and check nothing by themselves: the
 census shapes one per class, the presentations broken in one place that
@@ -298,7 +297,7 @@ def socle_by_all_arrows(algebra: GentleAlgebra) -> list[Path]:
             if p.target != a.source:
                 return True
             extended = compose(p, quiver.path([a.name]))
-        return not pres.path_is_nonzero_monomially(extended)
+        return not pres.word_is_nonzero_monomially(extended.arrows)
 
     basis = [
         p
@@ -1251,46 +1250,30 @@ def _with_one_arrow_more(quiver: Quiver, paths) -> Iterator[Path]:
             yield Path(p.vertices + (a.target,), p.arrows + (a.name,))
 
 
-def key_view_mismatches(algebra: GentleAlgebra) -> tuple[list[str], int]:
-    """Where a key view behind the trivial-extension and socle checks
-    differs from its public ``Path`` result, on ``algebra`` and its trivial
-    extension, and how many zero tests met a relation of length three or
-    more.
+def zero_test_mismatches(algebra: GentleAlgebra) -> tuple[list[Path], int]:
+    """The paths on which the word-level zero test differs from the
+    reference test on paths, and how many of the paths tested meet a
+    relation of length three or more.
 
-    Compared: the glued keys with ``path_sort_key`` of ``projectives_oracle``
-    and the Brauer basis keys with that of ``projective_basis``, at every
-    vertex; the nonzero keys with that of ``nonzero_basis``; and, on every
-    nonzero path of the algebra and every basis element of its trivial
-    extension (whose socle relations are long monomials), each extended by
-    one arrow on either side, the word-level zero test with the
-    ``Path``-level one and with the reference test on paths.
+    Tested: every nonzero path of ``algebra`` and every projective basis
+    element of its trivial extension (whose socle relations are long
+    monomials), each read from its key and extended by one arrow on either
+    side.
     """
-    from quiveralg.ssb import _basis_keys, projective_basis
-    from quiveralg.trivext import _oracle_keys, projectives_oracle, trivial_extension
+    from quiveralg.ssb import projective_basis
+    from quiveralg.trivext import trivial_extension
 
     ext = trivial_extension(algebra)
-    found = []
-    if algebra._nonzero_keys != [path_sort_key(p) for p in algebra.nonzero_basis]:
-        found.append("nonzero keys")
-    ext_basis = []
-    for v in algebra.quiver.vertices:
-        if _oracle_keys(algebra, v) != [path_sort_key(p) for p in projectives_oracle(algebra, v)]:
-            found.append(f"oracle keys at {v!r}")
-        basis = projective_basis(ext, v)
-        ext_basis.extend(basis)
-        if _basis_keys(ext, v) != [path_sort_key(p) for p in basis]:
-            found.append(f"basis keys at {v!r}")
-    long_hits = 0
-    for pres, paths in (
-        (algebra.presentation, algebra.nonzero_basis),
-        (ext.presentation, ext_basis),
+    ext_keys = [key for v in ext.quiver.vertices for key in projective_basis(ext, v)]
+    found, long_hits = [], 0
+    for pres, keys in (
+        (algebra.presentation, algebra._nonzero_keys),
+        (ext.presentation, ext_keys),
     ):
+        paths = [Path(itinerary, word) for _, word, itinerary in keys]
         for p in _with_one_arrow_more(pres.quiver, paths):
-            verdict = pres.word_is_nonzero_monomially(p.arrows)
-            if not verdict == pres.path_is_nonzero_monomially(p) == reference_path_is_nonzero(
-                pres, p
-            ):
-                found.append(f"zero test on {p!r}")
+            if pres.word_is_nonzero_monomially(p.arrows) != reference_path_is_nonzero(pres, p):
+                found.append(p)
             long_hits += any(is_subpath(m, p) for m in pres.long_monomials)
     return found, long_hits
 

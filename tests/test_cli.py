@@ -29,7 +29,7 @@ from quiveralg.cut import enumerate_cutting_sets
 from quiveralg.quiver import parse_presentation, serialize_presentation
 from quiveralg.ssb import graph_of_ssb
 from quiveralg.surface import serialize_triangulation
-from quiveralg.trivext import _oracle_keys, trivial_extension
+from quiveralg.trivext import projectives_oracle, trivial_extension
 
 E21_BG = """bvertex u mult=2
 bvertex w mult=1
@@ -193,6 +193,54 @@ class TestIso:
         assert code == 1
         assert "not isomorphic" in out
         assert "dimensions differ: 3 != 4" in out
+
+    @pytest.mark.parametrize(
+        "first, second, reason",
+        [
+            (
+                "bvertex v0 mult=1\nbvertex v1 mult=2\nbvertex v2 mult=1\n"
+                "bedge E0 h0@v0 h1@v1\nbedge E1 h2@v1 h3@v2\n"
+                "order v0 = h0\norder v1 = h1,h2\norder v2 = h3\n",
+                "bvertex v0 mult=1\nbvertex v1 mult=1\n"
+                "bedge E0 h0@v0 h1@v1\nbedge E1 h2@v1 h3@v1\n"
+                "order v0 = h0\norder v1 = h1,h2,h3\n",
+                "projective dimension multisets differ: [5, 5] != [4, 6]",
+            ),
+            (
+                "bvertex v0 mult=1\nbvertex v1 mult=2\nbvertex v2 mult=2\n"
+                "bedge E0 h0@v0 h1@v1\nbedge E1 h2@v1 h3@v2\n"
+                "order v0 = h0\norder v1 = h1,h2\norder v2 = h3\n",
+                "bvertex v0 mult=2\nbvertex v1 mult=1\n"
+                "bedge E0 h0@v0 h1@v1\nbedge E1 h2@v1 h3@v1\n"
+                "order v0 = h0\norder v1 = h1,h2,h3\n",
+                "arrow counts differ: 3 != 4",
+            ),
+            (
+                "bvertex v0 mult=2\nbvertex v1 mult=2\nbedge E0 h0@v0 h1@v1\n"
+                "order v0 = h0\norder v1 = h1\n",
+                LOOP_BG,
+                "no quiver bijection matches the projective bases",
+            ),
+        ],
+        ids=["projective-dimensions", "arrow-counts", "no-bijection"],
+    )
+    def test_alg_refusal_past_the_dimensions(self, capsys, tmp_path, first, second, reason):
+        """Two algebras of one dimension that are not isomorphic: the
+        refusal names the first invariant that tells them apart."""
+        paths = [tmp_path / "first.alg", tmp_path / "second.alg"]
+        for path, text in zip(paths, (first, second)):
+            ssb = algebra_of(parse_brauer_graph(text))
+            path.write_text(serialize_presentation(ssb.presentation))
+        code, out, _ = run(capsys, "iso", "--kind", "alg", *map(str, paths))
+        assert (code, out) == (1, f"not isomorphic\n{reason}\n")
+
+    def test_bg_refusal_with_equal_valencies(self, capsys, files, tmp_path):
+        """A loop of multiplicity two against the loop of multiplicity one:
+        equal valency multisets, so only the canonical forms differ."""
+        heavier = tmp_path / "heavier.bg"
+        heavier.write_text(LOOP_BG.replace("mult=1", "mult=2"))
+        code, out, _ = run(capsys, "iso", "--kind", "bg", str(files["loop"]), str(heavier))
+        assert (code, out) == (1, "not isomorphic\ncanonical forms differ\n")
 
     def test_alg_witness(self, capsys, files):
         code, out, _ = run(capsys, "iso", "--kind", "alg", str(files["ta2"]), str(files["ta2"]))
@@ -470,7 +518,8 @@ def _one_heavier(groups):
 
 # (suite, name in ``suites``, its replacement, the one property that fails)
 BROKEN_PROPERTIES = [
-    ("thm-1-2", "_oracle_keys", lambda a, v: _oracle_keys(a, v)[:-1], "projective-gluing"),
+    ("thm-1-2", "projectives_oracle", lambda a, v: projectives_oracle(a, v)[:-1],
+     "projective-gluing"),
     ("thm-1-2", "is_isomorphic", lambda g1, g2: False, "graph-of-extension"),
     ("thm-1-2", "_cuts_by_map", lambda *b: _one_heavier(_cuts_by_map(*b)),
      "dimension-doubling"),
@@ -605,6 +654,16 @@ def test_a_repeated_declaration_is_refused_at_its_line(capsys, files, key, kind,
     code, out, err = run(capsys, "validate", "--kind", kind, str(files[key]))
     assert (code, out) == (2, "")
     assert err == f"line {text.count(chr(10))}: {message}\n"
+
+
+@pytest.mark.parametrize("relation", ["rel mono", "rel comm = a", "rel comm a ="])
+def test_an_empty_relation_side_is_refused_at_its_line(capsys, files, relation):
+    """A relation side with no arrows is a parse error at its line."""
+    text = files["a2"].read_text() + relation + "\n"
+    files["a2"].write_text(text)
+    code, out, err = run(capsys, "validate", "--kind", "alg", str(files["a2"]))
+    assert (code, out) == (2, "")
+    assert err == "line 4: empty relation side\n"
 
 
 def test_dot_command_kinds(capsys, files):

@@ -269,4 +269,4 @@ def test_zero_test_matches_subpath_scan():
         cap = max((len(m) for m in pres.monomials), default=1) + 1
         for p in _paths_up_to(pres.quiver, cap):
             expected = not any(is_subpath(m, p) for m in pres.monomials)
-            assert pres.path_is_nonzero_monomially(p) == expected
+            assert pres.word_is_nonzero_monomially(p.arrows) == expected

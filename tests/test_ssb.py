@@ -326,7 +326,7 @@ def _is_square(relation):
 class TestProjectiveBases:
     def test_e21(self, e21):
         ssb = algebra_of(e21)
-        labels = [p.arrows for p in projective_basis(ssb, "E1")]
+        labels = [word for _, word, _ in projective_basis(ssb, "E1")]
         assert labels == [(), ("h1",), ("h1", "h1")]
 
     def test_loop_graph(self, loop_graph):

@@ -24,7 +24,7 @@ from quiveralg.cut import admissible_cut, enumerate_cutting_sets
 from quiveralg.errors import CuttingSetError, ValidationError
 from quiveralg.gentle import socle_basis
 from quiveralg.quiver import Problem, serialize_presentation
-from quiveralg.trivext import _oracle_keys
+from quiveralg.trivext import projectives_oracle
 
 BOUNDS = suites.Bounds(max_edges=3, max_mult=2, max_vertices=3, max_arrows=3)
 
@@ -48,7 +48,7 @@ def _cuts(ssb):
 
 
 def _gluing(algebra, v):
-    basis = _oracle_keys(algebra, v)
+    basis = projectives_oracle(algebra, v)
     return basis[:-1] if _unlucky(serialize_presentation(algebra.presentation) + v) else basis
 
 
@@ -57,7 +57,7 @@ def _gluing(algebra, v):
 SEEDED_FAILURES = [
     ("thm-1-1", "structural_dimension",
      lambda g: structural_dimension(g) + _unlucky(serialize_brauer_graph(g))),
-    ("thm-1-2", "_oracle_keys", _gluing),
+    ("thm-1-2", "projectives_oracle", _gluing),
     ("thm-1-3", "enumerate_cutting_sets", _cuts),
     ("lemma-2-1", "socle_basis",
      lambda a: [] if _unlucky(serialize_presentation(a.presentation)) else socle_basis(a)),
