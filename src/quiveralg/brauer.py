@@ -293,17 +293,10 @@ def algebra_of(g: BrauerGraph):
 def structural_dimension(g: BrauerGraph) -> int:
     """Dimension from the projective shapes: cycle-power lengths per edge end.
 
-    A multiplicity-one leaf germ contributes one (the trivial path); every
-    other germ contributes the length of its cycle power.
+    Each of the ``n`` germs at a vertex of multiplicity ``m`` adds its
+    cycle-power length ``m * n``: 1, the trivial path, at a silent leaf.
     """
-    total = 0
-    for h in g.half_edges:
-        if g.is_silent_leaf(h):
-            total += 1
-        else:
-            v = g.vertex_of[h]
-            total += g.multiplicity(v) * g.valency(v)
-    return total
+    return sum(g._mult[v] * len(seq) ** 2 for v, seq in g._rotations.items())
 
 
 # ---------------------------------------------------------------------------

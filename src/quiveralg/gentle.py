@@ -8,7 +8,8 @@ reads these conditions for both this validator and the symmetric special
 biserial one, and gives the allowed successors along which the maximal
 paths are chained.  The validator makes each check once, in one pass: a
 count decides it, and the check words its problems only when that count
-fails.  On a validated presentation this module computes the maximal paths,
+fails; the two maximal-path slots at every vertex follow and are not
+checked.  On a validated presentation this module computes the maximal paths,
 the extended maximal-path set used by the trivial-extension construction,
 the nonzero paths and the socle basis.  The nonzero paths have one view:
 their sorted keys ``(length, arrow word, itinerary)``, each the
@@ -185,19 +186,28 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     quiver.
 
     Every check is made once, in this order: degenerate, connected, S3, the
-    special-biserial conditions S1 and S2 with S4, finite, occurrences.
-    Each first runs a test that decides it exactly without naming what
-    fails, and its worded loop runs only when that test fails; so a gentle
-    presentation passes no worded loop, and any other gets the problems, in
-    the order and with the messages, that the worded loops alone would give.
-    The tests: S3 from the number of quadratic monomials; S1, S2 and S4
-    together by :func:`_allowed_walk`, the one reading of the local rules,
-    shared with :func:`~quiveralg.ssb.validate_ssb`; finite by following its
-    allowed successors from the arrows it gives as starts, which covers
-    every arrow exactly when no cycle avoids the relations, and gives the
-    maximal paths; and occurrences by counting the maximal-path slots at
-    every vertex, with the trivial maximal paths from
-    :func:`_gets_trivial_maximal`.
+    special-biserial conditions S1 and S2 with S4, finite.  Each first runs
+    a test that decides it exactly without naming what fails, and its
+    worded loop runs only when that test fails; so a gentle presentation
+    passes no worded loop, and any other gets the problems, in the order and
+    with the messages, that the worded loops alone would give.  The tests:
+    S3 from the number of quadratic monomials; S1, S2 and S4 together by
+    :func:`_allowed_walk`, the one reading of the local rules, shared with
+    :func:`~quiveralg.ssb.validate_ssb`; and finite by following its allowed
+    successors from the arrows it gives as starts, which covers every arrow
+    exactly when no cycle avoids the relations, and gives the maximal paths.
+
+    The checks imply that every vertex lies on two extended maximal-path
+    slots.  Each arrow lies on one maximal path, so a vertex has one slot
+    per arrow in, one per arrow out with no allowed predecessor, and one if
+    :func:`_gets_trivial_maximal` makes its trivial path maximal.  No vertex
+    is isolated, none has more than two arrows in or out (S1), and an arrow
+    with two neighbours on one side has one allowed and one forbidden there
+    (S2, S4).  So by (in, out) degree the slots are: (0, 1), (1, 0): the
+    arrow and the trivial path; (0, 2), (2, 0): the arrows; (1, 1): the
+    arrow in, and the trivial path or, if the composition is zero, the arrow
+    out; (1, 2): the arrow in and the arrow out that may not follow it;
+    (2, 1), (2, 2): the arrows in.
     """
     quiver = pres.quiver
     vertices, arrows = quiver.vertices, quiver.arrows
@@ -218,9 +228,9 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
                 message = f"monomial relation {r.path.label()!r} has length != 2"
                 problems.append(Problem("S3", message))
 
+    ins, outs, zero = quiver.arrows_into, quiver.arrows_from, pres.quadratic_monomials
     walk = _allowed_walk(pres)
     if walk is None:
-        zero, outs, ins = pres.quadratic_monomials, quiver.arrows_from, quiver.arrows_into
         problems.extend(validate_special_biserial(pres))
         for a in arrows:
             if sum((a.name, b.name) in zero for b in outs[a.target]) > 1:
@@ -237,27 +247,8 @@ def validate_gentle(pres: Presentation) -> Validation[GentleAlgebra]:
     if maximal is None:
         message = "an oriented cycle avoids all relations; the algebra is infinite-dimensional"
         return Validation((Problem("finite", message),), None)
-    # A vertex lies on as many maximal-path slots as there are maximal
-    # paths starting at it and arrows ending at it, plus one if its trivial
-    # path is maximal; no input that passes the checks above fails this.
-    starts_at = dict.fromkeys(vertices, 0)
-    for a in starts:
-        starts_at[a.source] += 1
-    ins, outs, zero = quiver.arrows_into, quiver.arrows_from, pres.quadratic_monomials
-    trivial, slots = [], True
-    for v in vertices:
-        gets = _gets_trivial_maximal(ins[v], outs[v], zero)
-        if gets:
-            trivial.append(trivial_path(v))
-        slots = slots and len(ins[v]) + starts_at[v] + gets == 2
-    algebra = GentleAlgebra(pres, maximal, maximal + tuple(trivial))
-    if not slots:  # pragma: no cover
-        for v, occ in vertex_occurrences(algebra).items():
-            if len(occ) != 2:
-                message = f"vertex {v!r} lies on {len(occ)} maximal-path slots instead of 2"
-                problems.append(Problem("occurrences", message))
-        return Validation(tuple(problems), None)
-    return Validation((), algebra)
+    trivial = [trivial_path(v) for v in vertices if _gets_trivial_maximal(ins[v], outs[v], zero)]
+    return Validation((), GentleAlgebra(pres, maximal, maximal + tuple(trivial)))
 
 
 def gentle_algebra(pres: Presentation) -> GentleAlgebra:

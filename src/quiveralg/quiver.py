@@ -498,10 +498,7 @@ def parse_presentation(text: str) -> Presentation:
                 relations.append(Binomial(left, right))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
-    try:
-        return Presentation(quiver, relations)
-    except ValueError as exc:  # pragma: no cover - relation paths already checked
-        raise ParseError(1, str(exc)) from None
+    return Presentation(quiver, relations)
 
 
 def serialize_presentation(pres: Presentation) -> str:

@@ -127,17 +127,6 @@ def _least_rotation(word: tuple[str, ...]) -> int:
     return min(range(len(word)), key=lambda k: word[k:] + word[:k])
 
 
-def _looks_like_dual_numbers(pres: Presentation) -> bool:
-    q = pres.quiver
-    return (
-        len(q.vertices) == 1
-        and len(q.arrows) == 1
-        and q.arrows[0].is_loop()
-        and all(isinstance(r, Monomial) and len(r.path) == 2 for r in pres.relations)
-        and len(pres.relations) == 1
-    )
-
-
 def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
     """Check normalized form and derive the projective descriptors.
 
@@ -162,8 +151,9 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
     vertex, as many as the arrows and all distinct; each arrow on exactly
     one cycle from the cycles' letter count and the arrows they pass; and,
     with at most one allowed successor per arrow, the zero pairs from the
-    cycle steps.  A cycle is decomposed once: a later path that spells its
-    known power from the path's first arrow has its cycle and exponent.
+    cycle-successor table that the decomposition fills.  A cycle is
+    decomposed once: a later path that spells its known power from the
+    path's first arrow has its cycle and exponent.
     """
     quiver = pres.quiver
     vertices, arrows = quiver.vertices, quiver.arrows
@@ -175,7 +165,8 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
             (Problem("degenerate", "one vertex and no arrows (the ground field)"),),
             None,
         )
-    if _looks_like_dual_numbers(pres):
+    # one vertex, so its one arrow is a loop, and one quadratic zero relation
+    if len(vertices) == len(arrows) == len(pres.relations) == 1 and pres.quadratic_monomials:
         return Validation(
             (
                 Problem(
@@ -268,7 +259,7 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
     families: dict[tuple[str, ...], int] = {}  # least rotation -> exponent
     cycles: dict[tuple[str, ...], Path] = {}  # least rotation -> its path
     power_from: dict[str, tuple[str, ...]] = {}  # arrow -> a known power read from it
-    zero_step = False  # whether a step of some cycle is a zero relation
+    successor: dict[str, str] = {}  # arrow -> the next arrow on its cycle
     for d in descriptors:
         for w in (d.first, d.second):
             word = w.arrows
@@ -292,7 +283,7 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
                     if period == n and k == 0
                     else Path(w.vertices[k : period + 1] + w.vertices[1 : k + 1], rep)
                 )
-                zero_step = zero_step or not zero.isdisjoint(zip(rep, rep[1:] + rep[:1]))
+                successor.update(zip(rep, rep[1:] + rep[:1]))
             powers, length = rep * (exponent + 1), period * exponent
             for i, name in enumerate(rep):
                 power_from[name] = powers[i : i + length]
@@ -314,8 +305,8 @@ def validate_ssb(pres: Presentation) -> Validation[SSBPresentation]:
 
     # zero relations must sit exactly at the out-of-cycle compositions; every
     # arrow now lies once on one cycle, so its cycle successor is unique
-    if zero_step:
-        return Validation(_misplaced_zeros(pres, families), None)
+    if not zero.isdisjoint(successor.items()):
+        return Validation(_misplaced_zeros(pres, successor), None)
 
     ranked = sorted([(len(rep), rep) for rep in families])  # path_sort_key of the cycles
     cycle_families = tuple([(cycles[rep], families[rep]) for _, rep in ranked])
@@ -387,12 +378,9 @@ def _unaccounted_arrows(quiver, descriptors: list[ProjectiveDescriptor]) -> list
     return problems
 
 
-def _misplaced_zeros(pres: Presentation, families) -> tuple[Problem, ...]:
-    """The worded check of the zero pairs against the cycle successors of
-    the arrows, each arrow on exactly one of the cycle words ``families``."""
-    successor = {}
-    for rep in families:
-        successor.update(zip(rep, rep[1:] + rep[:1]))
+def _misplaced_zeros(pres: Presentation, successor: dict[str, str]) -> tuple[Problem, ...]:
+    """The worded check of the zero pairs against ``successor``, the next
+    arrow on the one vertex cycle through each arrow."""
     quadratic, outs = pres.quadratic_monomials, pres.quiver.arrows_from
     problems = []
     for a in pres.quiver.arrows:

@@ -5,8 +5,10 @@ import contextlib
 import functools
 import io
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -846,6 +848,53 @@ def test_mutated_input_never_escapes(argv, kinds, data, tmp_path, fig1_triangula
     arrows = st.sampled_from(["h0", "h1", "h2", "h3", "a0", "a1", "b(a0)", "b(a1)", ""])
     cut = ",".join(data.draw(st.lists(arrows, min_size=1, max_size=3), label="cut"))
     assert main_exit_code([a.format(*paths, cut=cut) for a in argv]) in (0, 1, 2)
+
+
+def mutate_lines(rng: random.Random, text: str) -> str:
+    """``text`` with one line dropped, repeated or swapped with another, or
+    with one of its tokens replaced by a splice token."""
+    lines = text.splitlines() or [""]
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    kind = rng.choice(["drop", "repeat", "swap", "token"])
+    tokens = lines[i].split()
+    if kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(j, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif tokens:
+        tokens[rng.randrange(len(tokens))] = rng.choice(TOKENS)
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def test_line_mutations_exit_cleanly_in_every_command_form(tmp_path, fig1_triangulation):
+    """A fixed seed drops, repeats, swaps or rewrites lines of census
+    inputs; every command form exits 0, 1 or 2 on them, with no traceback.
+    A ``--cut`` takes up to three arrow names of the unmutated input."""
+    rng = random.Random(20141)
+    texts = {**census_texts(), "tri": (serialize_triangulation(fig1_triangulation),)}
+    codes = Counter()
+    for argv, kinds in FUZZ_COMMANDS:
+        for _ in range(200):
+            paths, names = [], [""]
+            for i, kind in enumerate(kinds):
+                text = rng.choice(texts[kind])
+                names += [x.split()[1] for x in text.splitlines() if x.startswith("arrow")]
+                for _ in range(rng.randint(1, 2)):
+                    text = mutate_lines(rng, text)
+                path = tmp_path / f"input{i}"
+                path.write_text(text)
+                paths.append(str(path))
+            cut = ",".join(rng.sample(names, min(len(names), rng.randint(1, 3))))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([a.format(*paths, cut=cut) for a in argv])
+            assert code in (0, 1, 2), (argv, [Path(p).read_text() for p in paths])
+            assert "Traceback" not in err.getvalue(), err.getvalue()
+            codes[code] += 1
+    assert sum(codes.values()) == 200 * len(FUZZ_COMMANDS) and len(codes) == 3, codes
 
 
 SUITE_NAMES = ["thm-1-1", "thm-1-2", "thm-1-3", "lemma-2-1", "socle-maximal", "thm-1-4", ""]

@@ -131,6 +131,17 @@ class TestExtendedMaximalPaths:
             occ = vertex_occurrences(alg)
             assert all(len(v) == 2 for v in occ.values())
 
+    def test_every_census_vertex_has_two_occurrences(self):
+        """validate_gentle does not count the slots; the local conditions
+        imply two per vertex, here on every algebra at (4, 6)."""
+        count = 0
+        for algebra in gentle_algebras(4, 6):
+            occ = vertex_occurrences(algebra)
+            assert sorted(occ) == sorted(algebra.quiver.vertices)
+            assert all(len(slots) == 2 for slots in occ.values()), algebra.presentation
+            count += 1
+        assert count == 876
+
     def test_loop_vertex_occurs_twice_on_one_path(self, loopx):
         occ = vertex_occurrences(loopx)["1"]
         assert [slot for _, slot in occ] == [0, 1]
