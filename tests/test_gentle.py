@@ -137,7 +137,6 @@ class TestExtendedMaximalPaths:
         count = 0
         for algebra in gentle_algebras(4, 6):
             occ = vertex_occurrences(algebra)
-            assert sorted(occ) == sorted(algebra.quiver.vertices)
             assert all(len(slots) == 2 for slots in occ.values()), algebra.presentation
             count += 1
         assert count == 876
