@@ -3,8 +3,9 @@
 A triangulation is given by marked points, directed boundary segments
 forming cyclic boundary components, arcs between marked points, and
 triangles listed as cyclic triples of sides (the cyclic order encodes the
-surface orientation).  Gluing is validated: each arc lies on two triangles,
-traversed in opposite directions.
+surface orientation).  A triangle's corners are read by one walk along its
+sides, and are unique when the sides close up.  Gluing is validated: each
+arc lies on two triangles, traversed in opposite directions.
 
 Two constructions are derived.  The quiver of the triangulation has one
 vertex per arc and one arrow per pair of consecutive arc sides in a
@@ -75,87 +76,73 @@ class Triangulation:
         )
 
 
-def _corner_solutions(t: Triangulation, sides: tuple[str, str, str]):
-    """Corner assignments for one triangle.
+def _corners(t: Triangulation, sides: tuple[str, str, str]) -> tuple[str, str, str] | None:
+    """The corners of one triangle, or None when its sides do not close up.
 
-    ``corners[i]`` is the marked point between side ``i`` and side ``i+1``;
-    a valid assignment gives every non-loop side its two distinct endpoints
-    as corners, and every loop side its base point twice.  Consecutive sides
-    sharing both endpoints make individual corners ambiguous, so all
-    combinations are tried and consistency selects the survivors.
+    ``corners[i]`` is the marked point between side ``i`` and side ``i+1``,
+    so side ``i`` joins ``corners[i-1]`` to ``corners[i]``.  From a point
+    that sides 0 and 1 share, the walk follows side 1 and then side 2 to
+    their other ends (a loop returns to its base point) and accepts when
+    side 0 joins the last corner back to the first.  The start fixes the
+    other two corners, and two starts cannot both close (side 2 would be a
+    loop at each of them), so an assignment is unique when it exists.
     """
-    endpoint_sets = []
-    for s in sides:
-        u, v = t.side_endpoints(s)
-        endpoint_sets.append({u, v})
-    candidates = [
-        sorted(endpoint_sets[i] & endpoint_sets[(i + 1) % 3]) for i in range(3)
-    ]
-    solutions = []
-    for c0 in candidates[0]:
-        for c1 in candidates[1]:
-            for c2 in candidates[2]:
-                corners = (c0, c1, c2)
-                ok = True
-                for i, s in enumerate(sides):
-                    u, v = t.side_endpoints(s)
-                    entry, exit_ = corners[(i - 1) % 3], corners[i]
-                    if sorted((entry, exit_)) != sorted((u, v)):
-                        ok = False
-                        break
-                if ok:
-                    solutions.append(corners)
-    return solutions
+
+    def other_end(side: str, point: str | None) -> str | None:
+        u, v = t.side_endpoints(side)
+        return v if point == u else u if point == v else None
+
+    s0, s1, s2 = sides
+    for c0 in sorted(set(t.side_endpoints(s0)) & set(t.side_endpoints(s1))):
+        c1 = other_end(s1, c0)
+        c2 = other_end(s2, c1)
+        if other_end(s0, c2) == c0:
+            return c0, c1, c2
+    return None
 
 
-def _resolved_corners(t: Triangulation) -> dict[str, tuple[str, str, str]]:
-    out = {}
-    for tri in t.triangle_order:
-        solutions = _corner_solutions(t, t.triangles[tri])
-        if not solutions:
+def _side_traversals(
+    t: Triangulation,
+) -> tuple[dict[str, tuple[str, str, str]], dict[str, list[tuple[str, str, str, int]]]]:
+    """Corners per triangle, and per side its (triangle, entry point, exit
+    point, position) occurrences."""
+    corners: dict[str, tuple[str, str, str]] = {}
+    traversals: dict[str, list[tuple[str, str, str, int]]] = {}
+    for tri, sides in sorted(t.triangles.items()):
+        cs = corners[tri] = _corners(t, sides)
+        if cs is None:
             raise InconsistencyError(f"triangle {tri!r} admits no corner assignment")
-        out[tri] = solutions[0]
-    return out
-
-
-def _side_traversals(t: Triangulation) -> dict[str, list[tuple[str, str, str, int]]]:
-    """Per side: (triangle, entry point, exit point, position) occurrences."""
-    corners = _resolved_corners(t)
-    out: dict[str, list[tuple[str, str, str, int]]] = {}
-    for tri in t.triangle_order:
-        cs = corners[tri]
-        for i, s in enumerate(t.triangles[tri]):
-            out.setdefault(s, []).append((tri, cs[(i - 1) % 3], cs[i], i))
-    return out
+        for i, s in enumerate(sides):
+            traversals.setdefault(s, []).append((tri, cs[i - 1], cs[i], i))
+    return corners, traversals
 
 
 def validate_triangulation(t: Triangulation) -> list[Problem]:
+    arcs, bsegs = t.arcs, t.boundary_segments
+    kinds = (("arc", arcs, 2), ("boundary segment", bsegs, 1))  # with their side uses
     problems: list[Problem] = []
-    if not t.arcs:
+    if not arcs:
         problems.append(Problem("arcs", "triangulation declares no arcs"))
-    overlap = set(t.arcs) & set(t.boundary_segments)
+    overlap = set(arcs) & set(bsegs)
     if overlap:
         problems.append(
             Problem("sides", f"ids used both as arc and boundary segment: {sorted(overlap)}")
         )
 
     declared = set(t.points)
-    for a, (u, v) in sorted(t.arcs.items()):
-        for p in (u, v):
-            if p not in declared:
-                problems.append(Problem("points", f"arc {a!r} ends at unknown point {p!r}"))
-    for s, (u, v) in sorted(t.boundary_segments.items()):
-        for p in (u, v):
-            if p not in declared:
-                problems.append(
-                    Problem("points", f"boundary segment {s!r} ends at unknown point {p!r}")
-                )
+    for kind, ends, _ in kinds:
+        for s, pair in sorted(ends.items()):
+            problems += [
+                Problem("points", f"{kind} {s!r} ends at unknown point {p!r}")
+                for p in pair
+                if p not in declared
+            ]
     if problems:
         return problems
 
     outgoing: dict[str, list[str]] = {p: [] for p in t.points}
     incoming: dict[str, list[str]] = {p: [] for p in t.points}
-    for s, (u, v) in t.boundary_segments.items():
+    for s, (u, v) in bsegs.items():
         outgoing[u].append(s)
         incoming[v].append(s)
     for p in t.points:
@@ -171,34 +158,26 @@ def validate_triangulation(t: Triangulation) -> list[Problem]:
     count: dict[str, int] = {}
     for tri, sides in t.triangles.items():
         for s in sides:
-            if s not in t.arcs and s not in t.boundary_segments:
+            if s not in arcs and s not in bsegs:
                 problems.append(Problem("sides", f"triangle {tri!r} uses unknown side {s!r}"))
             count[s] = count.get(s, 0) + 1
-        for a in sorted({s for s in sides if sides.count(s) > 1 and s in t.arcs}):
+        for a in sorted({s for s in sides if sides.count(s) > 1 and s in arcs}):
             message = f"triangle {tri!r} has arc {a!r} on two sides, which needs a puncture"
             problems.append(Problem("self-folded", message))
-    for a in sorted(t.arcs):
-        if count.get(a, 0) != 2:
-            problems.append(
-                Problem("gluing", f"arc {a!r} lies on {count.get(a, 0)} triangle sides, not 2")
-            )
-    for s in sorted(t.boundary_segments):
-        if count.get(s, 0) != 1:
-            problems.append(
-                Problem(
-                    "gluing",
-                    f"boundary segment {s!r} lies on {count.get(s, 0)} triangle sides, not 1",
-                )
-            )
+    for kind, ends, uses in kinds:
+        for s in sorted(ends):
+            if count.get(s, 0) != uses:
+                message = f"{kind} {s!r} lies on {count.get(s, 0)} triangle sides, not {uses}"
+                problems.append(Problem("gluing", message))
     if problems:
         return problems
 
     try:
-        traversals = _side_traversals(t)
+        _, traversals = _side_traversals(t)
     except InconsistencyError as exc:
         problems.append(Problem("corners", str(exc)))
         return problems
-    for a, (u, v) in sorted(t.arcs.items()):
+    for a, (u, v) in sorted(arcs.items()):
         if u == v:
             continue  # loop arcs: direction is a germ choice, checked nowhere
         dirs = {(entry, exit_) for _, entry, exit_, _ in traversals[a]}
@@ -219,21 +198,6 @@ def _validated(t: Triangulation) -> None:
         raise ValidationError(problems)
 
 
-def _arrow_sites(t: Triangulation) -> list[tuple[str, int, str, str]]:
-    """Corner sites joining two arcs: (triangle, corner index, from-arc, to-arc).
-
-    Deterministic order: triangles sorted, corners in cyclic position order.
-    """
-    sites = []
-    for tri in t.triangle_order:
-        sides = t.triangles[tri]
-        for i in range(3):
-            s, s_next = sides[i], sides[(i + 1) % 3]
-            if t.is_arc(s) and t.is_arc(s_next):
-                sites.append((tri, i, s, s_next))
-    return sites
-
-
 def jacobian_presentation(t: Triangulation, convention: str = "successor") -> Presentation:
     """Quiver on the arcs with arrows at shared corners, relations in internal triangles.
 
@@ -242,33 +206,32 @@ def jacobian_presentation(t: Triangulation, convention: str = "successor") -> Pr
     cyclic order; ``predecessor`` reverses every arrow (the opposite
     algebra).  Quadratic zero relations are exactly the compositions of
     consecutive arrows inside triangles whose three sides are all arcs.
+    Arrows and relations come in sorted triangle order, corners in cyclic
+    position order.
     """
     if convention not in ("successor", "predecessor"):
         raise ValueError(f"unknown arrow convention {convention!r}")
     _validated(t)
     flip = convention == "predecessor"
     arrows = []
-    by_site: dict[tuple[str, int], str] = {}
+    zero_pairs = []
     name_uses: dict[str, int] = {}
-    for tri, i, s, s_next in _arrow_sites(t):
-        src, tgt = (s_next, s) if flip else (s, s_next)
-        base = f"{src}>{tgt}"
-        name_uses[base] = name_uses.get(base, 0) + 1
-        name = base if name_uses[base] == 1 else f"{base}#{name_uses[base]}"
-        arrows.append((name, src, tgt))
-        by_site[(tri, i)] = name
+    for _, sides in sorted(t.triangles.items()):
+        names = []
+        for s, s_next in zip(sides, sides[1:] + sides[:1]):
+            if not (t.is_arc(s) and t.is_arc(s_next)):
+                continue
+            src, tgt = (s_next, s) if flip else (s, s_next)
+            base = f"{src}>{tgt}"
+            name_uses[base] = name_uses.get(base, 0) + 1
+            names.append(base if name_uses[base] == 1 else f"{base}#{name_uses[base]}")
+            arrows.append((names[-1], src, tgt))
+        if len(names) == 3:  # an internal triangle: every corner joins two arcs
+            for a, b in zip(names, names[1:] + names[:1]):
+                zero_pairs.append((b, a) if flip else (a, b))
 
     quiver = Quiver(sorted(t.arcs), arrows)
-    relations = []
-    for tri in t.triangle_order:
-        sides = t.triangles[tri]
-        if not all(t.is_arc(s) for s in sides):
-            continue
-        for i in range(3):
-            a, b = by_site[(tri, i)], by_site[(tri, (i + 1) % 3)]
-            pair = (b, a) if flip else (a, b)
-            relations.append(Monomial(quiver.path(pair)))
-    return Presentation(quiver, relations)
+    return Presentation(quiver, [Monomial(quiver.path(pair)) for pair in zero_pairs])
 
 
 def jacobian_algebra(t: Triangulation, convention: str = "successor") -> GentleAlgebra:
@@ -290,7 +253,7 @@ def brauer_graph_of_triangulation(t: Triangulation) -> BrauerGraph:
     boundary-segment germs at the point close the fan into a cycle.
     """
     _validated(t)
-    traversals = _side_traversals(t)
+    corners, traversals = _side_traversals(t)
 
     # Germ names per traversal occurrence.  A non-loop side has one germ per
     # endpoint; a loop side gets its two germs told apart by letting the
@@ -309,7 +272,6 @@ def brauer_graph_of_triangulation(t: Triangulation) -> BrauerGraph:
                 end_germ[(tri, pos)] = f"{side}@{u}.{1 - k}"
 
     next_at: dict[str, dict[str, str]] = {p: {} for p in t.points}
-    corners = _resolved_corners(t)
     for tri in t.triangle_order:
         for i in range(3):
             point = corners[tri][i]

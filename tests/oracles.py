@@ -75,8 +75,8 @@ the word-level test that replaced it.
 The remaining helpers serve the tests and check nothing by themselves: the
 census shapes one per class, the presentations broken in one place that
 the validators are compared on, presentation isomorphism by the library's
-key, the renaming of a presentation, and the source vertices of a cycle's
-simple cycle (``p_cycle``).
+key, the renaming of a presentation, the source vertices of a cycle's
+simple cycle (``p_cycle``), and the triangulations of a convex polygon.
 """
 
 from __future__ import annotations
@@ -116,6 +116,7 @@ from quiveralg.quiver import (
     trivial_path,
 )
 from quiveralg.ssb import ProjectiveDescriptor, SSBPresentation, _least_period
+from quiveralg.surface import Triangulation
 
 
 class _UnionFind:
@@ -1284,3 +1285,38 @@ def p_cycle(p: Path) -> tuple[str, ...]:
     if p.is_trivial():
         return (p.source,)
     return p.vertices[: _least_period(p.arrows)]
+
+
+def polygon_triangulations(n: int) -> Iterator[Triangulation]:
+    """Every triangulation of the convex ``n``-gon on the points ``m0`` to
+    ``m(n-1)``: boundary segment ``s_i`` runs from ``m_i`` to
+    ``m_(i+1 mod n)``, diagonal ``d_i.j`` joins ``m_i`` to ``m_j``, and the
+    triangle on ``i < j < k`` has the sides ``(i, j), (j, k), (i, k)``.
+    There are Catalan(n - 2) of them."""
+
+    def side(i: int, j: int) -> str:
+        return f"s{i}" if j == i + 1 else f"s{j}" if (i, j) == (0, n - 1) else f"d{i}.{j}"
+
+    def triples(i: int, k: int) -> Iterator[list[tuple[int, int, int]]]:
+        """The triangulations of the polygon on the points ``i`` to ``k``."""
+        if k - i < 2:
+            yield []
+            return
+        for j in range(i + 1, k):
+            for below in triples(i, j):
+                for above in triples(j, k):
+                    yield [*below, (i, j, k), *above]
+
+    points = [f"m{i}" for i in range(n)]
+    bsegs = {f"s{i}": (f"m{i}", f"m{(i + 1) % n}") for i in range(n)}
+    for found in triples(0, n - 1):
+        triangles = {
+            f"t{i}.{j}.{k}": (side(i, j), side(j, k), side(i, k)) for i, j, k in found
+        }
+        arcs = {
+            side(a, b): (f"m{a}", f"m{b}")
+            for i, j, k in found
+            for a, b in ((i, j), (j, k), (i, k))
+            if side(a, b).startswith("d")
+        }
+        yield Triangulation(points, bsegs, arcs, triangles)

@@ -1,7 +1,10 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
-from oracles import presentations_isomorphic
-from quiveralg.brauer import algebra_of, validate_brauer_graph
+from oracles import polygon_triangulations, presentations_isomorphic
+from quiveralg.brauer import algebra_of, is_isomorphic, validate_brauer_graph
 from quiveralg.cli import main
 from quiveralg.cut import CuttingSet, admissible_cut
 from quiveralg.errors import ValidationError
@@ -9,6 +12,7 @@ from quiveralg.gentle import nonzero_paths
 from quiveralg.ssb import is_isomorphic_ssb
 from quiveralg.surface import (
     Triangulation,
+    _corners,
     brauer_graph_of_triangulation,
     jacobian_algebra,
     jacobian_presentation,
@@ -17,7 +21,7 @@ from quiveralg.surface import (
     triangulation_dot,
     validate_triangulation,
 )
-from quiveralg.trivext import trivial_extension
+from quiveralg.trivext import graph_of_gentle, trivial_extension
 
 
 def codes(problems):
@@ -222,6 +226,41 @@ class TestCorollaryRoundtrips:
         assert len(added) == 2
         recovered = admissible_cut(ext, CuttingSet(added))
         assert presentations_isomorphic(recovered.presentation, algebra.presentation)
+
+
+def test_corners_are_the_assignment_their_definition_allows():
+    """Over every triple of side endpoints on three points, at most one
+    corner triple gives side ``i`` the endpoints ``corners[i-1]`` and
+    ``corners[i]``, and the walk returns it, or None when there is none.
+    No triple of sides on more points has an assignment."""
+    points = ("p", "q", "r")
+    kept_counts = Counter()
+    for ends in product(product(points, repeat=2), repeat=3):
+        t = Triangulation(points, {}, {str(i): pair for i, pair in enumerate(ends)}, {})
+        kept = [
+            c
+            for c in product(points, repeat=3)
+            if all(sorted(ends[i]) == sorted((c[i - 1], c[i])) for i in range(3))
+        ]
+        assert len(kept) <= 1
+        assert _corners(t, ("0", "1", "2")) == (kept[0] if kept else None)
+        kept_counts[len(kept)] += 1
+    assert kept_counts == {0: 606, 1: 123}
+
+
+def test_corollary_on_every_polygon_triangulation():
+    """Every triangulation of the 5- to 9-gon validates, the trivial
+    extension of its gentle algebra is the Brauer graph algebra of its
+    arcs, and the gentle graph of that algebra is the triangulation's graph."""
+    counts = Counter()
+    for n in range(5, 10):
+        for t in polygon_triangulations(n):
+            counts[n] += 1
+            assert validate_triangulation(t) == []
+            algebra, graph = jacobian_algebra(t), brauer_graph_of_triangulation(t)
+            assert is_isomorphic_ssb(trivial_extension(algebra), algebra_of(graph))
+            assert is_isomorphic(graph_of_gentle(algebra), graph)
+    assert counts == {5: 5, 6: 14, 7: 42, 8: 132, 9: 429}
 
 
 class TestLoopArc:
