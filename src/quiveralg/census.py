@@ -30,7 +30,8 @@ the rooted-map walk abandons the codes that cannot reach it.  The census
 also comes out grouped by map (``_cuts_by_map``): per map, the number of
 its cuts and a generator that builds the map's algebra and then its cuts
 when first read, so that a sharded suite run makes only the cuts it
-checks.
+checks.  Each cut comes with the map and the algebra it was cut from,
+which the trivial-extension suite checks it against.
 
 ``canonical_presentation_key`` is an isomorphism key for any presentation,
 by colour refinement and the permutations inside each colour class.  The
@@ -40,12 +41,13 @@ census does not use it; the tests compare presentations with it.
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .brauer import BrauerGraph, _first_step, algebra_of, discovery_code
 from .cut import CuttingSet, admissible_cut
 from .gentle import GentleAlgebra
 from .quiver import Monomial, Presentation
+from .ssb import SSBPresentation
 
 
 def rooted_maps(
@@ -232,30 +234,39 @@ def connected_brauer_graphs(max_edges: int, max_mult: int) -> Iterator[BrauerGra
                     yield BrauerGraph(dict(zip(vertices, mults)), shape.edges, shape.rotations)
 
 
+class _Cut(NamedTuple):
+    """An admissible cut with the map and the algebra it was cut from."""
+
+    algebra: GentleAlgebra  # admissible_cut(ssb, cut)
+    ssb: SSBPresentation  # algebra_of(graph), shared by the map's cuts
+    graph: BrauerGraph  # the map, multiplicity one, its germs named as the arrows of ssb
+    cut: CuttingSet  # one germ of every vertex of valency at least two
+
+
 def _cuts(
     cycles: list[list[int]], partner: tuple[int, ...], cutting_sets: list[tuple[int, ...]]
-) -> Iterator[GentleAlgebra]:
+) -> Iterator[_Cut]:
     """The admissible cuts of one map at the given cutting sets of its
-    germs.  The map's algebra is built on the first ``next()``."""
-    ssb = algebra_of(_shape_of(cycles, partner))
+    germs.  The map and its algebra are built on the first ``next()``,
+    once for all its cuts."""
+    graph = _shape_of(cycles, partner)
+    ssb = algebra_of(graph)
     for germs in cutting_sets:
-        yield admissible_cut(ssb, CuttingSet(f"h{h}" for h in germs))
+        cut = CuttingSet(f"h{h}" for h in germs)
+        yield _Cut(admissible_cut(ssb, cut), ssb, graph, cut)
 
 
-def _cuts_by_map(
-    max_vertices: int, max_arrows: int
-) -> Iterator[tuple[int, Iterator[GentleAlgebra]]]:
+def _cuts_by_map(max_vertices: int, max_arrows: int) -> Iterator[tuple[int, Iterator[_Cut]]]:
     """The census of :func:`gentle_algebras`, in its order, one group per
     kept map: the number of its orbit-least cutting sets and a generator
-    over their cuts.  Walking the stream builds nothing; a map's algebra is
-    built only when its generator is read."""
+    over their cuts, each with its map and the map's algebra.  Walking the
+    stream builds nothing; a map's algebra is built only when its generator
+    is read."""
     for n in range(1, max_vertices + 1):
         yield from _map_groups(n, range(max(1, 2 * n - max_arrows), 2 * n))
 
 
-def _map_groups(
-    n_edges: int, vertex_counts: range
-) -> Iterator[tuple[int, Iterator[GentleAlgebra]]]:
+def _map_groups(n_edges: int, vertex_counts: range) -> Iterator[tuple[int, Iterator[_Cut]]]:
     """The groups of :func:`_cuts_by_map` for the maps with ``n_edges``
     edges and a number of vertices in ``vertex_counts``; their cuts have
     ``n_edges`` vertices and ``2 * n_edges - v`` arrows on a map with ``v``
@@ -285,8 +296,9 @@ def gentle_algebras(max_vertices: int, max_arrows: int) -> Iterator[GentleAlgebr
     (by vertex count, map, cutting set), not sorted.  The algebras are
     those of the groups of :func:`_cuts_by_map`, read in turn.
     """
-    for _, algebras in _cuts_by_map(max_vertices, max_arrows):
-        yield from algebras
+    for _, cuts in _cuts_by_map(max_vertices, max_arrows):
+        for cut in cuts:
+            yield cut.algebra
 
 
 def _rank(colours: dict[str, tuple]) -> dict[str, int]:

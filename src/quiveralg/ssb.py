@@ -418,12 +418,18 @@ def projective_basis(ssb: SSBPresentation, vertex: str) -> list[tuple]:
     """
     d = ssb.projective_at[vertex]
     a, b = d.first, d.second
-    if b.arrows and b.arrows[0] < a.arrows[0]:
-        a, b = b, a
-    a_is_socle = not b.arrows or len(a.arrows) <= len(b.arrows)
-    last_a = len(a.arrows) - (not a_is_socle)  # the longest element from each
-    last_b = len(b.arrows) - a_is_socle
-    a_word, a_itinerary, b_word, b_itinerary = a.arrows, a.vertices, b.arrows, b.vertices
+    return _basis_from_words(vertex, a.arrows, a.vertices, b.arrows, b.vertices)
+
+
+def _basis_from_words(vertex: str, a_word, a_itinerary, b_word, b_itinerary) -> list[tuple]:
+    """The keys of :func:`projective_basis` at ``vertex`` from the arrow
+    words and itineraries of its two maximal paths, the second possibly
+    trivial: read from the descriptor, or renamed by a caller."""
+    if b_word and b_word[0] < a_word[0]:
+        a_word, a_itinerary, b_word, b_itinerary = b_word, b_itinerary, a_word, a_itinerary
+    a_is_socle = not b_word or len(a_word) <= len(b_word)
+    last_a = len(a_word) - (not a_is_socle)  # the longest element from each
+    last_b = len(b_word) - a_is_socle
     keys = [(0, (), (vertex,))]
     for k in range(1, max(last_a, last_b) + 1):
         if k <= last_a:

@@ -1320,3 +1320,134 @@ def polygon_triangulations(n: int) -> Iterator[Triangulation]:
             if side(a, b).startswith("d")
         }
         yield Triangulation(points, bsegs, arcs, triangles)
+
+
+def semidirect_mismatches(
+    algebra: GentleAlgebra,
+    pres: Presentation,
+    rename: dict[str, str] | None = None,
+    classes: int | None = None,
+) -> list[str]:
+    """How ``pres`` fails to present the trivial extension T(A) = A ⋉ DA of
+    the gentle algebra A = ``algebra``, built here from its definition.
+
+    The basis of A ⋉ DA is the nonzero paths p of A (by enumeration, as
+    :func:`_clean_paths`) and their duals p*.  A path times a path is
+    their concatenation when that is nonzero; p·q* = z* when z·p = q, and
+    q*·p = z* when p·z = q; every other product of two basis elements is
+    zero.  A dual p* runs from the target of p to its source.  An arrow x
+    of ``pres`` goes to the element named ``rename.get(x, x)``: an arrow of
+    A to itself, and the return arrow of a maximal path m of A (its name in
+    ``algebra.return_arrow_names``) to m*.  The map is an isomorphism when
+    the quivers have the same vertices, each arrow has an image between
+    its own two vertices, every relation maps to zero or has equal sides,
+    the images of the paths of ``pres`` hit all 2·dim A basis elements,
+    and ``pres`` has 2·dim A classes: ``classes``, when the caller has
+    counted them already, or :func:`quotient_dimension`.  An empty list
+    means all of that holds.
+    """
+    rename = rename or {}
+    quiver = algebra.quiver
+    nonzero = {(p.source, p.arrows) for p in _clean_paths(algebra.presentation, 10**6, 10**6)}
+    duals = {name: m for m, name in algebra.return_arrow_names.items()}
+
+    def target(source: str, word: tuple[str, ...]) -> str:
+        return quiver.arrow_map[word[-1]].target if word else source
+
+    def ends(x) -> tuple[str, str]:  # x = (is_dual, source of the path, word)
+        dual, source, word = x
+        return (target(source, word), source) if dual else (source, target(source, word))
+
+    def times(x, y):
+        if x is None or y is None or ends(x)[1] != ends(y)[0]:
+            return None
+        (x_dual, x_source, x_word), (y_dual, y_source, y_word) = x, y
+        if not x_dual and not y_dual:
+            return (False, x_source, x_word + y_word) if (
+                x_source, x_word + y_word
+            ) in nonzero else None
+        if x_dual and y_dual:
+            return None
+        if y_dual:  # p·q* with q = z·p
+            cut = len(y_word) - len(x_word)
+            return (True, y_source, y_word[:cut]) if y_word[cut:] == x_word else None
+        # q*·p with q = p·z
+        if y_word == x_word[: len(y_word)]:
+            return (True, target(y_source, y_word), x_word[len(y_word) :])
+        return None
+
+    images, problems = {}, []
+    if pres.quiver.vertices != quiver.vertices:
+        problems.append("the vertices differ")
+        return problems
+    for a in pres.quiver.arrows:
+        name = rename.get(a.name, a.name)
+        if name in quiver.arrow_map:
+            image = (False, quiver.arrow_map[name].source, (name,))
+        elif name in duals:
+            image = (True, duals[name].source, duals[name].arrows)
+        else:
+            problems.append(f"arrow {a.name} has no image")
+            continue
+        if ends(image) != (a.source, a.target):
+            problems.append(f"arrow {a.name} goes to an element between other vertices")
+        images[a.name] = image
+    if problems:
+        return problems
+
+    def image_of(p: Path):
+        x = (False, p.source, ())
+        for name in p.arrows:
+            x = times(x, images[name])
+        return x
+
+    for r in pres.relations:
+        if isinstance(r, Monomial):
+            if image_of(r.path) is not None:
+                problems.append(f"relation {r.path.label()} does not map to zero")
+        elif image_of(r.left) != image_of(r.right):
+            problems.append(f"relation {r.left.label()} = {r.right.label()} has unequal sides")
+    hit = set()
+    frontier = [(a.target, images[a.name]) for a in pres.quiver.arrows]
+    frontier += [(v, (False, v, ())) for v in quiver.vertices]
+    while frontier:  # every arrow goes into the radical, which is nilpotent
+        end, x = frontier.pop()
+        hit.add(x)
+        for a in pres.quiver.arrows_from[end]:
+            y = times(x, images[a.name])
+            if y is not None:
+                frontier.append((a.target, y))
+    basis = {(dual, source, word) for source, word in nonzero for dual in (False, True)}
+    if hit != basis:
+        problems.append(f"the images hit {len(hit & basis)} of {len(basis)} basis elements")
+    if classes is None:
+        classes = quotient_dimension(pres)
+    if classes != len(basis):
+        problems.append(f"{classes} classes, {len(basis)} basis elements")
+    return problems
+
+
+def extension_route_failures(algebra: GentleAlgebra, ssb: SSBPresentation) -> list[str]:
+    """The properties of the trivial-extension suite that fail on the route
+    that builds T(A): the glued projective bases against those of
+    ``trivial_extension(algebra)`` at every vertex, the graph of T(A)
+    against the gentle graph up to isomorphism, the dimension of T(A)
+    against twice that of ``algebra``, and, as ``roundtrip``, T(A) against
+    ``ssb`` by ``is_isomorphic_ssb``."""
+    from quiveralg.brauer import is_isomorphic
+    from quiveralg.ssb import graph_of_ssb, is_isomorphic_ssb, projective_basis
+    from quiveralg.trivext import extension_of_graph, graph_of_gentle, projectives_oracle
+
+    graph = graph_of_gentle(algebra)
+    ext = extension_of_graph(algebra, graph)
+    failed = []
+    vertices = algebra.quiver.vertices
+    if any(projectives_oracle(algebra, v) != projective_basis(ext, v) for v in vertices):
+        failed.append("projective-gluing")
+    if not is_isomorphic(graph_of_ssb(ext), graph):
+        failed.append("graph-of-extension")
+    if ext.dimension != 2 * algebra.dimension:
+        failed.append("dimension-doubling")
+    if not is_isomorphic_ssb(ext, ssb):
+        failed.append("roundtrip")
+    return failed

@@ -128,8 +128,9 @@ class TestRoundtrip:
         assert {prop for _, prop, _ in report.failures} == {"cut-gentle"}
 
     def test_suite_reports_a_broken_trivial_extension(self, monkeypatch, star3):
-        foreign = algebra_of(star3)  # three edges: no census graph at two edges
-        monkeypatch.setattr("quiveralg.cut.trivial_extension", lambda algebra: foreign)
+        # T(A) is the algebra of the gentle graph of A: a foreign gentle
+        # graph (three edges: no census graph at two edges) breaks every cut
+        monkeypatch.setattr(suites, "graph_of_gentle", lambda algebra: star3)
         report = suites.run_suite("thm-1-3", suites.Bounds(max_edges=2))
         assert report.instances > 0
         assert {prop for _, prop, _ in report.failures} == {"cut-roundtrip"}

@@ -175,7 +175,7 @@ def test_each_shard_builds_exactly_the_instances_it_checks(monkeypatch, tmp_path
     census_groups = _cuts_by_map(BOUNDS.max_vertices, BOUNDS.max_arrows)
     groups = [(count, list(cuts)) for count, cuts in census_groups]
     assert all(count == len(cuts) for count, cuts in groups)
-    texts = sorted(_text(cut) for _, cuts in groups for cut in cuts)
+    texts = sorted(_text(cut.algebra) for _, cuts in groups for cut in cuts)
     maps = sorted(text for _, text in builds()[0])
     most = max(count for count, _ in groups)
     assert len(set(maps)) == len(maps) == len(groups) and 1 < most < len(texts) / 3
