@@ -72,6 +72,15 @@ reference zero test is the library's monomial zero test as it was written
 on paths, with ``is_subpath``; ``zero_test_mismatches`` compares it with
 the word-level test that replaced it.
 
+The trivial extension T(A) = A ⋉ DA is built from its definition, on the
+nonzero paths of A and their duals, and a presentation is checked to
+present it under a given arrow map (``semidirect_mismatches``); it reads
+the library's return-arrow names only to send each return arrow to the
+dual of its maximal path.  The route by which the suites once checked
+T(A), building it through the gentle graph and comparing it with the map's
+algebra, is kept as ``extension_route_failures``, the differential oracle
+of the suites' renaming.
+
 The remaining helpers serve the tests and check nothing by themselves: the
 census shapes one per class, the presentations broken in one place that
 the validators are compared on, presentation isomorphism by the library's
@@ -1363,9 +1372,8 @@ def semidirect_mismatches(
             return None
         (x_dual, x_source, x_word), (y_dual, y_source, y_word) = x, y
         if not x_dual and not y_dual:
-            return (False, x_source, x_word + y_word) if (
-                x_source, x_word + y_word
-            ) in nonzero else None
+            word = x_word + y_word
+            return (False, x_source, word) if (x_source, word) in nonzero else None
         if x_dual and y_dual:
             return None
         if y_dual:  # p·q* with q = z·p
